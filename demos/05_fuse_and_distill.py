@@ -46,11 +46,11 @@ print("teacher attribution (share of fusion weight mass): "
       + ", ".join(f"teacher {g}: {a:.3f}" for g, a in enumerate(attribution)))
 
 optim_s = OptimConfig(*scale_phase(*STUDENT_PHASE, 0.25), batch_size=128, seed=30)
-student, _ = train_student("a_kd", adaptor, teachers, train,
+student, _ = train_student("a_kd", adaptor, sets, train,
                            StudentLossConfig(10000.0, "a_kd"), EafConfig(),
                            backbone, optim_s, init_seed=300)
 
-e_mt = fused_target(teachers, adaptor, val.values)
+e_mt = fused_target(adaptor, extract_embeddings(teachers, val))
 fresh = new_student(backbone, "a_kd", None, seed=300)
 kd0 = float(np.mean((e_mt - fresh.embed(val.values)) ** 2))
 kd1 = float(np.mean((e_mt - student.embed(val.values)) ** 2))

@@ -1,12 +1,13 @@
 """Experiment orchestration: config, run manifest, and pipeline stages.
 
-One JSON config drives every stage. Stages form the DAG
+One JSON config drives every stage. Stages run in the order
 gen-data -> train-teachers -> extract -> train-adaptor -> train-student ->
-evaluate; each stage checks that its upstream artifacts exist on disk with
-the hashes recorded in the manifest, skips itself when its own artifacts
-are already present (unless forced), and registers everything it writes.
-All artifacts are pure functions of (config, seeds), so re-runs are
-byte-identical.
+evaluate (their inputs are listed in `UPSTREAM`); each stage checks that
+its upstream artifacts exist on disk with the hashes recorded in the
+manifest, skips itself when its own artifacts are already present (unless
+forced), and registers everything it writes. Within one `run_all` call
+each artifact is hashed once. All artifacts are pure functions of
+(config, seeds), so re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, data, models, store, training
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, FormatError, MissingArtifactError
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
 from .losses import EafConfig, StudentLossConfig
@@ -32,7 +33,7 @@ UPSTREAM = {
     "train-teachers": ("gen-data",),
     "extract": ("gen-data", "train-teachers"),
     "train-adaptor": ("extract",),
-    "train-student": ("gen-data", "train-teachers", "train-adaptor"),
+    "train-student": ("gen-data", "extract", "train-adaptor"),
     "evaluate": ("gen-data", "train-student"),
 }
 
@@ -259,8 +260,20 @@ def load_manifest(out: Path) -> Optional[dict]:
     path = _manifest_path(out)
     if not path.exists():
         return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not valid JSON ({exc}); "
+                          "run-all --force rebuilds the run") from exc
+    if not (isinstance(manifest, dict) and "config_hash" in manifest
+            and isinstance(manifest.get("stages"), dict)
+            and all(isinstance(record, dict)
+                    and isinstance(record.get("artifacts"), dict)
+                    for record in manifest["stages"].values())):
+        raise FormatError(f"{path} lacks config_hash or per-stage artifacts; "
+                          "run-all --force rebuilds the run")
+    return manifest
 
 
 def _save_manifest(out: Path, manifest: dict) -> None:
@@ -271,8 +284,8 @@ def _save_manifest(out: Path, manifest: dict) -> None:
 
 def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool = False) -> dict:
     h = config_hash(cfg)
-    manifest = load_manifest(out)
-    if manifest is None or reset:
+    manifest = None if reset else load_manifest(out)
+    if manifest is None:
         return {"config_hash": h, "tool_version": __version__,
                 "fusion_order": cfg.resolved_fusion_order(), "stages": {}}
     if manifest["config_hash"] != h:
@@ -283,15 +296,21 @@ def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool = False) -> dic
     return manifest
 
 
-def _stage_ok(manifest: dict, stage: str, out: Path) -> bool:
+def _digest(digests: dict[Path, str], path: Path) -> Optional[str]:
+    """sha256 of `path` (None if absent), hashed at most once per `digests`."""
+    if path not in digests:
+        if not path.exists():
+            return None
+        digests[path] = store.sha256_file(path)
+    return digests[path]
+
+
+def _stage_ok(manifest: dict, stage: str, out: Path,
+              digests: dict[Path, str]) -> bool:
     record = manifest["stages"].get(stage)
-    if record is None:
-        return False
-    for rel, digest in record["artifacts"].items():
-        path = out / rel
-        if not path.exists() or store.sha256_file(path) != digest:
-            return False
-    return True
+    return record is not None and all(
+        _digest(digests, out / rel) == digest
+        for rel, digest in record["artifacts"].items())
 
 
 def _expected_artifacts(cfg: ExperimentConfig, stage: str) -> list[str]:
@@ -313,27 +332,29 @@ def _expected_artifacts(cfg: ExperimentConfig, stage: str) -> list[str]:
 
 
 def _require_upstream(manifest: dict, stage: str, out: Path,
-                      cfg: ExperimentConfig) -> None:
+                      cfg: ExperimentConfig, digests: dict[Path, str]) -> None:
     for up in UPSTREAM[stage]:
         record = manifest["stages"].get(up)
         if record is None:
             raise MissingArtifactError(
                 f"stage {stage!r} needs {up!r}, which has not run in {out}; "
                 f"expected artifacts: {_expected_artifacts(cfg, up)}")
-        missing = [rel for rel in record["artifacts"]
-                   if not (out / rel).exists()
-                   or store.sha256_file(out / rel) != record["artifacts"][rel]]
+        missing = [rel for rel, digest in record["artifacts"].items()
+                   if _digest(digests, out / rel) != digest]
         if missing:
             raise MissingArtifactError(
                 f"stage {stage!r} needs {up!r} artifacts, but these are "
                 f"missing or modified: {missing}")
 
 
-def _record_stage(manifest: dict, stage: str, out: Path,
-                  paths: list[Path]) -> None:
+def _record_stage(manifest: dict, stage: str, out: Path, paths: list[Path],
+                  digests: Optional[dict[Path, str]]) -> None:
+    """Hash what the stage just wrote; the new digests replace cached ones."""
+    fresh = {p: store.sha256_file(p) for p in sorted(paths)}
+    if digests is not None:
+        digests.update(fresh)
     manifest["stages"][stage] = {
-        "artifacts": {str(p.relative_to(out)): store.sha256_file(p)
-                      for p in sorted(paths)}}
+        "artifacts": {str(p.relative_to(out)): d for p, d in fresh.items()}}
     _save_manifest(out, manifest)
 
 
@@ -377,26 +398,27 @@ def _teacher_path(out: Path, g: int) -> Path:
 
 
 def _run_stage(stage: str, cfg: ExperimentConfig, out: Path, force: bool,
-               reset: bool = False) -> bool:
-    """Common prologue; returns False when the stage can be skipped."""
+               digests: Optional[dict[Path, str]], reset: bool = False) -> bool:
+    """Common prologue; returns False when the stage can be skipped.
+
+    `digests` caches artifact hashes across the stages of one `run_all`
+    call; a stage run on its own passes None and hashes afresh."""
+    digests = {} if digests is None else digests
     out.mkdir(parents=True, exist_ok=True)
     manifest = _open_manifest(out, cfg, reset=reset)
     _write_config_copy(out, cfg)
-    _require_upstream(manifest, stage, out, cfg)
-    if not force and _stage_ok(manifest, stage, out):
+    _require_upstream(manifest, stage, out, cfg, digests)
+    if not force and _stage_ok(manifest, stage, out, digests):
         print(f"[mstkd] {stage}: up to date in {out}, skipping (use --force to redo)")
         return False
     _save_manifest(out, manifest)
     return True
 
 
-def cmd_gen_data(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_gen_data(cfg: ExperimentConfig, force: bool = False,
+                 digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _open_manifest(out, cfg, reset=force)
-    _write_config_copy(out, cfg)
-    if not force and _stage_ok(manifest, "gen-data", out):
-        print(f"[mstkd] gen-data: up to date in {out}, skipping")
+    if not _run_stage("gen-data", cfg, out, force, digests, reset=force):
         return out
     train, val, test = data.generate(cfg.dataset)
     val_pairs = data.build_pairs(val, cfg.pairs_per_group, cfg.genuine_fraction,
@@ -410,7 +432,8 @@ def cmd_gen_data(cfg: ExperimentConfig, force: bool = False) -> Path:
     store.save_sample_set(test, paths["test"])
     store.save_pairs(val_pairs, paths["pairs_validation"])
     store.save_pairs(test_pairs, paths["pairs_test"])
-    _record_stage(manifest, "gen-data", out, list(paths.values()))
+    manifest = _open_manifest(out, cfg)
+    _record_stage(manifest, "gen-data", out, list(paths.values()), digests)
     print(f"[mstkd] gen-data: wrote {train.n} train / {val.n} validation / "
           f"{test.n} test samples to {out / 'dataset'}")
     return out
@@ -434,12 +457,17 @@ def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int) -> list[str]:
     return [str(ckpt), str(log)]
 
 
-def cmd_train_teachers(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_train_teachers(cfg: ExperimentConfig, force: bool = False,
+                       digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    if not _run_stage("train-teachers", cfg, out, force):
+    if not _run_stage("train-teachers", cfg, out, force, digests):
         return out
     store.ensure_dir(out / "teachers")
-    workers = int(os.environ.get("MSTKD_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("MSTKD_WORKERS", "1"))
+    except ValueError:
+        raise ConfigError("MSTKD_WORKERS must be an integer, got "
+                          f"{os.environ['MSTKD_WORKERS']!r}") from None
     doc = config_to_dict(cfg)
     written: list[Path] = []
     if workers > 1:
@@ -452,15 +480,16 @@ def cmd_train_teachers(cfg: ExperimentConfig, force: bool = False) -> Path:
         for g in range(cfg.dataset.groups):
             written.extend(Path(p) for p in _train_one_teacher(doc, str(out), g))
     manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-teachers", out, written)
+    _record_stage(manifest, "train-teachers", out, written, digests)
     print(f"[mstkd] train-teachers: {cfg.dataset.groups} {cfg.split} teachers -> "
           f"{out / 'teachers'}")
     return out
 
 
-def cmd_extract(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_extract(cfg: ExperimentConfig, force: bool = False,
+                digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    if not _run_stage("extract", cfg, out, force):
+    if not _run_stage("extract", cfg, out, force, digests):
         return out
     train, _, _, _, _ = _load_pools(cfg, out)
     teachers = [models.load_teacher(_teacher_path(out, g))
@@ -473,7 +502,7 @@ def cmd_extract(cfg: ExperimentConfig, force: bool = False) -> Path:
         store.save_sample_set(s, path)
         written.append(path)
     manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "extract", out, written)
+    _record_stage(manifest, "extract", out, written, digests)
     print(f"[mstkd] extract: {len(sets)} x {sets[0].n} embeddings -> "
           f"{out / 'embeddings'}")
     return out
@@ -485,9 +514,10 @@ def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSe
             for g in range(cfg.dataset.groups)]
 
 
-def cmd_train_adaptor(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_train_adaptor(cfg: ExperimentConfig, force: bool = False,
+                      digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    if not _run_stage("train-adaptor", cfg, out, force):
+    if not _run_stage("train-adaptor", cfg, out, force, digests):
         return out
     sets = _load_embedding_sets(cfg, out)
     store.ensure_dir(out / "adaptors")
@@ -503,18 +533,18 @@ def cmd_train_adaptor(cfg: ExperimentConfig, force: bool = False) -> Path:
         training.write_log(records, log)
         written.extend([ckpt, log])
     manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-adaptor", out, written)
+    _record_stage(manifest, "train-adaptor", out, written, digests)
     print(f"[mstkd] train-adaptor: {list(cfg.adaptors)} -> {out / 'adaptors'}")
     return out
 
 
-def cmd_train_student(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_train_student(cfg: ExperimentConfig, force: bool = False,
+                      digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    if not _run_stage("train-student", cfg, out, force):
+    if not _run_stage("train-student", cfg, out, force, digests):
         return out
     train, _, _, _, _ = _load_pools(cfg, out)
-    teachers = [models.load_teacher(_teacher_path(out, g))
-                for g in range(cfg.dataset.groups)]
+    sets = _load_embedding_sets(cfg, out)
     store.ensure_dir(out / "students")
     written = []
     for i, kind in enumerate(cfg.adaptors):
@@ -522,7 +552,7 @@ def cmd_train_student(cfg: ExperimentConfig, force: bool = False) -> Path:
         for j, mode in enumerate(cfg.student_modes):
             optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
             student, records = training.train_student(
-                mode, adaptor, teachers, train,
+                mode, adaptor, sets, train,
                 StudentLossConfig(cfg.lam, mode), cfg.eaf, cfg.backbone, optim,
                 init_seed=cfg.seeds.init + 200 + 10 * i + j,
                 fusion_order=cfg.resolved_fusion_order())
@@ -532,15 +562,16 @@ def cmd_train_student(cfg: ExperimentConfig, force: bool = False) -> Path:
             training.write_log(records, log)
             written.extend([ckpt, log])
     manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-student", out, written)
+    _record_stage(manifest, "train-student", out, written, digests)
     print(f"[mstkd] train-student: {len(cfg.adaptors) * len(cfg.student_modes)} "
           f"students -> {out / 'students'}")
     return out
 
 
-def cmd_evaluate(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_evaluate(cfg: ExperimentConfig, force: bool = False,
+                 digests: Optional[dict[Path, str]] = None) -> Path:
     out = Path(cfg.out_dir)
-    if not _run_stage("evaluate", cfg, out, force):
+    if not _run_stage("evaluate", cfg, out, force, digests):
         return out
     _, _, test, _, test_pairs = _load_pools(cfg, out)
     store.ensure_dir(out / "reports")
@@ -557,7 +588,7 @@ def cmd_evaluate(cfg: ExperimentConfig, force: bool = False) -> Path:
                              encoding="utf-8")
             written.extend([jpath, tpath])
     manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "evaluate", out, written)
+    _record_stage(manifest, "evaluate", out, written, digests)
     print(f"[mstkd] evaluate: reports -> {out / 'reports'}")
     return out
 
@@ -624,10 +655,8 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
 
 
 def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:
-    cmd_gen_data(cfg, force)
-    cmd_train_teachers(cfg, force)
-    cmd_extract(cfg, force)
-    cmd_train_adaptor(cfg, force)
-    cmd_train_student(cfg, force)
-    cmd_evaluate(cfg, force)
+    digests: dict[Path, str] = {}  # lives for this call only
+    for cmd in (cmd_gen_data, cmd_train_teachers, cmd_extract,
+                cmd_train_adaptor, cmd_train_student, cmd_evaluate):
+        cmd(cfg, force, digests)
     return Path(cfg.out_dir)

@@ -6,9 +6,10 @@ with the best verification accuracy on their assigned group's validation
 pairs (ties go to the earliest epoch). Adaptors train on concatenated
 frozen-teacher embeddings with their own disposable classification header
 and keep the epoch with the lowest mean training loss. Students mimic the
-fused target space (optionally plus classification) and keep the final
-epoch. All shuffling, margins, and dropout draw from generators derived
-from the configured seeds, so a full run is bit-reproducible.
+fused target space, computed once from the same teacher embeddings
+(optionally plus classification), and keep the final epoch. All
+shuffling, margins, and dropout draw from generators derived from the
+configured seeds, so a full run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -175,7 +176,6 @@ def _grads_of(ptens: dict) -> dict[str, np.ndarray]:
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
                   eaf_cfg: EafConfig, optim: OptimConfig, val_pool: SampleSet,
                   val_pairs: PairList, init_seed: int,
-                  augment: Optional[Callable] = None,
                   ) -> tuple[TeacherModel, list[TrainLogRecord]]:
     """Train one teacher on its subset; keep the epoch checkpoint with the
     best own-group validation verification accuracy (ties: earliest)."""
@@ -186,7 +186,7 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     local_labels = np.searchsorted(class_ids, subset.identities)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
     opt = SgdMomentum(model.params, optim.momentum)
-    shuffle_rng, margin_rng, augment_rng = _rng_streams(optim.seed, 3)
+    shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
     guard = DivergenceGuard()
     own_pairs = val_pairs.of_group(group.index)
 
@@ -197,12 +197,10 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
         lr = lr_at_epoch(optim, epoch)
         epoch_losses = []
         for batch in epoch_batches(subset.n, optim.batch_size, shuffle_rng):
-            x = subset.values[batch]
-            if augment is not None:
-                x = augment(x, augment_rng)
             tape = Tape()
             ptens = models.param_tensors(tape, model.params)
-            emb = models.backbone_graph(tape, ptens, backbone_cfg, x)
+            emb = models.backbone_graph(tape, ptens, backbone_cfg,
+                                        subset.values[batch])
             loss = losses.elastic_arcface(emb, ptens["header.W"],
                                           local_labels[batch], eaf_cfg,
                                           mode="train", rng=margin_rng)
@@ -288,28 +286,36 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     return model, records
 
 
-def fused_target(teachers: list[TeacherModel], adaptor: AdaptorModel,
-                 x: np.ndarray, fusion_order: Optional[list[int]] = None,
-                 ) -> np.ndarray:
-    """Frozen-network mimicry target: extract, fuse, adapt, in eval mode."""
-    sets = [t.embed(x) for t in teachers]
-    order = list(range(len(sets))) if fusion_order is None else list(fusion_order)
-    fused = np.concatenate([sets[g] for g in order], axis=1)
-    return models.adaptor_forward(adaptor, fused, mode="eval")
+def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
+                 fusion_order: Optional[list[int]] = None) -> np.ndarray:
+    """Frozen-network mimicry target: fuse the row-aligned teacher embeddings
+    of a pool and adapt them in eval mode; row i is the target of sample i."""
+    return models.adaptor_forward(
+        adaptor, models.fuse_inputs(embedding_sets, fusion_order), mode="eval")
 
 
-def train_student(mode: str, adaptor: AdaptorModel, teachers: list[TeacherModel],
-                  dataset: SampleSet, loss_cfg: StudentLossConfig,
+def train_student(mode: str, adaptor: AdaptorModel,
+                  embedding_sets: list[SampleSet], dataset: SampleSet,
+                  loss_cfg: StudentLossConfig,
                   eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
                   ) -> tuple[StudentModel, list[TrainLogRecord]]:
     """Distill the fused teacher space into a student; returns the
-    final-epoch model. Teachers and adaptor stay frozen (verified)."""
+    final-epoch model.
+
+    `embedding_sets` are the teachers' embeddings of `dataset`, row-aligned
+    with it (the extract stage's output). The target of every sample is
+    computed once, before the first epoch; the adaptor stays frozen
+    (verified)."""
     optim.validate()
     loss_cfg = StudentLossConfig(loss_cfg.lam, mode)
     loss_cfg.validate()
-    frozen_before = _param_bytes(teachers, adaptor)
+    frozen_before = _param_bytes(adaptor)
+    targets = fused_target(adaptor, embedding_sets, fusion_order)
+    if targets.shape[0] != dataset.n:
+        raise ContractError(f"{targets.shape[0]} target rows for "
+                            f"{dataset.n} training samples")
     if mode == "eaf_kd":
         class_ids = np.unique(dataset.identities)
         local_labels = np.searchsorted(class_ids, dataset.identities)
@@ -326,12 +332,11 @@ def train_student(mode: str, adaptor: AdaptorModel, teachers: list[TeacherModel]
         lr = lr_at_epoch(optim, epoch)
         epoch_total, epoch_eaf, epoch_kd = [], [], []
         for batch in epoch_batches(dataset.n, optim.batch_size, shuffle_rng):
-            x = dataset.values[batch]
-            e_mt = fused_target(teachers, adaptor, x, fusion_order)
             tape = Tape()
             ptens = models.param_tensors(tape, model.params)
-            emb = models.backbone_graph(tape, ptens, backbone_cfg, x)
-            kd = losses.kd_mse(e_mt, emb)
+            emb = models.backbone_graph(tape, ptens, backbone_cfg,
+                                        dataset.values[batch])
+            kd = losses.kd_mse(targets[batch], emb)
             if mode == "eaf_kd":
                 eaf = losses.elastic_arcface(emb, ptens["header.W"],
                                              local_labels[batch], eaf_cfg,
@@ -352,17 +357,11 @@ def train_student(mode: str, adaptor: AdaptorModel, teachers: list[TeacherModel]
         records.append(TrainLogRecord(
             epoch, float(np.mean(epoch_total)) if epoch_total else float("nan"),
             lr, None, time.perf_counter() - t0, extras))
-    if _param_bytes(teachers, adaptor) != frozen_before:
-        raise ContractError("frozen teacher/adaptor parameters changed "
+    if _param_bytes(adaptor) != frozen_before:
+        raise ContractError("frozen adaptor parameters changed "
                             "during student training")
     return model, records
 
 
-def _param_bytes(teachers: list[TeacherModel], adaptor: AdaptorModel) -> bytes:
-    chunks = []
-    for t in teachers:
-        for name in sorted(t.params):
-            chunks.append(t.params[name].tobytes())
-    for name in sorted(adaptor.params):
-        chunks.append(adaptor.params[name].tobytes())
-    return b"".join(chunks)
+def _param_bytes(adaptor: AdaptorModel) -> bytes:
+    return b"".join(adaptor.params[n].tobytes() for n in sorted(adaptor.params))

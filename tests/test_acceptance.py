@@ -403,7 +403,8 @@ def test_criterion_6_distillation_effectiveness(sweep):
     details = []
     for i, kind in enumerate(cfg.adaptors):
         adaptor = models.load_adaptor(out / "adaptors" / f"{kind}.ckpt")
-        e_mt = training.fused_target(teachers, adaptor, val.values,
+        e_mt = training.fused_target(adaptor,
+                                     training.extract_embeddings(teachers, val),
                                      cfg.resolved_fusion_order())
         student = models.load_student(out / "students" / f"{kind}_a_kd.ckpt")
         fresh = models.new_student(cfg.backbone, "a_kd", None,
@@ -506,7 +507,8 @@ def test_criterion_9_frozen_network_guarantee(sweep):
     before_a = {n: p.tobytes() for n, p in adaptor.params.items()}
     optim = cfg.optim("student", 7)
     for mode in ("eaf_kd", "a_kd"):
-        training.train_student(mode, adaptor, teachers, train,
+        training.train_student(mode, adaptor,
+                               training.extract_embeddings(teachers, train), train,
                                StudentLossConfig(cfg.lam, mode), cfg.eaf,
                                cfg.backbone, optim, init_seed=8,
                                fusion_order=cfg.resolved_fusion_order())

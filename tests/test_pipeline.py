@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mstkd import cli, pipeline
+from mstkd import cli, pipeline, store
 from mstkd.errors import ConfigError, MissingArtifactError
 
 
@@ -176,3 +176,83 @@ def test_cli_init_config_and_full_run(tmp_path):
     assert cli.main(["init-config", "--out", str(cfg_path)]) == 0
     doc = json.loads(cfg_path.read_text())
     assert doc == pipeline.default_config_dict()
+
+
+def test_train_student_reads_embeddings_not_teachers(tmp_path):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.run_all(cfg)
+    student = out / "students" / "DuL_eaf_kd.ckpt"
+    before = student.read_bytes()
+    for ckpt in (out / "teachers").glob("*.ckpt"):
+        ckpt.unlink()
+    pipeline.cmd_train_student(cfg, force=True)
+    assert student.read_bytes() == before
+    emb = out / "embeddings" / "teacher_0.mste"
+    emb.write_bytes(emb.read_bytes()[:-1] + b"\x07")
+    with pytest.raises(MissingArtifactError) as err:
+        pipeline.cmd_train_student(cfg)
+    assert "embeddings/teacher_0.mste" in str(err.value)
+    emb.unlink()
+    with pytest.raises(MissingArtifactError) as err:
+        pipeline.cmd_train_student(cfg)
+    assert "embeddings/teacher_0.mste" in str(err.value)
+
+
+def test_run_all_hashes_each_artifact_once_per_call(tmp_path, monkeypatch,
+                                                    capsys):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.run_all(cfg)
+    stages = pipeline.load_manifest(out)["stages"].values()
+    artifacts = [out / rel for record in stages for rel in record["artifacts"]]
+    hashed = []
+    real_sha256 = store.sha256_file
+    monkeypatch.setattr(store, "sha256_file",
+                        lambda path: hashed.append(path) or real_sha256(path))
+    capsys.readouterr()
+    pipeline.run_all(cfg)
+    assert capsys.readouterr().out.count("skipping") == 6
+    assert sorted(hashed) == sorted(artifacts)
+    # a file changed between two calls is caught by the next call
+    student = out / "students" / "SL_a_kd.ckpt"
+    before = student.read_bytes()
+    student.write_bytes(b"tampered")
+    pipeline.run_all(cfg)
+    assert capsys.readouterr().out.count("skipping") == 5
+    assert student.read_bytes() == before
+
+
+def _cli_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = tiny_config(tmp_path / "run")
+    path.write_text(json.dumps(pipeline.config_to_dict(cfg)))
+    return str(path)
+
+
+def test_cli_rejects_non_integer_workers(tmp_path, monkeypatch, capsys):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    monkeypatch.setenv("MSTKD_WORKERS", "two")
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MSTKD_WORKERS" in err and "'two'" in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda good: good[:40],                                      # truncated
+    lambda good: b'{"config_hash": "0", "stages": {"gen-data": {}}}',
+])
+def test_cli_malformed_manifest_is_a_format_error(tmp_path, capsys, damage):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    manifest.write_bytes(damage(manifest.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["extract", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "manifest.json" in err
+    # forcing the root stage starts a fresh manifest
+    assert cli.main(["gen-data", "--config", cfg_path, "--force"]) == 0
+    assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}

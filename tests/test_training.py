@@ -208,17 +208,33 @@ def test_train_adaptor_ignores_group_information():
         assert np.array_equal(a1.params[n], a2.params[n])
 
 
+@pytest.mark.parametrize("kind", models.ADAPTOR_KINDS)
+def test_fused_target_of_pool_equals_per_batch_target(kind):
+    train, _, _, _, teachers, _, adaptor, _ = pipeline_pieces(kind=kind)
+    order = [2, 0, 3, 1]
+    targets = tr.fused_target(adaptor, tr.extract_embeddings(teachers, train),
+                              order)
+    batches = list(tr.epoch_batches(train.n, FAST["batch_size"],
+                                    np.random.default_rng(3)))
+    assert len(batches[-1]) < FAST["batch_size"]  # the short last batch too
+    for batch in batches:
+        x = train.values[batch]
+        fused = np.concatenate([teachers[g].embed(x) for g in order], axis=1)
+        expected = models.adaptor_forward(adaptor, fused, mode="eval")
+        assert targets[batch].tobytes() == expected.tobytes()
+
+
 def test_train_student_akd_never_reads_labels_and_mimics():
     train, val, test, test_pairs, teachers, sets, adaptor, _ = pipeline_pieces()
     optim_s = tr.OptimConfig(0.1, 6, (2, 4), **FAST)
     scrubbed = d.SampleSet(train.values, np.full(train.n, -1), train.groups,
                            train.group_tags)  # labels poisoned: a_kd must not look
-    student, recs = tr.train_student("a_kd", adaptor, teachers, scrubbed,
+    student, recs = tr.train_student("a_kd", adaptor, sets, scrubbed,
                                      StudentLossConfig(10000.0, "a_kd"),
                                      EafConfig(), CFG, optim_s, init_seed=60)
     assert student.params.keys() == {f"backbone.{i}.{p}" for i in range(2)
                                      for p in "Wb"}
-    e_mt = tr.fused_target(teachers, adaptor, val.values)
+    e_mt = tr.fused_target(adaptor, tr.extract_embeddings(teachers, val))
     kd_after = float(np.mean((e_mt - student.embed(val.values)) ** 2))
     fresh = models.new_student(CFG, "a_kd", None, seed=60)
     kd_before = float(np.mean((e_mt - fresh.embed(val.values)) ** 2))
@@ -228,9 +244,9 @@ def test_train_student_akd_never_reads_labels_and_mimics():
 
 
 def test_train_student_eaf_kd_loss_bookkeeping():
-    train, _, _, _, teachers, _, adaptor, _ = pipeline_pieces()
+    train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
     optim_s = tr.OptimConfig(0.1, 3, (2,), **FAST)
-    student, recs = tr.train_student("eaf_kd", adaptor, teachers, train,
+    student, recs = tr.train_student("eaf_kd", adaptor, sets, train,
                                      StudentLossConfig(10000.0, "eaf_kd"),
                                      EafConfig(), CFG, optim_s, init_seed=61)
     assert student.params["header.W"].shape[0] == len(np.unique(train.identities))
@@ -240,11 +256,11 @@ def test_train_student_eaf_kd_loss_bookkeeping():
 
 
 def test_train_student_leaves_teachers_and_adaptor_frozen():
-    train, _, _, _, teachers, _, adaptor, _ = pipeline_pieces()
+    train, _, _, _, teachers, sets, adaptor, _ = pipeline_pieces()
     before_t = [{n: p.copy() for n, p in t.params.items()} for t in teachers]
     before_a = {n: p.copy() for n, p in adaptor.params.items()}
     optim_s = tr.OptimConfig(0.1, 2, (), **FAST)
-    tr.train_student("a_kd", adaptor, teachers, train,
+    tr.train_student("a_kd", adaptor, sets, train,
                      StudentLossConfig(10000.0, "a_kd"), EafConfig(), CFG,
                      optim_s, init_seed=62)
     for t, before in zip(teachers, before_t):
