@@ -11,11 +11,11 @@ exposed on the command line as `mstkd`.
 
 __version__ = "0.1.0"
 
-from .data import (DataSplit, GroupTag, LabeledSample, PairList, SampleSet,
+from .data import (DataSplit, GroupTag, PairList, SampleSet,
                    SyntheticDatasetSpec, build_pairs, generate,
                    split_balanced, split_specialized)
 from .evaluation import (FairnessReport, best_threshold_accuracy,
-                         compare_reports, evaluate_embeddings, evaluate_model,
+                         compare_reports, evaluate_embeddings,
                          fairness_metrics, render_table, verification_accuracy)
 from .losses import (EafConfig, StudentLossConfig, elastic_arcface, kd_mse,
                      softmax_ce, student_loss)

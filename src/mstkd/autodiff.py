@@ -107,10 +107,6 @@ class Tape:
                 node.backward(out.grad)
 
 
-def backward(tape: Tape, loss: DiffTensor) -> None:
-    tape.backward(loss)
-
-
 def _accumulate(t: DiffTensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return

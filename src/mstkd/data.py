@@ -22,13 +22,6 @@ class GroupTag:
     name: str
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    identity: int
-    group: GroupTag
-
-
 @dataclass
 class SampleSet:
     """Row-aligned feature matrix with identity labels and group indices.
@@ -54,10 +47,6 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.values[i], int(self.identities[i]),
-                             self.group_tags[int(self.groups[i])])
 
     def select(self, rows: np.ndarray) -> "SampleSet":
         return SampleSet(self.values[rows], self.identities[rows],

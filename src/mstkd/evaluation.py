@@ -119,11 +119,6 @@ def evaluate_embeddings(embeddings: np.ndarray, pool: SampleSet,
                           global_acc, std, ser)
 
 
-def evaluate_model(model, pool: SampleSet, pairs: PairList) -> FairnessReport:
-    """Embed the pool in eval mode and score every group's pairs."""
-    return evaluate_embeddings(model.embed(pool.values), pool, pairs)
-
-
 # --- report output ----------------------------------------------------------
 
 def _fmt(x: float | None) -> str:

@@ -12,7 +12,7 @@ training and inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,10 +29,13 @@ DROPOUT_P = 0.2
 
 @dataclass
 class BackboneConfig:
-    input_dim: int
-    hidden: tuple[int, ...] = (64,)
+    input_dim: int = 64
+    hidden: tuple[int, ...] = (128,)
     embedding_dim: int = 32
     slope: float = 0.01
+
+    def __post_init__(self):
+        self.hidden = tuple(self.hidden)
 
     def validate(self) -> None:
         if self.embedding_dim < 2:
@@ -260,7 +263,7 @@ def count_params(params: dict[str, np.ndarray]) -> int:
 # --- checkpoint persistence ------------------------------------------------
 
 def save_teacher(t: TeacherModel, path) -> None:
-    meta = {"kind": "teacher", "backbone": _cfg_meta(t.cfg),
+    meta = {"kind": "teacher", "backbone": asdict(t.cfg),
             "group_index": t.assigned_group.index, "group_name": t.assigned_group.name,
             "class_ids": t.class_ids.tolist(), "best_epoch": t.best_epoch}
     store.save_params(path, t.params, meta)
@@ -269,7 +272,7 @@ def save_teacher(t: TeacherModel, path) -> None:
 def load_teacher(path) -> TeacherModel:
     params, meta = store.load_params(path)
     _expect_kind(meta, "teacher", path)
-    return TeacherModel(_cfg_from_meta(meta["backbone"]), params,
+    return TeacherModel(BackboneConfig(**meta["backbone"]), params,
                         GroupTag(meta["group_index"], meta["group_name"]),
                         np.array(meta["class_ids"], dtype=np.int64),
                         meta["best_epoch"])
@@ -290,7 +293,7 @@ def load_adaptor(path) -> AdaptorModel:
 
 
 def save_student(s: StudentModel, path) -> None:
-    meta = {"kind": "student", "backbone": _cfg_meta(s.cfg), "mode": s.mode,
+    meta = {"kind": "student", "backbone": asdict(s.cfg), "mode": s.mode,
             "class_ids": None if s.class_ids is None else s.class_ids.tolist()}
     store.save_params(path, s.params, meta)
 
@@ -299,18 +302,8 @@ def load_student(path) -> StudentModel:
     params, meta = store.load_params(path)
     _expect_kind(meta, "student", path)
     ids = meta["class_ids"]
-    return StudentModel(_cfg_from_meta(meta["backbone"]), meta["mode"], params,
+    return StudentModel(BackboneConfig(**meta["backbone"]), meta["mode"], params,
                         None if ids is None else np.array(ids, dtype=np.int64))
-
-
-def _cfg_meta(cfg: BackboneConfig) -> dict:
-    return {"input_dim": cfg.input_dim, "hidden": list(cfg.hidden),
-            "embedding_dim": cfg.embedding_dim, "slope": cfg.slope}
-
-
-def _cfg_from_meta(m: dict) -> BackboneConfig:
-    return BackboneConfig(m["input_dim"], tuple(m["hidden"]),
-                          m["embedding_dim"], m["slope"])
 
 
 def _expect_kind(meta: dict, kind: str, path) -> None:

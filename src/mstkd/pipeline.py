@@ -12,16 +12,20 @@ each artifact is hashed once. All artifacts are pure functions of
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, data, models, store, training
-from .errors import ConfigError, FormatError, MissingArtifactError
+from .errors import ConfigError, ContractError, FormatError, MissingArtifactError
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
 from .losses import EafConfig, StudentLossConfig
@@ -47,9 +51,18 @@ class Seeds:
 
 @dataclass
 class ExperimentConfig:
-    dataset: data.SyntheticDatasetSpec
+    """The config schema: every key, its default and its type.
+
+    `config_from_dict` and `config_to_dict` read and write these fields
+    (and those of the nested dataclasses) as JSON, `lam` under the key
+    "lambda". `dataset.seed` and the backbones' `input_dim` are not
+    written: they follow `seeds.data` and `dataset.input_dim`.
+    """
+
+    dataset: data.SyntheticDatasetSpec = field(
+        default_factory=data.SyntheticDatasetSpec)
     split: str = "specialized"
-    backbone: models.BackboneConfig = None
+    backbone: models.BackboneConfig = field(default_factory=models.BackboneConfig)
     teacher_backbone: Optional[models.BackboneConfig] = None
     adaptors: tuple[str, ...] = models.ADAPTOR_KINDS
     student_modes: tuple[str, ...] = ("eaf_kd", "a_kd")
@@ -57,13 +70,19 @@ class ExperimentConfig:
     batch_size: int = 128
     momentum: float = 0.9
     decay_factor: float = 10.0
-    eaf: EafConfig = None
+    eaf: EafConfig = field(default_factory=EafConfig)
     lam: float = 10000.0
     fusion_order: Optional[tuple[int, ...]] = None
     pairs_per_group: int = 600
     genuine_fraction: float = 0.5
-    seeds: Seeds = None
+    seeds: Seeds = field(default_factory=Seeds)
     out_dir: str = "runs/default"
+
+    def __post_init__(self):
+        self.dataset.seed = self.seeds.data
+        for backbone in (self.backbone, self.teacher_backbone):
+            if backbone is not None:
+                backbone.input_dim = self.dataset.input_dim
 
     def validate(self) -> None:
         self.dataset.validate()
@@ -79,6 +98,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown student mode {mode!r}")
         if not self.adaptors or not self.student_modes:
             raise ConfigError("need at least one adaptor kind and one student mode")
+        try:
+            self.eaf.validate()
+        except ContractError as exc:
+            raise ConfigError(f"eaf: {exc}") from None
         if self.lam <= 0:
             raise ConfigError("lambda must be > 0")
         if self.fusion_order is not None and (
@@ -102,127 +125,73 @@ class ExperimentConfig:
                                     self.momentum, self.batch_size, seed)
 
 
+# --- config codec: the dataclasses above are the schema ----------------------
+
+_JSON_KEYS = {"lam": "lambda"}
+# set by ExperimentConfig.__post_init__, so neither read nor written
+_DERIVED = {(data.SyntheticDatasetSpec, "seed"), (models.BackboneConfig, "input_dim")}
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str, object], ...]:
+    """(JSON key, field name, annotation) of each field `cls` keeps in JSON."""
+    hints = typing.get_type_hints(cls)
+    return tuple((_JSON_KEYS.get(f.name, f.name), f.name, hints[f.name])
+                 for f in dataclasses.fields(cls) if (cls, f.name) not in _DERIVED)
+
+
+def _decode(tp, value, where: str):
+    """`value` checked against the annotation `tp`; dataclasses are built
+    from JSON objects (null or a missing key takes the default)."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # Optional
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if dataclasses.is_dataclass(tp):
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        schema = _schema(tp)
+        unknown = set(value) - {key for key, _, _ in schema}
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        return tp(**{name: _decode(sub, value[key], f"{where}.{key}")
+                     for key, name, sub in schema if key in value})
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    # a float field takes an int as it is (the config hash sees what was given)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if tp is float else tp):
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
+
+
+def _encode(value):
+    """JSON-ready copy of a decoded value: dataclasses become dicts, tuples lists."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return {key: _encode(getattr(value, name))
+            for key, name, _ in _schema(type(value))}
+
+
 def default_config_dict() -> dict:
     """The desk-scale default experiment, as a plain JSON-ready dict."""
-    return {
-        "dataset": {
-            "groups": 4, "identities_per_group": 50, "samples_per_identity": 20,
-            "input_dim": 64, "shared_dim": 6, "group_dim": 4,
-            "shared_energy": 0.4, "intra_class_noise": [0.17, 0.15, 0.15, 0.15],
-            "validation_identities_per_group": 12,
-            "test_identities_per_group": 12, "group_names": None,
-        },
-        "split": "specialized",
-        "backbone": {"hidden": [128], "embedding_dim": 32, "slope": 0.01},
-        "teacher_backbone": None,
-        "adaptors": ["SL", "DuL", "DLDPO"],
-        "student_modes": ["eaf_kd", "a_kd"],
-        "schedule_scale": 0.25,
-        "batch_size": 128,
-        "momentum": 0.9,
-        "decay_factor": 10.0,
-        "eaf": {"s": 64.0, "m": 0.5, "sigma": 0.05},
-        "lambda": 10000.0,
-        "fusion_order": None,
-        "pairs_per_group": 600,
-        "genuine_fraction": 0.5,
-        "seeds": {"data": 0, "init": 1, "train": 2},
-        "out_dir": "runs/default",
-    }
-
-
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return config_to_dict(ExperimentConfig())
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    base = default_config_dict()
-    _reject_unknown(doc, set(base), "config")
-    merged = {**base, **doc}
-    for key in ("dataset", "backbone", "eaf", "seeds"):
-        sub = dict(base[key])
-        override = merged[key] if merged[key] is not None else {}
-        _reject_unknown(override, set(sub), key)
-        sub.update(override)
-        merged[key] = sub
-
-    ds = merged["dataset"]
-    spec = data.SyntheticDatasetSpec(
-        groups=ds["groups"], identities_per_group=ds["identities_per_group"],
-        samples_per_identity=ds["samples_per_identity"],
-        input_dim=ds["input_dim"], shared_dim=ds["shared_dim"],
-        group_dim=ds["group_dim"], shared_energy=ds["shared_energy"],
-        intra_class_noise=tuple(ds["intra_class_noise"]),
-        validation_identities_per_group=ds["validation_identities_per_group"],
-        test_identities_per_group=ds["test_identities_per_group"],
-        group_names=None if ds["group_names"] is None else tuple(ds["group_names"]),
-        seed=merged["seeds"]["data"])
-
-    def backbone_of(sub: Optional[dict]) -> Optional[models.BackboneConfig]:
-        if sub is None:
-            return None
-        _reject_unknown(sub, {"hidden", "embedding_dim", "slope"}, "backbone")
-        filled = {**base["backbone"], **sub}
-        return models.BackboneConfig(ds["input_dim"], tuple(filled["hidden"]),
-                                     filled["embedding_dim"], filled["slope"])
-
-    cfg = ExperimentConfig(
-        dataset=spec, split=merged["split"],
-        backbone=backbone_of(merged["backbone"]),
-        teacher_backbone=backbone_of(merged["teacher_backbone"]),
-        adaptors=tuple(merged["adaptors"]),
-        student_modes=tuple(merged["student_modes"]),
-        schedule_scale=merged["schedule_scale"],
-        batch_size=merged["batch_size"], momentum=merged["momentum"],
-        decay_factor=merged["decay_factor"],
-        eaf=EafConfig(merged["eaf"]["s"], merged["eaf"]["m"], merged["eaf"]["sigma"]),
-        lam=merged["lambda"],
-        fusion_order=None if merged["fusion_order"] is None
-        else tuple(merged["fusion_order"]),
-        pairs_per_group=merged["pairs_per_group"],
-        genuine_fraction=merged["genuine_fraction"],
-        seeds=Seeds(**merged["seeds"]), out_dir=merged["out_dir"])
+    cfg = _decode(ExperimentConfig, doc, "config")
     cfg.validate()
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    ds = cfg.dataset
-    doc = default_config_dict()
-    doc["dataset"] = {
-        "groups": ds.groups, "identities_per_group": ds.identities_per_group,
-        "samples_per_identity": ds.samples_per_identity, "input_dim": ds.input_dim,
-        "shared_dim": ds.shared_dim, "group_dim": ds.group_dim,
-        "shared_energy": ds.shared_energy,
-        "intra_class_noise": list(ds.intra_class_noise),
-        "validation_identities_per_group": ds.validation_identities_per_group,
-        "test_identities_per_group": ds.test_identities_per_group,
-        "group_names": None if ds.group_names is None else list(ds.group_names),
-    }
-    doc.update({
-        "split": cfg.split,
-        "backbone": {"hidden": list(cfg.backbone.hidden),
-                     "embedding_dim": cfg.backbone.embedding_dim,
-                     "slope": cfg.backbone.slope},
-        "teacher_backbone": None if cfg.teacher_backbone is None else
-        {"hidden": list(cfg.teacher_backbone.hidden),
-         "embedding_dim": cfg.teacher_backbone.embedding_dim,
-         "slope": cfg.teacher_backbone.slope},
-        "adaptors": list(cfg.adaptors), "student_modes": list(cfg.student_modes),
-        "schedule_scale": cfg.schedule_scale, "batch_size": cfg.batch_size,
-        "momentum": cfg.momentum, "decay_factor": cfg.decay_factor,
-        "eaf": {"s": cfg.eaf.s, "m": cfg.eaf.m, "sigma": cfg.eaf.sigma},
-        "lambda": cfg.lam,
-        "fusion_order": None if cfg.fusion_order is None else list(cfg.fusion_order),
-        "pairs_per_group": cfg.pairs_per_group,
-        "genuine_fraction": cfg.genuine_fraction,
-        "seeds": {"data": cfg.seeds.data, "init": cfg.seeds.init,
-                  "train": cfg.seeds.train},
-        "out_dir": cfg.out_dir,
-    })
-    return doc
+    return _encode(cfg)
 
 
 def load_config(path, seed_override: Optional[int] = None,
@@ -235,9 +204,8 @@ def load_config(path, seed_override: Optional[int] = None,
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     if seed_override is not None:
-        doc["seeds"] = {"data": seed_override, "init": seed_override + 1,
-                        "train": seed_override + 2}
-        doc.setdefault("dataset", {})
+        doc["seeds"] = dataclasses.asdict(
+            Seeds(seed_override, seed_override + 1, seed_override + 2))
     if out_override is not None:
         doc["out_dir"] = out_override
     return config_from_dict(doc)
@@ -347,12 +315,14 @@ def _require_upstream(manifest: dict, stage: str, out: Path,
                 f"missing or modified: {missing}")
 
 
-def _record_stage(manifest: dict, stage: str, out: Path, paths: list[Path],
+def _record_stage(stage: str, out: Path, paths: list[Path],
                   digests: Optional[dict[Path, str]]) -> None:
-    """Hash what the stage just wrote; the new digests replace cached ones."""
+    """Hash what the stage just wrote into the manifest that `_run_stage`
+    opened; the new digests replace cached ones."""
     fresh = {p: store.sha256_file(p) for p in sorted(paths)}
     if digests is not None:
         digests.update(fresh)
+    manifest = load_manifest(out)
     manifest["stages"][stage] = {
         "artifacts": {str(p.relative_to(out)): d for p, d in fresh.items()}}
     _save_manifest(out, manifest)
@@ -432,8 +402,7 @@ def cmd_gen_data(cfg: ExperimentConfig, force: bool = False,
     store.save_sample_set(test, paths["test"])
     store.save_pairs(val_pairs, paths["pairs_validation"])
     store.save_pairs(test_pairs, paths["pairs_test"])
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "gen-data", out, list(paths.values()), digests)
+    _record_stage("gen-data", out, list(paths.values()), digests)
     print(f"[mstkd] gen-data: wrote {train.n} train / {val.n} validation / "
           f"{test.n} test samples to {out / 'dataset'}")
     return out
@@ -479,8 +448,7 @@ def cmd_train_teachers(cfg: ExperimentConfig, force: bool = False,
     else:
         for g in range(cfg.dataset.groups):
             written.extend(Path(p) for p in _train_one_teacher(doc, str(out), g))
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-teachers", out, written, digests)
+    _record_stage("train-teachers", out, written, digests)
     print(f"[mstkd] train-teachers: {cfg.dataset.groups} {cfg.split} teachers -> "
           f"{out / 'teachers'}")
     return out
@@ -501,8 +469,7 @@ def cmd_extract(cfg: ExperimentConfig, force: bool = False,
         path = out / "embeddings" / f"teacher_{g}.mste"
         store.save_sample_set(s, path)
         written.append(path)
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "extract", out, written, digests)
+    _record_stage("extract", out, written, digests)
     print(f"[mstkd] extract: {len(sets)} x {sets[0].n} embeddings -> "
           f"{out / 'embeddings'}")
     return out
@@ -532,8 +499,7 @@ def cmd_train_adaptor(cfg: ExperimentConfig, force: bool = False,
         models.save_adaptor(adaptor, ckpt)
         training.write_log(records, log)
         written.extend([ckpt, log])
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-adaptor", out, written, digests)
+    _record_stage("train-adaptor", out, written, digests)
     print(f"[mstkd] train-adaptor: {list(cfg.adaptors)} -> {out / 'adaptors'}")
     return out
 
@@ -561,8 +527,7 @@ def cmd_train_student(cfg: ExperimentConfig, force: bool = False,
             models.save_student(student, ckpt)
             training.write_log(records, log)
             written.extend([ckpt, log])
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "train-student", out, written, digests)
+    _record_stage("train-student", out, written, digests)
     print(f"[mstkd] train-student: {len(cfg.adaptors) * len(cfg.student_modes)} "
           f"students -> {out / 'students'}")
     return out
@@ -587,8 +552,7 @@ def cmd_evaluate(cfg: ExperimentConfig, force: bool = False,
             tpath.write_text(render_table([(f"{kind} ({mode})", report)]),
                              encoding="utf-8")
             written.extend([jpath, tpath])
-    manifest = _open_manifest(out, cfg)
-    _record_stage(manifest, "evaluate", out, written, digests)
+    _record_stage("evaluate", out, written, digests)
     print(f"[mstkd] evaluate: reports -> {out / 'reports'}")
     return out
 

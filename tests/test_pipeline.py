@@ -35,6 +35,116 @@ def test_unknown_config_keys_rejected():
         pipeline.config_from_dict({"lambda_weight": 1.0})
     with pytest.raises(ConfigError):
         pipeline.config_from_dict({"dataset": {"groups": 4, "typo": 1}})
+    # derived fields are not keys
+    for doc in ({"dataset": {"seed": 3}}, {"backbone": {"input_dim": 64}},
+                {"teacher_backbone": {"input_dim": 64}}):
+        with pytest.raises(ConfigError, match="unknown"):
+            pipeline.config_from_dict(doc)
+
+
+# `mstkd init-config` output and the default config's hash; every existing
+# run directory's manifest check depends on both staying exactly as they are
+DEFAULT_CONFIG_JSON = """\
+{
+  "adaptors": [
+    "SL",
+    "DuL",
+    "DLDPO"
+  ],
+  "backbone": {
+    "embedding_dim": 32,
+    "hidden": [
+      128
+    ],
+    "slope": 0.01
+  },
+  "batch_size": 128,
+  "dataset": {
+    "group_dim": 4,
+    "group_names": null,
+    "groups": 4,
+    "identities_per_group": 50,
+    "input_dim": 64,
+    "intra_class_noise": [
+      0.17,
+      0.15,
+      0.15,
+      0.15
+    ],
+    "samples_per_identity": 20,
+    "shared_dim": 6,
+    "shared_energy": 0.4,
+    "test_identities_per_group": 12,
+    "validation_identities_per_group": 12
+  },
+  "decay_factor": 10.0,
+  "eaf": {
+    "m": 0.5,
+    "s": 64.0,
+    "sigma": 0.05
+  },
+  "fusion_order": null,
+  "genuine_fraction": 0.5,
+  "lambda": 10000.0,
+  "momentum": 0.9,
+  "out_dir": "runs/default",
+  "pairs_per_group": 600,
+  "schedule_scale": 0.25,
+  "seeds": {
+    "data": 0,
+    "init": 1,
+    "train": 2
+  },
+  "split": "specialized",
+  "student_modes": [
+    "eaf_kd",
+    "a_kd"
+  ],
+  "teacher_backbone": null
+}
+"""
+DEFAULT_CONFIG_HASH = (
+    "e69ec4d2e936375a94f4f12d0076f0f941403985512daf4dc0e15fad36f6fcc2")
+
+
+def test_config_contract_is_pinned(tmp_path, capsys):
+    assert pipeline.config_hash(pipeline.ExperimentConfig()) == DEFAULT_CONFIG_HASH
+    path = tmp_path / "default.json"
+    assert cli.main(["init-config", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == DEFAULT_CONFIG_JSON
+    assert pipeline.config_hash(pipeline.load_config(path)) == DEFAULT_CONFIG_HASH
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"dataset": 5}, "config.dataset must be a JSON object"),
+    ({"dataset": {"groups": "four"}}, "config.dataset.groups must be int"),
+    ({"batch_size": "x"}, "config.batch_size must be int"),
+    ({"lambda": "big"}, "config.lambda must be float"),
+    ({"dataset": {"intra_class_noise": 0.1}},
+     "config.dataset.intra_class_noise must be a list"),
+    ({"backbone": {"hidden": 32}}, "config.backbone.hidden must be a list"),
+    ({"adaptors": "SL"}, "config.adaptors must be a list"),
+    ({"batch_size": True}, "config.batch_size must be int"),
+    ({"momentum": False}, "config.momentum must be float"),
+    ({"backbone": {"hidden": [32.0]}}, "config.backbone.hidden[0] must be int"),
+    ({"eaf": {"s": -1.0}}, "eaf: EafConfig requires s > 0"),
+])
+def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
+                                                       bad, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**bad, "out_dir": str(tmp_path / "run")}))
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_float_field_keeps_an_int_as_given():
+    cfg = pipeline.config_from_dict({"lambda": 5000, "eaf": {"s": 32}})
+    assert type(cfg.lam) is int and type(cfg.eaf.s) is int
+    assert pipeline.config_to_dict(cfg)["lambda"] == 5000
 
 
 def test_seed_override(tmp_path):
