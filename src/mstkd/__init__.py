@@ -20,8 +20,8 @@ from .evaluation import (FairnessReport, best_threshold_accuracy,
 from .losses import (EafConfig, StudentLossConfig, elastic_arcface, kd_mse,
                      softmax_ce, student_loss)
 from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
-                     TeacherModel, adaptor_forward, fuse_inputs, new_adaptor,
-                     new_student, new_teacher, student_forward, teacher_forward,
+                     TeacherModel, adaptor_forward, forward, fuse_inputs,
+                     new_adaptor, new_student, new_teacher,
                      trace_teacher_attribution)
 from .training import (OptimConfig, SgdMomentum, TrainLogRecord,
                        extract_embeddings, fused_target, lr_at_epoch,

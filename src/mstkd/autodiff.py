@@ -8,7 +8,8 @@ provided; there is no broadcasting framework beyond row-bias addition.
 
 All randomness (dropout) is drawn from a caller-supplied
 `numpy.random.Generator`, so replaying a graph with the same seed is
-bit-identical.
+bit-identical. The tape is for training only; inference is plain numpy
+(`models.forward`).
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ PI = math.pi
 
 
 class Node:
-    """One recorded operation: kind, input node ids, backward closure."""
+    """One recorded operation: input node ids and backward closure."""
 
-    __slots__ = ("kind", "input_ids", "backward")
+    __slots__ = ("input_ids", "backward")
 
-    def __init__(self, kind: str, input_ids: tuple[int, ...],
+    def __init__(self, input_ids: tuple[int, ...],
                  backward: Optional[Callable[[np.ndarray], None]]):
-        self.kind = kind
         self.input_ids = input_ids
         self.backward = backward
 
@@ -65,7 +65,7 @@ class Tape:
         self.nodes: list[Node] = []
         self.tensors: list[DiffTensor] = []
 
-    def _emit(self, kind: str, values: np.ndarray,
+    def _emit(self, values: np.ndarray,
               inputs: tuple[DiffTensor, ...],
               backward: Optional[Callable[[np.ndarray], None]],
               requires_grad: Optional[bool] = None) -> DiffTensor:
@@ -73,7 +73,7 @@ class Tape:
             requires_grad = any(t.requires_grad for t in inputs)
         node_id = len(self.nodes)
         out = DiffTensor(self, node_id, values, requires_grad)
-        self.nodes.append(Node(kind, tuple(t.node_id for t in inputs),
+        self.nodes.append(Node(tuple(t.node_id for t in inputs),
                                backward if requires_grad else None))
         self.tensors.append(out)
         return out
@@ -81,12 +81,12 @@ class Tape:
     def param(self, values: np.ndarray) -> DiffTensor:
         """Leaf tensor that will receive gradients (shares the caller's array)."""
         arr = np.asarray(values, dtype=np.float64)
-        return self._emit("param", arr, (), None, requires_grad=True)
+        return self._emit(arr, (), None, requires_grad=True)
 
     def constant(self, values) -> DiffTensor:
         """Leaf tensor excluded from gradient computation."""
         arr = np.asarray(values, dtype=np.float64)
-        return self._emit("const", arr, (), None, requires_grad=False)
+        return self._emit(arr, (), None, requires_grad=False)
 
     def backward(self, loss: DiffTensor) -> None:
         """Populate `.grad` for every tensor reachable from `loss`.
@@ -134,10 +134,12 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     out_values = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.values.T)
+        if b.requires_grad:
+            _accumulate(b, a.values.T @ g)
 
-    return tape._emit("matmul", out_values, (a, b), bwd)
+    return tape._emit(out_values, (a, b), bwd)
 
 
 def transpose(a: DiffTensor) -> DiffTensor:
@@ -147,7 +149,7 @@ def transpose(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.T)
 
-    return a.tape._emit("transpose", a.values.T.copy(), (a,), bwd)
+    return a.tape._emit(a.values.T.copy(), (a,), bwd)
 
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -166,7 +168,7 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         _accumulate(a, g)
         _accumulate(b, g.sum(axis=0) if bias else g)
 
-    return tape._emit("add", out_values, (a, b), bwd)
+    return tape._emit(out_values, (a, b), bwd)
 
 
 def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -178,7 +180,7 @@ def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    return tape._emit("sub", a.values - b.values, (a, b), bwd)
+    return tape._emit(a.values - b.values, (a, b), bwd)
 
 
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -191,7 +193,7 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         _accumulate(a, g * b.values)
         _accumulate(b, g * a.values)
 
-    return tape._emit("mul", a.values * b.values, (a, b), bwd)
+    return tape._emit(a.values * b.values, (a, b), bwd)
 
 
 def scale(a: DiffTensor, c: float) -> DiffTensor:
@@ -201,7 +203,7 @@ def scale(a: DiffTensor, c: float) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * c)
 
-    return a.tape._emit("scale", a.values * c, (a,), bwd)
+    return a.tape._emit(a.values * c, (a,), bwd)
 
 
 def leaky_relu(a: DiffTensor, slope: float) -> DiffTensor:
@@ -214,28 +216,28 @@ def leaky_relu(a: DiffTensor, slope: float) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * factor)
 
-    return a.tape._emit("leaky_relu", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
-def dropout(a: DiffTensor, p: float, mode: str,
+def dropout(a: DiffTensor, p: float,
             rng: Optional[np.random.Generator] = None) -> DiffTensor:
-    """Inverted dropout: survivors scaled by 1/(1-p) in train mode, identity in eval."""
+    """Inverted dropout: survivors scaled by 1/(1-p); the identity at p = 0.
+
+    Dropout exists only on the training tape; inference skips it."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise ContractError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or p == 0.0:
+    if p == 0.0:
         def bwd_id(g: np.ndarray) -> None:
             _accumulate(a, g)
-        return a.tape._emit("dropout", a.values.copy(), (a,), bwd_id)
+        return a.tape._emit(a.values.copy(), (a,), bwd_id)
     if rng is None:
-        raise ContractError("train-mode dropout with p > 0 requires an rng")
+        raise ContractError("dropout with p > 0 requires an rng")
     keep = (rng.random(a.values.shape) >= p) / (1.0 - p)
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * keep)
 
-    return a.tape._emit("dropout", a.values * keep, (a,), bwd)
+    return a.tape._emit(a.values * keep, (a,), bwd)
 
 
 def l2_normalize(a: DiffTensor) -> DiffTensor:
@@ -253,7 +255,7 @@ def l2_normalize(a: DiffTensor) -> DiffTensor:
         inner = np.sum(g * out_values, axis=1, keepdims=True)
         _accumulate(a, (g - out_values * inner) / norms)
 
-    return a.tape._emit("l2_normalize", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
 def clamp(a: DiffTensor, lo: float, hi: float) -> DiffTensor:
@@ -264,7 +266,7 @@ def clamp(a: DiffTensor, lo: float, hi: float) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * inside)
 
-    return a.tape._emit("clamp", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
 def arccos(a: DiffTensor) -> DiffTensor:
@@ -276,14 +278,14 @@ def arccos(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, -g / np.sqrt(1.0 - a.values * a.values))
 
-    return a.tape._emit("arccos", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
 def cos(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, -g * np.sin(a.values))
 
-    return a.tape._emit("cos", np.cos(a.values), (a,), bwd)
+    return a.tape._emit(np.cos(a.values), (a,), bwd)
 
 
 def logsumexp_rows(a: DiffTensor) -> DiffTensor:
@@ -299,7 +301,7 @@ def logsumexp_rows(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, softmax * g[:, None])
 
-    return a.tape._emit("logsumexp", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
 def pick(a: DiffTensor, idx: np.ndarray) -> DiffTensor:
@@ -319,7 +321,7 @@ def pick(a: DiffTensor, idx: np.ndarray) -> DiffTensor:
         full[rows, idx] = g
         _accumulate(a, full)
 
-    return a.tape._emit("pick", out_values, (a,), bwd)
+    return a.tape._emit(out_values, (a,), bwd)
 
 
 def scatter_replace(a: DiffTensor, idx: np.ndarray, v: DiffTensor) -> DiffTensor:
@@ -340,14 +342,14 @@ def scatter_replace(a: DiffTensor, idx: np.ndarray, v: DiffTensor) -> DiffTensor
         _accumulate(a, ga)
         _accumulate(v, g[rows, idx])
 
-    return tape._emit("scatter_replace", out_values, (a, v), bwd)
+    return tape._emit(out_values, (a, v), bwd)
 
 
 def sum_all(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.values, float(g)))
 
-    return a.tape._emit("sum", np.asarray(a.values.sum()), (a,), bwd)
+    return a.tape._emit(np.asarray(a.values.sum()), (a,), bwd)
 
 
 def mean_all(a: DiffTensor) -> DiffTensor:
@@ -356,7 +358,7 @@ def mean_all(a: DiffTensor) -> DiffTensor:
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.values, float(g) / n))
 
-    return a.tape._emit("mean", np.asarray(a.values.mean()), (a,), bwd)
+    return a.tape._emit(np.asarray(a.values.mean()), (a,), bwd)
 
 
 def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:

@@ -5,9 +5,10 @@ affine output is L2-normalized onto the unit hypersphere. Classification
 headers are bias-free weight matrices whose rows are normalized at use time,
 so header logits are cosine similarities in [-1, 1].
 
-Parameters live in plain float64 arrays keyed by dotted names; forward
-passes record onto a caller-provided tape so the same code path serves
-training and inference.
+Parameters live in plain float64 arrays keyed by dotted names. Inference
+is plain numpy (`forward`); only training records its forward pass onto a
+tape (`backbone_graph`, `adaptor_graph`), and both give bit-identical
+values.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from . import autodiff as ad
 from . import store
 from .autodiff import DiffTensor, Tape
 from .data import GroupTag, SampleSet
-from .errors import ConfigError, ContractError, DimensionError, UnsupportedKindError
+from .errors import (ConfigError, ContractError, DegenerateEmbeddingError,
+                     DimensionError, UnsupportedKindError)
 
 ADAPTOR_KINDS = ("SL", "DuL", "DLDPO")
 DROPOUT_P = 0.2
@@ -55,7 +57,7 @@ class TeacherModel:
     best_epoch: int = 0
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        return _embed(self.params, self.cfg, x)
+        return forward(self.params, "backbone", self.cfg.slope, x)
 
 
 @dataclass
@@ -81,7 +83,7 @@ class StudentModel:
     class_ids: Optional[np.ndarray] = None   # None in a_kd mode
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        return _embed(self.params, self.cfg, x)
+        return forward(self.params, "backbone", self.cfg.slope, x)
 
 
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -145,10 +147,8 @@ def new_student(cfg: BackboneConfig, mode: str,
     return StudentModel(cfg, mode, params, class_ids)
 
 
-def param_tensors(tape: Tape, params: dict[str, np.ndarray],
-                  trainable: bool = True) -> dict[str, DiffTensor]:
-    make = tape.param if trainable else tape.constant
-    return {name: make(arr) for name, arr in params.items()}
+def param_tensors(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, DiffTensor]:
+    return {name: tape.param(arr) for name, arr in params.items()}
 
 
 def backbone_graph(tape: Tape, ptens: dict[str, DiffTensor], cfg: BackboneConfig,
@@ -167,12 +167,10 @@ def backbone_graph(tape: Tape, ptens: dict[str, DiffTensor], cfg: BackboneConfig
 
 
 def adaptor_graph(tape: Tape, ptens: dict[str, DiffTensor], a: AdaptorModel,
-                  fused_values: np.ndarray, mode: str = "eval",
+                  fused_values: np.ndarray,
                   rng: Optional[np.random.Generator] = None) -> DiffTensor:
-    """Record the adaptor forward pass; returns the unit-norm fused embedding.
-
-    DLDPO applies dropout before the activation, train mode only.
-    """
+    """Record the adaptor's training forward pass; returns the unit-norm
+    fused embedding. DLDPO applies dropout before the activation."""
     if fused_values.ndim != 2 or fused_values.shape[1] != a.input_dim:
         raise DimensionError(
             f"fused width {fused_values.shape} does not match {a.input_dim}")
@@ -180,45 +178,38 @@ def adaptor_graph(tape: Tape, ptens: dict[str, DiffTensor], a: AdaptorModel,
                   ptens["adaptor.0.b"])
     if a.kind in ("DuL", "DLDPO"):
         if a.kind == "DLDPO":
-            h = ad.dropout(h, a.dropout_p, mode, rng)
+            h = ad.dropout(h, a.dropout_p, rng)
         h = ad.leaky_relu(h, a.slope)
         h = ad.affine(h, ptens["adaptor.1.W"], ptens["adaptor.1.b"])
     return ad.l2_normalize(h)
 
 
-def _embed(params: dict[str, np.ndarray], cfg: BackboneConfig,
-           x: np.ndarray) -> np.ndarray:
-    tape = Tape()
-    ptens = param_tensors(tape, params, trainable=False)
-    return backbone_graph(tape, ptens, cfg, np.asarray(x, dtype=np.float64)).values
+def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
+            x: np.ndarray) -> np.ndarray:
+    """Inference in plain numpy: the `prefix.{i}` affine layers with leaky-relu
+    between them, each row scaled to unit length. Bit-identical to the values
+    `backbone_graph` and `adaptor_graph` (without dropout) record."""
+    x = np.asarray(x, dtype=np.float64)
+    width = params[f"{prefix}.0.W"].shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(
+            f"batch width {x.shape} does not match input width {width}")
+    h = x @ params[f"{prefix}.0.W"] + params[f"{prefix}.0.b"]
+    i = 1
+    while f"{prefix}.{i}.W" in params:
+        h = h * np.where(h >= 0.0, 1.0, slope)
+        h = h @ params[f"{prefix}.{i}.W"] + params[f"{prefix}.{i}.b"]
+        i += 1
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    if np.any(norms <= ad.EPS_NORM):
+        raise DegenerateEmbeddingError(
+            f"row norm at or below {ad.EPS_NORM}; cannot normalize")
+    return h / norms
 
 
-def _cosines(emb: np.ndarray, header: np.ndarray) -> np.ndarray:
-    wn = header / np.linalg.norm(header, axis=1, keepdims=True)
-    return emb @ wn.T
-
-
-def teacher_forward(t: TeacherModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode forward: (unit-norm embeddings, cosine logits in [-1, 1])."""
-    emb = t.embed(x)
-    return emb, _cosines(emb, t.params["header.W"])
-
-
-def student_forward(s: StudentModel,
-                    x: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Eval-mode forward; logits are absent for a_kd students."""
-    emb = s.embed(x)
-    if s.mode == "a_kd":
-        return emb, None
-    return emb, _cosines(emb, s.params["header.W"])
-
-
-def adaptor_forward(a: AdaptorModel, fused: np.ndarray, mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    tape = Tape()
-    ptens = param_tensors(tape, a.params, trainable=False)
-    return adaptor_graph(tape, ptens, a, np.asarray(fused, dtype=np.float64),
-                         mode, rng).values
+def adaptor_forward(a: AdaptorModel, fused: np.ndarray) -> np.ndarray:
+    """Frozen adaptor: the unit-norm fused embedding of each row."""
+    return forward(a.params, "adaptor", a.slope, fused)
 
 
 def fuse_inputs(sets: list[SampleSet], order: Optional[list[int]] = None) -> np.ndarray:

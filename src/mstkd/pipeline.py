@@ -376,11 +376,11 @@ def _run_stage(stage: str, cfg: ExperimentConfig, out: Path, force: bool,
     digests = {} if digests is None else digests
     out.mkdir(parents=True, exist_ok=True)
     manifest = _open_manifest(out, cfg, reset=reset)
-    _write_config_copy(out, cfg)
     _require_upstream(manifest, stage, out, cfg, digests)
     if not force and _stage_ok(manifest, stage, out, digests):
         print(f"[mstkd] {stage}: up to date in {out}, skipping (use --force to redo)")
         return False
+    _write_config_copy(out, cfg)
     _save_manifest(out, manifest)
     return True
 

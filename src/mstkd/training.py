@@ -7,9 +7,10 @@ pairs (ties go to the earliest epoch). Adaptors train on concatenated
 frozen-teacher embeddings with their own disposable classification header
 and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
-(optionally plus classification), and keep the final epoch. All
-shuffling, margins, and dropout draw from generators derived from the
-configured seeds, so a full run is bit-reproducible.
+(optionally plus classification), and keep the final epoch. All three share
+one loop, the only code that records a tape; frozen networks run in plain
+numpy. All shuffling, margins, and dropout draw from generators derived
+from the configured seeds, so a full run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -168,9 +169,38 @@ def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _grads_of(ptens: dict) -> dict[str, np.ndarray]:
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.values))
-            for name, t in ptens.items()}
+def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
+            shuffle_rng: np.random.Generator, step):
+    """The one training loop, and the only code that records a tape.
+
+    `step(tape, ptens, batch)` records one batch's `(total, terms)`: the loss
+    to minimize and a dict of scalar terms to log. The guard drops a batch
+    whose loss is not finite. Yields `(epoch, lr, t0, kept)` per epoch, with
+    `kept` one dict of floats (`loss` and the terms) per batch that stepped.
+    """
+    opt = SgdMomentum(params, optim.momentum)
+    guard = DivergenceGuard()
+    for epoch in range(1, optim.epochs + 1):
+        t0 = time.perf_counter()
+        lr = lr_at_epoch(optim, epoch)
+        kept = []
+        for batch in epoch_batches(n, optim.batch_size, shuffle_rng):
+            tape = Tape()
+            ptens = models.param_tensors(tape, params)
+            total, terms = step(tape, ptens, batch)
+            loss = float(total.values)
+            if not guard.check(loss):
+                continue
+            kept.append({"loss": loss, **{k: float(t.values) for k, t in terms.items()}})
+            tape.backward(total)
+            opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
+                      for name, t in ptens.items()}, lr)
+        yield epoch, lr, t0, kept
+
+
+def _mean(kept: list[dict], key: str, empty):
+    """Mean of one logged term over the kept batches; `empty` if none."""
+    return float(np.mean([b[key] for b in kept])) if kept else empty
 
 
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
@@ -185,37 +215,25 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     class_ids = np.unique(subset.identities)
     local_labels = np.searchsorted(class_ids, subset.identities)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
-    opt = SgdMomentum(model.params, optim.momentum)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
-    guard = DivergenceGuard()
     own_pairs = val_pairs.of_group(group.index)
+
+    def step(tape, ptens, batch):
+        emb = models.backbone_graph(tape, ptens, backbone_cfg, subset.values[batch])
+        return losses.elastic_arcface(emb, ptens["header.W"], local_labels[batch],
+                                      eaf_cfg, mode="train", rng=margin_rng), {}
 
     best_acc, best_epoch, best_params = -np.inf, 0, None
     records = []
-    for epoch in range(1, optim.epochs + 1):
-        t0 = time.perf_counter()
-        lr = lr_at_epoch(optim, epoch)
-        epoch_losses = []
-        for batch in epoch_batches(subset.n, optim.batch_size, shuffle_rng):
-            tape = Tape()
-            ptens = models.param_tensors(tape, model.params)
-            emb = models.backbone_graph(tape, ptens, backbone_cfg,
-                                        subset.values[batch])
-            loss = losses.elastic_arcface(emb, ptens["header.W"],
-                                          local_labels[batch], eaf_cfg,
-                                          mode="train", rng=margin_rng)
-            if not guard.check(float(loss.values)):
-                continue
-            epoch_losses.append(float(loss.values))
-            tape.backward(loss)
-            opt.step(_grads_of(ptens), lr)
+    for epoch, lr, t0, kept in _epochs(model.params, optim, subset.n,
+                                       shuffle_rng, step):
         acc, _ = verification_accuracy(model.embed(val_pool.values), own_pairs)
         if acc > best_acc:
             best_acc, best_epoch = acc, epoch
             best_params = {n: p.copy() for n, p in model.params.items()}
-        records.append(TrainLogRecord(
-            epoch, float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-            lr, {group.name: acc}, time.perf_counter() - t0))
+        records.append(TrainLogRecord(epoch, _mean(kept, "loss", float("nan")),
+                                      lr, {group.name: acc},
+                                      time.perf_counter() - t0))
     model.params = best_params
     model.best_epoch = best_epoch
     return model, records
@@ -251,31 +269,18 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     model = models.new_adaptor(kind, len(embedding_sets), emb_dim, init_seed)
     header_rng = np.random.default_rng(np.random.SeedSequence(init_seed).spawn(1)[0])
     header = {"header.W": models.init_header(header_rng, len(class_ids), emb_dim)}
-    trainable = {**model.params, **header}
-    opt = SgdMomentum(trainable, optim.momentum)
     shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
-    guard = DivergenceGuard()
+
+    def step(tape, ptens, batch):
+        e_mt = models.adaptor_graph(tape, ptens, model, fused[batch], rng=dropout_rng)
+        return losses.elastic_arcface(e_mt, ptens["header.W"], local_labels[batch],
+                                      eaf_cfg, mode="train", rng=margin_rng), {}
 
     best_loss, best_epoch, best_params = np.inf, 0, None
     records = []
-    for epoch in range(1, optim.epochs + 1):
-        t0 = time.perf_counter()
-        lr = lr_at_epoch(optim, epoch)
-        epoch_losses = []
-        for batch in epoch_batches(fused.shape[0], optim.batch_size, shuffle_rng):
-            tape = Tape()
-            ptens = models.param_tensors(tape, trainable)
-            e_mt = models.adaptor_graph(tape, ptens, model, fused[batch],
-                                        mode="train", rng=dropout_rng)
-            loss = losses.elastic_arcface(e_mt, ptens["header.W"],
-                                          local_labels[batch], eaf_cfg,
-                                          mode="train", rng=margin_rng)
-            if not guard.check(float(loss.values)):
-                continue
-            epoch_losses.append(float(loss.values))
-            tape.backward(loss)
-            opt.step(_grads_of(ptens), lr)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("inf")
+    for epoch, lr, t0, kept in _epochs({**model.params, **header}, optim,
+                                       fused.shape[0], shuffle_rng, step):
+        mean_loss = _mean(kept, "loss", float("inf"))
         if mean_loss < best_loss:
             best_loss, best_epoch = mean_loss, epoch
             best_params = {n: model.params[n].copy() for n in model.params}
@@ -289,9 +294,9 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
 def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
                  fusion_order: Optional[list[int]] = None) -> np.ndarray:
     """Frozen-network mimicry target: fuse the row-aligned teacher embeddings
-    of a pool and adapt them in eval mode; row i is the target of sample i."""
+    of a pool and adapt them; row i is the target of sample i."""
     return models.adaptor_forward(
-        adaptor, models.fuse_inputs(embedding_sets, fusion_order), mode="eval")
+        adaptor, models.fuse_inputs(embedding_sets, fusion_order))
 
 
 def train_student(mode: str, adaptor: AdaptorModel,
@@ -322,41 +327,25 @@ def train_student(mode: str, adaptor: AdaptorModel,
         model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
     else:
         model = models.new_student(backbone_cfg, mode, None, init_seed)
-    opt = SgdMomentum(model.params, optim.momentum)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
-    guard = DivergenceGuard()
+
+    def step(tape, ptens, batch):
+        emb = models.backbone_graph(tape, ptens, backbone_cfg, dataset.values[batch])
+        terms = {"kd": losses.kd_mse(targets[batch], emb)}
+        if mode == "eaf_kd":
+            terms["eaf"] = losses.elastic_arcface(emb, ptens["header.W"],
+                                                  local_labels[batch], eaf_cfg,
+                                                  mode="train", rng=margin_rng)
+        return losses.student_loss(terms.get("eaf"), terms["kd"], loss_cfg), terms
 
     records = []
-    for epoch in range(1, optim.epochs + 1):
-        t0 = time.perf_counter()
-        lr = lr_at_epoch(optim, epoch)
-        epoch_total, epoch_eaf, epoch_kd = [], [], []
-        for batch in epoch_batches(dataset.n, optim.batch_size, shuffle_rng):
-            tape = Tape()
-            ptens = models.param_tensors(tape, model.params)
-            emb = models.backbone_graph(tape, ptens, backbone_cfg,
-                                        dataset.values[batch])
-            kd = losses.kd_mse(targets[batch], emb)
-            if mode == "eaf_kd":
-                eaf = losses.elastic_arcface(emb, ptens["header.W"],
-                                             local_labels[batch], eaf_cfg,
-                                             mode="train", rng=margin_rng)
-                total = losses.student_loss(eaf, kd, loss_cfg)
-                epoch_eaf.append(float(eaf.values))
-            else:
-                total = losses.student_loss(None, kd, loss_cfg)
-            if not guard.check(float(total.values)):
-                continue
-            epoch_total.append(float(total.values))
-            epoch_kd.append(float(kd.values))
-            tape.backward(total)
-            opt.step(_grads_of(ptens), lr)
-        extras = {"mean_kd": float(np.mean(epoch_kd)) if epoch_kd else None}
+    for epoch, lr, t0, kept in _epochs(model.params, optim, dataset.n,
+                                       shuffle_rng, step):
+        extras = {"mean_kd": _mean(kept, "kd", None)}
         if mode == "eaf_kd":
-            extras["mean_eaf"] = float(np.mean(epoch_eaf)) if epoch_eaf else None
-        records.append(TrainLogRecord(
-            epoch, float(np.mean(epoch_total)) if epoch_total else float("nan"),
-            lr, None, time.perf_counter() - t0, extras))
+            extras["mean_eaf"] = _mean(kept, "eaf", None)
+        records.append(TrainLogRecord(epoch, _mean(kept, "loss", float("nan")),
+                                      lr, None, time.perf_counter() - t0, extras))
     if _param_bytes(adaptor) != frozen_before:
         raise ContractError("frozen adaptor parameters changed "
                             "during student training")

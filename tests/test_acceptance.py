@@ -272,7 +272,7 @@ def test_criterion_2_gradients_match_finite_differences():
 
             tape = ad.Tape()
             ptens = models.param_tensors(tape, a.params)
-            out = models.adaptor_graph(tape, ptens, a, fused, mode="train",
+            out = models.adaptor_graph(tape, ptens, a, fused,
                                        rng=np.random.default_rng(drop_seed))
             tape.backward(ad.sum_all(ad.mul(out, tape.constant(proj))))
             numeric = numeric_grad(f, [arr.copy() for arr in arrays])

@@ -112,24 +112,23 @@ def test_leaky_relu_gradient_away_from_kink():
 def test_dropout_identity_cases():
     tape = ad.Tape()
     x = tape.param(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(ad.dropout(x, 0.0, "train", np.random.default_rng(0)).values,
+    assert np.array_equal(ad.dropout(x, 0.0, np.random.default_rng(0)).values,
                           x.values)
-    assert np.array_equal(ad.dropout(x, 0.2, "eval").values, x.values)
 
 
 def test_dropout_mean_preserved():
     rng = np.random.default_rng(3)
     tape = ad.Tape()
     x = tape.param(np.full((100_000,), 1.0))
-    out = ad.dropout(x, 0.2, "train", rng)
+    out = ad.dropout(x, 0.2, rng)
     assert abs(out.values.mean() - 1.0) < 0.02
 
 
 def test_dropout_deterministic_given_seed():
     tape1, tape2 = ad.Tape(), ad.Tape()
     vals = np.random.default_rng(9).normal(size=(50, 20))
-    a = ad.dropout(tape1.param(vals.copy()), 0.3, "train", np.random.default_rng(7))
-    b = ad.dropout(tape2.param(vals.copy()), 0.3, "train", np.random.default_rng(7))
+    a = ad.dropout(tape1.param(vals.copy()), 0.3, np.random.default_rng(7))
+    b = ad.dropout(tape2.param(vals.copy()), 0.3, np.random.default_rng(7))
     assert np.array_equal(a.values, b.values)
 
 
@@ -192,7 +191,7 @@ def test_replay_is_bit_identical():
     def run():
         tape = ad.Tape()
         x = tape.param(vals.copy())
-        h = ad.dropout(ad.leaky_relu(x, 0.01), 0.2, "train", np.random.default_rng(11))
+        h = ad.dropout(ad.leaky_relu(x, 0.01), 0.2, np.random.default_rng(11))
         loss = ad.mean_all(ad.mul(h, h))
         tape.backward(loss)
         return loss.values.copy(), x.grad.copy()

@@ -4,7 +4,8 @@ import pytest
 from mstkd import autodiff as ad
 from mstkd import losses, models
 from mstkd.data import GroupTag, SampleSet
-from mstkd.errors import ConfigError, ContractError, UnsupportedKindError
+from mstkd.errors import (ConfigError, ContractError, DegenerateEmbeddingError,
+                          DimensionError, UnsupportedKindError)
 from mstkd.models import BackboneConfig
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -17,10 +18,15 @@ def make_teacher(n_classes=10, seed=0, cfg=CFG):
     return models.new_teacher(cfg, np.arange(n_classes), G0, seed)
 
 
+def cosine_logits(emb, header):
+    return emb @ (header / np.linalg.norm(header, axis=1, keepdims=True)).T
+
+
 def test_teacher_forward_contracts():
     t = make_teacher()
     x = np.random.default_rng(0).normal(size=(12, 16))
-    emb, logits = models.teacher_forward(t, x)
+    emb = t.embed(x)
+    logits = cosine_logits(emb, t.params["header.W"])
     assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1.0) < 1e-10)
     assert logits.shape == (12, 10)
     assert np.all(logits >= -1.0) and np.all(logits <= 1.0)
@@ -30,10 +36,45 @@ def test_fresh_teacher_loss_near_uniform():
     t = make_teacher(n_classes=50)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(64, 16))
-    _, logits = models.teacher_forward(t, x)
+    logits = cosine_logits(t.embed(x), t.params["header.W"])
     tape = ad.Tape()
     loss = losses.softmax_ce(tape.param(logits), rng.integers(0, 50, size=64))
     assert abs(float(loss.values) - np.log(50)) < 0.2 * np.log(50)
+
+
+def test_forward_equals_backbone_graph_bitwise():
+    cfg = BackboneConfig(input_dim=16, hidden=(24, 12), embedding_dim=8, slope=0.1)
+    t = make_teacher(seed=3, cfg=cfg)
+    x = np.random.default_rng(12).normal(size=(9, 16))
+    tape = ad.Tape()
+    graph = models.backbone_graph(tape, models.param_tensors(tape, t.params), cfg, x)
+    out = models.forward(t.params, "backbone", cfg.slope, x)
+    assert out.tobytes() == graph.values.tobytes()
+    assert t.embed(x).tobytes() == graph.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", models.ADAPTOR_KINDS)
+def test_forward_equals_adaptor_graph_bitwise(kind):
+    a = models.new_adaptor(kind, 4, 6, seed=4, slope=0.05)
+    a.dropout_p = 0.0
+    fused = np.random.default_rng(13).normal(size=(11, 24))
+    tape = ad.Tape()
+    graph = models.adaptor_graph(tape, models.param_tensors(tape, a.params), a, fused)
+    assert models.adaptor_forward(a, fused).tobytes() == graph.values.tobytes()
+
+
+def test_forward_rejects_wrong_width_and_zero_row():
+    t = make_teacher()
+    with pytest.raises(DimensionError):
+        t.embed(np.ones((3, 15)))
+    with pytest.raises(DimensionError):
+        models.forward(t.params, "backbone", CFG.slope, np.ones(16))
+    with pytest.raises(DimensionError):
+        models.adaptor_forward(models.new_adaptor("DuL", 4, 6, seed=0), np.ones((2, 18)))
+    x = np.random.default_rng(14).normal(size=(3, 16))
+    x[1] = 0.0  # biases start at zero, so a zero row stays zero
+    with pytest.raises(DegenerateEmbeddingError):
+        t.embed(x)
 
 
 def test_backbone_gradients_match_finite_differences():
@@ -136,8 +177,10 @@ def test_adaptor_outputs_unit_norm_all_kinds():
     fused = rng.normal(size=(10, 4 * 6))
     for kind in models.ADAPTOR_KINDS:
         a = models.new_adaptor(kind, 4, 6, seed=1)
-        for mode in ("train", "eval"):
-            out = models.adaptor_forward(a, fused, mode, np.random.default_rng(0))
+        tape = ad.Tape()
+        trained = models.adaptor_graph(tape, models.param_tensors(tape, a.params),
+                                       a, fused, np.random.default_rng(0)).values
+        for out in (trained, models.adaptor_forward(a, fused)):
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 
 
@@ -152,7 +195,9 @@ def test_dldpo_dropout_rate_and_placement():
     a = models.new_adaptor("DLDPO", 4, 16, seed=3)
     rng = np.random.default_rng(10)
     fused = rng.normal(size=(500, 64))
-    out = models.adaptor_forward(a, fused, "train", np.random.default_rng(42))
+    tape = ad.Tape()
+    out = models.adaptor_graph(tape, models.param_tensors(tape, a.params), a, fused,
+                               np.random.default_rng(42)).values
     # reconstruct: the dropout mask is the generator's first draw
     h = fused @ a.params["adaptor.0.W"] + a.params["adaptor.0.b"]
     keep = (np.random.default_rng(42).random(h.shape) >= 0.2) / 0.8
@@ -207,13 +252,13 @@ def test_attribution_requires_sl():
 
 def test_student_modes():
     akd = models.new_student(CFG, "a_kd", None, seed=0)
-    emb, logits = models.student_forward(akd, np.random.default_rng(0).normal(size=(4, 16)))
-    assert logits is None
+    emb = akd.embed(np.random.default_rng(0).normal(size=(4, 16)))
     assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1.0) < 1e-10)
     assert "header.W" not in akd.params
 
     eaf = models.new_student(CFG, "eaf_kd", np.arange(200), seed=0)
-    _, logits = models.student_forward(eaf, np.random.default_rng(0).normal(size=(4, 16)))
+    logits = cosine_logits(eaf.embed(np.random.default_rng(0).normal(size=(4, 16))),
+                           eaf.params["header.W"])
     assert logits.shape == (4, 200)
     with pytest.raises(ConfigError):
         models.new_student(CFG, "eaf_kd", None, seed=0)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -202,6 +203,20 @@ def test_full_tiny_pipeline_and_idempotency(tmp_path, capsys):
     capsys.readouterr()
     pipeline.run_all(cfg)
     assert capsys.readouterr().out.count("skipping") == 6
+
+
+def test_run_all_on_current_run_leaves_config_copy_untouched(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.run_all(cfg)
+    copy = out / "config.json"
+    before = copy.read_bytes()
+    os.utime(copy, ns=(10**9, 10**9))  # any rewrite moves the mtime to now
+    capsys.readouterr()
+    pipeline.run_all(cfg)
+    assert capsys.readouterr().out.count("skipping") == 6
+    assert copy.stat().st_mtime_ns == 10**9
+    assert copy.read_bytes() == before
 
 
 def test_rerun_after_delete_is_byte_identical(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mstkd import autodiff as ad
 from mstkd import data as d
-from mstkd import models
+from mstkd import losses, models
 from mstkd import training as tr
 from mstkd.errors import ConfigError, ContractError, DivergenceError
 from mstkd.evaluation import evaluate_embeddings, verification_accuracy
@@ -220,7 +221,7 @@ def test_fused_target_of_pool_equals_per_batch_target(kind):
     for batch in batches:
         x = train.values[batch]
         fused = np.concatenate([teachers[g].embed(x) for g in order], axis=1)
-        expected = models.adaptor_forward(adaptor, fused, mode="eval")
+        expected = models.adaptor_forward(adaptor, fused)
         assert targets[batch].tobytes() == expected.tobytes()
 
 
@@ -253,6 +254,53 @@ def test_train_student_eaf_kd_loss_bookkeeping():
     for r in recs:
         assert r.mean_loss == pytest.approx(
             r.extras["mean_eaf"] + 10000.0 * r.extras["mean_kd"], rel=1e-9)
+
+
+def test_train_student_mean_eaf_averages_kept_batches_only(monkeypatch):
+    train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
+    eaf_values, kd_values = [], []
+    real_eaf, real_kd = losses.elastic_arcface, losses.kd_mse
+
+    def eaf(*args, **kwargs):
+        out = real_eaf(*args, **kwargs)
+        if len(eaf_values) == 1:
+            out.values = np.array(np.nan)  # the guard drops this batch
+        eaf_values.append(float(out.values))
+        return out
+
+    def kd(*args, **kwargs):
+        out = real_kd(*args, **kwargs)
+        kd_values.append(float(out.values))
+        return out
+
+    monkeypatch.setattr(losses, "elastic_arcface", eaf)
+    monkeypatch.setattr(losses, "kd_mse", kd)
+    _, (rec,) = tr.train_student("eaf_kd", adaptor, sets, train,
+                                 StudentLossConfig(10000.0, "eaf_kd"), EafConfig(),
+                                 CFG, tr.OptimConfig(0.1, 1, (), **FAST),
+                                 init_seed=61)
+    kept = [i for i, v in enumerate(eaf_values) if np.isfinite(v)]
+    assert len(kept) == len(eaf_values) - 1 >= 2
+    assert np.isfinite(rec.extras["mean_eaf"])
+    assert rec.extras["mean_eaf"] == float(np.mean([eaf_values[i] for i in kept]))
+    assert rec.extras["mean_kd"] == float(np.mean([kd_values[i] for i in kept]))
+
+
+def test_inference_never_builds_a_tape(monkeypatch):
+    train, _, test, _, test_pairs = desk_data()
+    teachers = [models.new_teacher(CFG, np.arange(12), train.group_tags[g], seed=g)
+                for g in range(4)]
+    adaptor = models.new_adaptor("DLDPO", 4, CFG.embedding_dim, seed=5)
+    student = models.new_student(CFG, "eaf_kd", np.arange(12), seed=6)
+
+    def no_tape(self):
+        raise AssertionError("inference recorded an autodiff tape")
+
+    monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+    sets = tr.extract_embeddings(teachers, test)
+    assert tr.fused_target(adaptor, sets).shape == (test.n, CFG.embedding_dim)
+    report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
+    assert len(report.per_group_acc) == 4
 
 
 def test_train_student_leaves_teachers_and_adaptor_frozen():
