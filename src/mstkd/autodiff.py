@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A `Tape` records every operation in creation order, which is already a
-topological order of the computation graph. `backward` walks the node list
-once in reverse, accumulating gradients into every tensor that requires
-them. Only the operations needed by this pipeline's models and losses are
-provided; there is no broadcasting framework beyond row-bias addition.
+topological order of the computation graph. `backward` walks the recorded
+backward closures once in reverse, accumulating gradients into every tensor
+that requires them. Only the operations needed by this pipeline's models and
+losses are provided; there is no broadcasting framework beyond row-bias
+addition. `affine` and the two training losses (`losses.elastic_arcface`,
+`losses.kd_mse`) are each one node whose backward repeats, float for float,
+the chain of primitives it replaces.
 
 All randomness (dropout) is drawn from a caller-supplied
 `numpy.random.Generator`, so replaying a graph with the same seed is
@@ -24,17 +27,6 @@ from .errors import ContractError, DegenerateEmbeddingError, DimensionError
 EPS_NORM = 1e-12     # row norms at or below this are degenerate
 EPS_COS = 1e-7       # cosine clamp margin before arccos
 PI = math.pi
-
-
-class Node:
-    """One recorded operation: input node ids and backward closure."""
-
-    __slots__ = ("input_ids", "backward")
-
-    def __init__(self, input_ids: tuple[int, ...],
-                 backward: Optional[Callable[[np.ndarray], None]]):
-        self.input_ids = input_ids
-        self.backward = backward
 
 
 class DiffTensor:
@@ -59,10 +51,15 @@ class DiffTensor:
 
 
 class Tape:
-    """Ordered record of operations; nodes are appended after their inputs."""
+    """Ordered record of operations; nodes are appended after their inputs.
+
+    `nodes[i]` is the backward closure of `tensors[i]` (None for a leaf or a
+    tensor that needs no gradient). Each tensor refers back to its tape, so
+    a caller that is done with a tape empties both lists to let reference
+    counting free the recorded arrays."""
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.nodes: list[Optional[Callable[[np.ndarray], None]]] = []
         self.tensors: list[DiffTensor] = []
 
     def _emit(self, values: np.ndarray,
@@ -71,10 +68,8 @@ class Tape:
               requires_grad: Optional[bool] = None) -> DiffTensor:
         if requires_grad is None:
             requires_grad = any(t.requires_grad for t in inputs)
-        node_id = len(self.nodes)
-        out = DiffTensor(self, node_id, values, requires_grad)
-        self.nodes.append(Node(tuple(t.node_id for t in inputs),
-                               backward if requires_grad else None))
+        out = DiffTensor(self, len(self.nodes), values, requires_grad)
+        self.nodes.append(backward if requires_grad else None)
         self.tensors.append(out)
         return out
 
@@ -101,18 +96,20 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.values.shape}")
         _accumulate(loss, np.ones((), dtype=np.float64))
         for node_id in range(loss.node_id, -1, -1):
-            node = self.nodes[node_id]
-            out = self.tensors[node_id]
-            if node.backward is not None and out.grad is not None:
-                node.backward(out.grad)
+            backward = self.nodes[node_id]
+            grad = self.tensors[node_id].grad
+            if backward is not None and grad is not None:
+                backward(grad)
 
 
 def _accumulate(t: DiffTensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # a copy: `add` hands the same array to both of its operands
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _same_tape(*tensors: DiffTensor) -> Tape:
@@ -123,14 +120,18 @@ def _same_tape(*tensors: DiffTensor) -> Tape:
     return tape
 
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Matrix product of two 2-D tensors."""
-    tape = _same_tape(a, b)
+def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise DimensionError("matmul expects 2-D operands")
     if a.values.shape[1] != b.values.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.values.shape} x {b.values.shape}")
+
+
+def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """Matrix product of two 2-D tensors."""
+    tape = _same_tape(a, b)
+    _check_matmul(a, b)
     out_values = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
@@ -362,5 +363,22 @@ def mean_all(a: DiffTensor) -> DiffTensor:
 
 
 def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """x @ w + b with a 1-D bias."""
-    return add(matmul(x, w), b)
+    """x @ w + b with a 1-D bias, recorded as one node.
+
+    Values and gradients are bit-identical to `add(matmul(x, w), b)`."""
+    tape = _same_tape(x, w, b)
+    _check_matmul(x, w)
+    if b.values.ndim != 1 or b.values.shape[0] != w.values.shape[1]:
+        raise DimensionError(
+            f"bias shape {b.values.shape} does not fit {w.values.shape[1]} columns")
+    out_values = x.values @ w.values
+    out_values += b.values
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ w.values.T)
+        if w.requires_grad:
+            _accumulate(w, x.values.T @ g)
+
+    return tape._emit(out_values, (x, w, b), bwd)

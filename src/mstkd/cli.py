@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 data/format error, 4 divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,8 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "init-config":
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,6 +6,11 @@ computed through the log-sum-exp path for stability. The angular-margin loss
 follows the elastic formulation: cosines are clamped, converted to angles,
 shifted by a per-sample margin drawn from Normal(m, sigma^2) in train mode
 (exactly m in eval mode), and mapped back through cos before scaling.
+
+`elastic_arcface` and `kd_mse` each record one tape node. Their backward
+passes repeat the float operations of the equivalent chain of autodiff
+primitives in the same order and on the same array layouts, so values and
+gradients are bit-identical to that chain (the tests keep it as the oracle).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DegenerateEmbeddingError, DimensionError
 
 UNIT_NORM_TOL = 1e-8
 
@@ -64,11 +69,6 @@ def softmax_ce(logits: DiffTensor, labels: np.ndarray) -> DiffTensor:
     return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), ad.pick(logits, labels)))
 
 
-def cosine_logits(embeddings: DiffTensor, class_weights: DiffTensor) -> DiffTensor:
-    """Cosine similarities of unit-norm embeddings against row-normalized weights."""
-    return ad.matmul(embeddings, ad.transpose(ad.l2_normalize(class_weights)))
-
-
 def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
                     labels: np.ndarray, cfg: EafConfig, mode: str = "train",
                     rng: Optional[np.random.Generator] = None) -> DiffTensor:
@@ -83,15 +83,17 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     cfg.validate()
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if embeddings.values.ndim != 2 or class_weights.values.ndim != 2:
+    emb, w = embeddings.values, class_weights.values
+    if emb.ndim != 2 or w.ndim != 2:
         raise DimensionError("elastic_arcface expects 2-D embeddings and weights")
-    if embeddings.values.shape[1] != class_weights.values.shape[1]:
+    if emb.shape[1] != w.shape[1]:
         raise DimensionError("embedding and class-weight dimensions differ")
-    norms = np.linalg.norm(embeddings.values, axis=1)
+    norms = np.linalg.norm(emb, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ContractError("embeddings must be unit-norm rows")
-    batch = embeddings.values.shape[0]
-    labels = _check_labels(labels, class_weights.values.shape[0], batch)
+    batch = emb.shape[0]
+    labels = _check_labels(labels, w.shape[0], batch)
+    tape = ad._same_tape(embeddings, class_weights)
 
     if mode == "train" and cfg.sigma > 0.0:
         if rng is None:
@@ -100,13 +102,54 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     else:
         margins = np.full(batch, cfg.m)
 
-    tape = embeddings.tape
-    cosines = ad.clamp(cosine_logits(embeddings, class_weights),
-                       -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS)
-    theta = ad.arccos(ad.pick(cosines, labels))
-    shifted = ad.clamp(ad.add(theta, tape.constant(margins)), 0.0, ad.PI)
-    logits = ad.scatter_replace(cosines, labels, ad.cos(shifted))
-    return softmax_ce(ad.scale(logits, cfg.s), labels)
+    # cosine logits against the row-normalized header
+    w_norms = np.linalg.norm(w, axis=1, keepdims=True)
+    if np.any(w_norms <= ad.EPS_NORM):
+        raise DegenerateEmbeddingError(
+            f"row norm at or below {ad.EPS_NORM}; cannot normalize")
+    wn = w / w_norms
+    wn_t = wn.T.copy()
+    lo, hi = -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS
+    raw = emb @ wn_t
+    cos_inside = (raw > lo) & (raw < hi)
+    cosines = np.clip(raw, lo, hi)
+    # the target logit: cos(clip(arccos(cosine) + margin, 0, pi))
+    rows = np.arange(batch)
+    target_cos = cosines[rows, labels]
+    shifted = np.arccos(target_cos) + margins
+    angle_inside = (shifted > 0.0) & (shifted < ad.PI)
+    shifted = np.clip(shifted, 0.0, ad.PI)
+    logits = cosines.copy()
+    logits[rows, labels] = np.cos(shifted)
+    logits *= float(cfg.s)
+    # softmax cross-entropy
+    if not np.all(np.isfinite(logits)):
+        raise ContractError("softmax_ce requires finite logits")
+    top = logits.max(axis=1, keepdims=True)
+    expx = np.exp(logits - top)
+    sums = expx.sum(axis=1, keepdims=True)
+    per_row = (top + np.log(sums)).reshape(-1) - logits[rows, labels]
+    softmax = expx / sums
+
+    def bwd(g: np.ndarray) -> None:
+        g_row = float(g) / batch
+        g_logits = np.zeros_like(logits)
+        g_logits[rows, labels] = -g_row
+        g_logits += softmax * g_row
+        g_logits *= float(cfg.s)
+        g_cos = -g_logits[rows, labels] * np.sin(shifted) * angle_inside
+        g_target = -g_cos / np.sqrt(1.0 - target_cos * target_cos)
+        g_logits[rows, labels] = 0.0
+        g_logits[rows, labels] += g_target
+        g_raw = g_logits * cos_inside
+        if embeddings.requires_grad:
+            ad._accumulate(embeddings, g_raw @ wn_t.T)
+        if class_weights.requires_grad:
+            g_wn = (emb.T @ g_raw).T.copy()
+            inner = np.sum(g_wn * wn, axis=1, keepdims=True)
+            ad._accumulate(class_weights, (g_wn - wn * inner) / w_norms)
+
+    return tape._emit(np.asarray(per_row.mean()), (embeddings, class_weights), bwd)
 
 
 def kd_mse(target, student_emb: DiffTensor) -> DiffTensor:
@@ -119,8 +162,16 @@ def kd_mse(target, student_emb: DiffTensor) -> DiffTensor:
     if values.shape != student_emb.values.shape:
         raise DimensionError(
             f"kd_mse shapes differ: {values.shape} vs {student_emb.values.shape}")
-    diff = ad.sub(student_emb.tape.constant(values), student_emb)
-    return ad.mean_all(ad.mul(diff, diff))
+    diff = np.asarray(values, dtype=np.float64) - student_emb.values
+    squares = diff * diff
+
+    def bwd(g: np.ndarray) -> None:
+        g_each = float(g) / squares.size
+        g_diff = g_each * diff
+        g_diff += g_each * diff   # d(diff * diff): one term per factor
+        ad._accumulate(student_emb, -g_diff)
+
+    return student_emb.tape._emit(np.asarray(squares.mean()), (student_emb,), bwd)
 
 
 def student_loss(classification: Optional[DiffTensor], kd: DiffTensor,

@@ -188,23 +188,27 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
             x: np.ndarray) -> np.ndarray:
     """Inference in plain numpy: the `prefix.{i}` affine layers with leaky-relu
     between them, each row scaled to unit length. Bit-identical to the values
-    `backbone_graph` and `adaptor_graph` (without dropout) record."""
+    `backbone_graph` and `adaptor_graph` (without dropout) record; each layer
+    works in place on its one output array."""
     x = np.asarray(x, dtype=np.float64)
     width = params[f"{prefix}.0.W"].shape[0]
     if x.ndim != 2 or x.shape[1] != width:
         raise DimensionError(
             f"batch width {x.shape} does not match input width {width}")
-    h = x @ params[f"{prefix}.0.W"] + params[f"{prefix}.0.b"]
+    h = x @ params[f"{prefix}.0.W"]
+    h += params[f"{prefix}.0.b"]
     i = 1
     while f"{prefix}.{i}.W" in params:
-        h = h * np.where(h >= 0.0, 1.0, slope)
-        h = h @ params[f"{prefix}.{i}.W"] + params[f"{prefix}.{i}.b"]
+        np.multiply(h, slope, out=h, where=h < 0.0)
+        h = h @ params[f"{prefix}.{i}.W"]
+        h += params[f"{prefix}.{i}.b"]
         i += 1
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if np.any(norms <= ad.EPS_NORM):
         raise DegenerateEmbeddingError(
             f"row norm at or below {ad.EPS_NORM}; cannot normalize")
-    return h / norms
+    h /= norms
+    return h
 
 
 def adaptor_forward(a: AdaptorModel, fused: np.ndarray) -> np.ndarray:

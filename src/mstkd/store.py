@@ -16,6 +16,7 @@ f64 parameter data.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import FormatError
 MAGIC = b"MSTE"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_PREAMBLE = 25   # magic, version, dtype, row count, dimension
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -48,9 +50,9 @@ def save_sample_set(s: SampleSet, path, dtype_code: int = 1) -> None:
         fh.write(np.uint8(dtype_code).tobytes())
         fh.write(np.uint64(s.n).tobytes())
         fh.write(np.uint64(s.dim).tobytes())
-        fh.write(np.ascontiguousarray(s.values, dtype=_DTYPES[dtype_code]).tobytes())
-        fh.write(s.identities.astype("<u4").tobytes())
-        fh.write(s.groups.astype("<u1").tobytes())
+        fh.write(np.ascontiguousarray(s.values, dtype=_DTYPES[dtype_code]).data)
+        fh.write(s.identities.astype("<u4").data)
+        fh.write(s.groups.astype("<u1").data)
 
 
 def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet:
@@ -65,18 +67,25 @@ def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet
             raise FormatError(f"{path}: unknown dtype code {code}")
         rows = int(np.frombuffer(_read_exact(fh, 8, "row count"), "<u8")[0])
         dim = int(np.frombuffer(_read_exact(fh, 8, "dimension"), "<u8")[0])
+        # values, u32 labels and u8 groups must fill the file exactly; checked
+        # before anything is allocated from the header's counts
         itemsize = _DTYPES[code].itemsize
-        values = np.frombuffer(
-            _read_exact(fh, rows * dim * itemsize, "values"),
-            _DTYPES[code]).reshape(rows, dim)
+        expected = _PREAMBLE + rows * dim * itemsize + 5 * rows
+        actual = os.fstat(fh.fileno()).st_size
+        if expected != actual:
+            raise FormatError(f"{path}: header implies {expected} bytes "
+                              f"({rows} rows x {dim}), file has {actual}")
+        if dim * itemsize > np.iinfo(np.intp).max:   # only with zero rows
+            raise FormatError(f"{path}: dimension {dim} is too large")
+        values = np.empty((rows, dim), _DTYPES[code])
+        if fh.readinto(values) != values.nbytes:
+            raise FormatError(f"{path}: truncated file while reading values")
         idents = np.frombuffer(_read_exact(fh, rows * 4, "labels"), "<u4")
         groups = np.frombuffer(_read_exact(fh, rows, "groups"), "<u1")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
     if group_tags is None:
         n_groups = int(groups.max()) + 1 if rows else 0
         group_tags = [GroupTag(i, f"g{i}") for i in range(n_groups)]
-    return SampleSet(values.astype(np.float64), idents.astype(np.int64),
+    return SampleSet(values.astype(np.float64, copy=False), idents.astype(np.int64),
                      groups.astype(np.int64), group_tags)
 
 
@@ -122,7 +131,7 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
         dims = "x".join(str(d) for d in arr.shape)
         lines.append(f"{name} {dims} {offset}")
         offset += arr.size
-        blobs.append(arr.tobytes())
+        blobs.append(arr)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -131,7 +140,7 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(np.uint64(len(manifest)).tobytes())
         fh.write(manifest)
         for blob in blobs:
-            fh.write(blob)
+            fh.write(blob.data)
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:

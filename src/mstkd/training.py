@@ -177,6 +177,9 @@ def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
     to minimize and a dict of scalar terms to log. The guard drops a batch
     whose loss is not finite. Yields `(epoch, lr, t0, kept)` per epoch, with
     `kept` one dict of floats (`loss` and the terms) per batch that stepped.
+    Each step's tape is emptied once the step is done, which breaks the
+    tensor <-> tape reference cycle, so its arrays are freed right away
+    rather than by the cyclic garbage collector.
     """
     opt = SgdMomentum(params, optim.momentum)
     guard = DivergenceGuard()
@@ -189,12 +192,15 @@ def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
             ptens = models.param_tensors(tape, params)
             total, terms = step(tape, ptens, batch)
             loss = float(total.values)
-            if not guard.check(loss):
-                continue
-            kept.append({"loss": loss, **{k: float(t.values) for k, t in terms.items()}})
-            tape.backward(total)
-            opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
-                      for name, t in ptens.items()}, lr)
+            if guard.check(loss):
+                kept.append({"loss": loss,
+                             **{k: float(t.values) for k, t in terms.items()}})
+                tape.backward(total)
+                opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
+                          for name, t in ptens.items()}, lr)
+            tape.nodes.clear()
+            tape.tensors.clear()
+            del tape, ptens, total, terms
         yield epoch, lr, t0, kept
 
 

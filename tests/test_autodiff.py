@@ -330,8 +330,11 @@ def test_random_op_compositions_match_finite_differences():
 def test_tape_nodes_are_topologically_ordered():
     tape = ad.Tape()
     x = tape.param(np.ones((2, 2)))
-    y = ad.mul(x, x)
+    c = tape.constant(np.ones((2, 2)))
+    y = ad.mul(x, c)
     z = ad.sum_all(y)
-    for node_id, node in enumerate(tape.nodes):
-        assert all(i < node_id for i in node.input_ids)
+    for position, t in enumerate(tape.tensors):
+        assert t.node_id == position
+    assert x.node_id < y.node_id and c.node_id < y.node_id < z.node_id
+    assert len(tape.nodes) == len(tape.tensors) == 4
     assert z.node_id == len(tape.nodes) - 1

@@ -296,6 +296,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_calls_parse_independently(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(pipeline, "load_config",
+                        lambda path, seed, out: (path, seed, out))
+    monkeypatch.setitem(cli._STAGE_COMMANDS, "gen-data",
+                        lambda cfg, force: seen.append((cfg, force)))
+    assert cli.main(["gen-data", "--config", "a.json", "--force",
+                     "--seed-override", "7", "--out", "o"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data"])           # --config is required
+    assert exc.value.code == 2
+    assert cli.main(["gen-data", "--config", "b.json"]) == 0
+    assert seen == [(("a.json", 7, "o"), True), (("b.json", None, None), False)]
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
+
+
 def test_cli_init_config_and_full_run(tmp_path):
     cfg_path = tmp_path / "default.json"
     assert cli.main(["init-config", "--out", str(cfg_path)]) == 0

@@ -54,6 +54,44 @@ def test_truncated_file_rejected(tmp_path):
         store.load_sample_set(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    s = make_set()
+    path = tmp_path / "s.mste"
+    store.save_sample_set(s, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError):
+        store.load_sample_set(path)
+
+
+@pytest.mark.parametrize("n,rows,dim", [
+    (7, 2**40, 5), (7, 7, 2**40), (7, 2**63, 5),
+    (0, 0, 2**63 - 1), (0, 0, 2**63), (0, 0, 2**64 - 1)])
+def test_header_counts_beyond_the_file_rejected_before_allocating(tmp_path, n, rows,
+                                                                  dim):
+    path = tmp_path / "s.mste"
+    store.save_sample_set(make_set(n=n), path)
+    raw = bytearray(path.read_bytes())
+    raw[9:25] = np.array([rows, dim], dtype="<u8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        store.load_sample_set(path)
+
+
+@pytest.mark.parametrize("dtype_code", [0, 1])
+def test_truncated_values_rejected(tmp_path, dtype_code):
+    s = make_set(n=6, dim=4)
+    path = tmp_path / "s.mste"
+    store.save_sample_set(s, path, dtype_code=dtype_code)
+    raw = path.read_bytes()
+    values_end = 25 + 6 * 4 * (4 if dtype_code == 0 else 8)
+    path.write_bytes(raw[:values_end - 5])
+    with pytest.raises(FormatError):
+        store.load_sample_set(path)
+    path.write_bytes(raw[:values_end - 5] + raw[values_end:])
+    with pytest.raises(FormatError):
+        store.load_sample_set(path)
+
+
 def test_version_mismatch_rejected(tmp_path):
     s = make_set()
     path = tmp_path / "s.mste"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -301,6 +304,68 @@ def test_inference_never_builds_a_tape(monkeypatch):
     assert tr.fused_target(adaptor, sets).shape == (test.n, CFG.embedding_dim)
     report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
     assert len(report.per_group_acc) == 4
+
+
+class RecordingTape(ad.Tape):
+    """A tape that checks, when it is made, that every earlier tape is gone,
+    and notes how many nodes it holds when `backward` returns."""
+
+    def __init__(self, made, nodes_at_backward):
+        super().__init__()
+        assert all(ref() is None for ref in made), "a finished step's tape is alive"
+        made.append(weakref.ref(self))
+        self._nodes_at_backward = nodes_at_backward
+
+    def backward(self, loss):
+        super().backward(loss)
+        self._nodes_at_backward.append(len(self.nodes))
+
+
+def _train_without_cyclic_gc(monkeypatch, train):
+    """Run `train()` with the cyclic GC off and every third loss set to NaN
+    (the guard drops those batches); return the per-step node counts."""
+    made, nodes_at_backward = [], []
+    monkeypatch.setattr(tr, "Tape", lambda: RecordingTape(made, nodes_at_backward))
+    real_eaf = losses.elastic_arcface
+    calls = []
+
+    def eaf(*args, **kwargs):
+        out = real_eaf(*args, **kwargs)
+        calls.append(len(calls) % 3 == 1)
+        if calls[-1]:
+            out.values = np.array(np.nan)
+        return out
+
+    monkeypatch.setattr(losses, "elastic_arcface", eaf)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train()
+        assert all(ref() is None for ref in made)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(made) == len(calls) >= 6
+    assert len(nodes_at_backward) == calls.count(False)
+    return nodes_at_backward
+
+
+def test_each_step_tape_is_freed_without_the_cyclic_gc(monkeypatch):
+    train, val, _, val_pairs, _ = desk_data()
+    subset = train.select(train.rows_of_group(0))
+    counts = _train_without_cyclic_gc(monkeypatch, lambda: tr.train_teacher(
+        subset, train.group_tags[0], CFG, EafConfig(), tr.OptimConfig(0.1, 3, (), **FAST),
+        val, val_pairs, init_seed=3))
+    # 4 backbone parameters, the header, the input, affine, leaky_relu,
+    # affine, l2_normalize and the one-node loss
+    assert set(counts) == {11}
+
+    train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
+    counts = _train_without_cyclic_gc(monkeypatch, lambda: tr.train_student(
+        "eaf_kd", adaptor, sets, train, StudentLossConfig(10000.0, "eaf_kd"),
+        EafConfig(), CFG, tr.OptimConfig(0.1, 1, (), **FAST), init_seed=61))
+    # the teacher's 11, plus kd_mse, the lambda scale and the sum
+    assert set(counts) == {14}
 
 
 def test_train_student_leaves_teachers_and_adaptor_frozen():
