@@ -5,7 +5,9 @@
 Subcommands: gen-data, train-teachers, extract, train-adaptor,
 train-student, evaluate, report (takes evaluated run directories as
 positional arguments), run-all, and init-config (writes the default
-config). MSTKD_WORKERS caps parallel teacher-training workers.
+config). MSTKD_WORKERS=N trains the teachers in N processes; set
+OPENBLAS_NUM_THREADS=1 with it, or the workers' BLAS threads oversubscribe
+the cores and the stage runs slower than in one process.
 
 Exit codes: 0 success, 2 config error, 3 data/format error, 4 divergence,
 5 missing upstream artifact, 1 anything else.
@@ -15,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from . import pipeline
+from . import pipeline, store
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      MissingArtifactError, MstkdError)
 
@@ -29,16 +30,6 @@ EXIT_CODES = [
     (DivergenceError, 4),
     (MissingArtifactError, 5),
 ]
-
-_STAGE_COMMANDS = {
-    "gen-data": pipeline.cmd_gen_data,
-    "train-teachers": pipeline.cmd_train_teachers,
-    "extract": pipeline.cmd_extract,
-    "train-adaptor": pipeline.cmd_train_adaptor,
-    "train-student": pipeline.cmd_train_student,
-    "evaluate": pipeline.cmd_evaluate,
-    "run-all": pipeline.run_all,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true",
                            help="re-run even when artifacts are up to date")
 
-    for name in _STAGE_COMMANDS:
+    for name in pipeline.COMMANDS:
         add_common(sub.add_parser(name))
     report = sub.add_parser("report")
     add_common(report, with_force=False)
@@ -79,19 +70,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "init-config":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(pipeline.default_config_dict(), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
+            store.write_json_atomic(args.out, pipeline.default_config_dict())
             print(f"[mstkd] wrote default config to {args.out}")
             return 0
         cfg = pipeline.load_config(args.config, args.seed_override, args.out)
         if args.command == "report":
             pipeline.cmd_report(cfg, args.runs, args.out)
         else:
-            _STAGE_COMMANDS[args.command](cfg, args.force)
+            pipeline.COMMANDS[args.command](cfg, args.force)
         return 0
-    except MstkdError as exc:
+    except (MstkdError, OSError) as exc:
         print(f"[mstkd] error: {exc}", file=sys.stderr)
         for klass, code in EXIT_CODES:
             if isinstance(exc, klass):

@@ -1,12 +1,14 @@
 """Experiment orchestration: config, run manifest, and pipeline stages.
 
-One JSON config drives every stage. Stages run in the order
-gen-data -> train-teachers -> extract -> train-adaptor -> train-student ->
-evaluate (their inputs are listed in `UPSTREAM`); each stage checks that
-its upstream artifacts exist on disk with the hashes recorded in the
-manifest, skips itself when its own artifacts are already present (unless
-forced), and registers everything it writes. Within one `run_all` call
-each artifact is hashed once. All artifacts are pure functions of
+One JSON config drives every stage. `STAGES` is the pipeline as data, in
+run order gen-data -> train-teachers -> extract -> train-adaptor ->
+train-student -> evaluate: each stage names its upstream stages, the
+artifacts it writes and the body that writes them. One driver runs every
+stage the same way: it checks that the upstream artifacts exist on disk
+with the hashes recorded in the manifest, skips the stage when its own
+artifacts are already current (unless forced), and records the digests of
+what the body wrote. Within one `run_all` call the manifest is opened once
+and each artifact is hashed once. All artifacts are pure functions of
 (config, seeds), so re-runs are byte-identical.
 """
 
@@ -22,24 +24,13 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__, data, models, store, training
 from .errors import ConfigError, ContractError, FormatError, MissingArtifactError
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
 from .losses import EafConfig, StudentLossConfig
-
-STAGES = ("gen-data", "train-teachers", "extract", "train-adaptor",
-          "train-student", "evaluate")
-UPSTREAM = {
-    "gen-data": (),
-    "train-teachers": ("gen-data",),
-    "extract": ("gen-data", "train-teachers"),
-    "train-adaptor": ("extract",),
-    "train-student": ("gen-data", "extract", "train-adaptor"),
-    "evaluate": ("gen-data", "train-student"),
-}
 
 
 @dataclass
@@ -218,14 +209,56 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# --- run files: every run-relative path is spelled here once -----------------
+
+MANIFEST, CONFIG_COPY = "manifest.json", "config.json"
+POOLS = ("train", "validation", "test")
+PAIR_LISTS = ("validation", "test")
+
+
+def _pool(name: str) -> str:
+    return f"dataset/{name}.mste"
+
+
+def _pairs(name: str) -> str:
+    return f"dataset/pairs_{name}.txt"
+
+
+def _trained(stem: str) -> tuple[str, str]:
+    """(checkpoint, training log) of one trained model."""
+    return f"{stem}.ckpt", f"{stem}.log.jsonl"
+
+
+def _teacher(g: int) -> tuple[str, str]:
+    return _trained(f"teachers/teacher_{g}")
+
+
+def _embeddings(g: int) -> str:
+    return f"embeddings/teacher_{g}.mste"
+
+
+def _adaptor(kind: str) -> tuple[str, str]:
+    return _trained(f"adaptors/{kind}")
+
+
+def _student(kind: str, mode: str) -> tuple[str, str]:
+    return _trained(f"students/{kind}_{mode}")
+
+
+def _report(kind: str, mode: str) -> tuple[str, str]:
+    """(JSON report, text table) of one student."""
+    stem = f"reports/{kind}_{mode}"
+    return f"{stem}.json", f"{stem}.txt"
+
+
+def _students(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    return [(kind, mode) for kind in cfg.adaptors for mode in cfg.student_modes]
+
+
 # --- manifest ----------------------------------------------------------------
 
-def _manifest_path(out: Path) -> Path:
-    return out / "manifest.json"
-
-
 def load_manifest(out: Path) -> Optional[dict]:
-    path = _manifest_path(out)
+    path = out / MANIFEST
     if not path.exists():
         return None
     try:
@@ -244,13 +277,7 @@ def load_manifest(out: Path) -> Optional[dict]:
     return manifest
 
 
-def _save_manifest(out: Path, manifest: dict) -> None:
-    with open(_manifest_path(out), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool = False) -> dict:
+def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool) -> dict:
     h = config_hash(cfg)
     manifest = None if reset else load_manifest(out)
     if manifest is None:
@@ -264,97 +291,29 @@ def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool = False) -> dic
     return manifest
 
 
-def _digest(digests: dict[Path, str], path: Path) -> Optional[str]:
-    """sha256 of `path` (None if absent), hashed at most once per `digests`."""
-    if path not in digests:
-        if not path.exists():
-            return None
-        digests[path] = store.sha256_file(path)
-    return digests[path]
+# --- stage bodies: each writes its stage's artifacts, returns its summary ----
+
+def _load_pool(cfg: ExperimentConfig, out: Path, name: str) -> data.SampleSet:
+    return store.load_sample_set(out / _pool(name), cfg.dataset.tags())
 
 
-def _stage_ok(manifest: dict, stage: str, out: Path,
-              digests: dict[Path, str]) -> bool:
-    record = manifest["stages"].get(stage)
-    return record is not None and all(
-        _digest(digests, out / rel) == digest
-        for rel, digest in record["artifacts"].items())
-
-
-def _expected_artifacts(cfg: ExperimentConfig, stage: str) -> list[str]:
-    if stage == "gen-data":
-        return [f"dataset/{n}" for n in ("train.mste", "validation.mste",
-                                         "test.mste", "pairs_validation.txt",
-                                         "pairs_test.txt")]
-    if stage == "train-teachers":
-        return [f"teachers/teacher_{g}.ckpt" for g in range(cfg.dataset.groups)]
-    if stage == "extract":
-        return [f"embeddings/teacher_{g}.mste" for g in range(cfg.dataset.groups)]
-    if stage == "train-adaptor":
-        return [f"adaptors/{k}.ckpt" for k in cfg.adaptors]
-    if stage == "train-student":
-        return [f"students/{k}_{m}.ckpt" for k in cfg.adaptors
-                for m in cfg.student_modes]
-    return [f"reports/{k}_{m}.json" for k in cfg.adaptors
-            for m in cfg.student_modes]
-
-
-def _require_upstream(manifest: dict, stage: str, out: Path,
-                      cfg: ExperimentConfig, digests: dict[Path, str]) -> None:
-    for up in UPSTREAM[stage]:
-        record = manifest["stages"].get(up)
-        if record is None:
-            raise MissingArtifactError(
-                f"stage {stage!r} needs {up!r}, which has not run in {out}; "
-                f"expected artifacts: {_expected_artifacts(cfg, up)}")
-        missing = [rel for rel, digest in record["artifacts"].items()
-                   if _digest(digests, out / rel) != digest]
-        if missing:
-            raise MissingArtifactError(
-                f"stage {stage!r} needs {up!r} artifacts, but these are "
-                f"missing or modified: {missing}")
-
-
-def _record_stage(stage: str, out: Path, paths: list[Path],
-                  digests: Optional[dict[Path, str]]) -> None:
-    """Hash what the stage just wrote into the manifest that `_run_stage`
-    opened; the new digests replace cached ones."""
-    fresh = {p: store.sha256_file(p) for p in sorted(paths)}
-    if digests is not None:
-        digests.update(fresh)
-    manifest = load_manifest(out)
-    manifest["stages"][stage] = {
-        "artifacts": {str(p.relative_to(out)): d for p, d in fresh.items()}}
-    _save_manifest(out, manifest)
-
-
-def _write_config_copy(out: Path, cfg: ExperimentConfig) -> None:
-    doc = config_to_dict(cfg)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# --- stage bodies ------------------------------------------------------------
-
-def _dataset_paths(out: Path) -> dict[str, Path]:
-    d_dir = out / "dataset"
-    return {"train": d_dir / "train.mste",
-            "validation": d_dir / "validation.mste",
-            "test": d_dir / "test.mste",
-            "pairs_validation": d_dir / "pairs_validation.txt",
-            "pairs_test": d_dir / "pairs_test.txt"}
-
-
-def _load_pools(cfg: ExperimentConfig, out: Path):
-    paths = _dataset_paths(out)
+def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSet]:
     tags = cfg.dataset.tags()
-    train = store.load_sample_set(paths["train"], tags)
-    val = store.load_sample_set(paths["validation"], tags)
-    test = store.load_sample_set(paths["test"], tags)
-    val_pairs = store.load_pairs(paths["pairs_validation"])
-    test_pairs = store.load_pairs(paths["pairs_test"])
-    return train, val, test, val_pairs, test_pairs
+    return [store.load_sample_set(out / _embeddings(g), tags)
+            for g in range(cfg.dataset.groups)]
+
+
+def _gen_data(cfg: ExperimentConfig, out: Path) -> str:
+    train, val, test = data.generate(cfg.dataset)
+    pair_lists = [data.build_pairs(pool, cfg.pairs_per_group,
+                                   cfg.genuine_fraction, seed=cfg.seeds.data + k)
+                  for k, pool in ((1, val), (2, test))]
+    for name, pool in zip(POOLS, (train, val, test)):
+        store.save_sample_set(pool, out / _pool(name))
+    for name, pairs in zip(PAIR_LISTS, pair_lists):
+        store.save_pairs(pairs, out / _pairs(name))
+    return (f"wrote {train.n} train / {val.n} validation / {test.n} test "
+            f"samples to {(out / _pool('train')).parent}")
 
 
 def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
@@ -363,158 +322,72 @@ def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
     return data.split_balanced(train, cfg.seeds.data)
 
 
-def _teacher_path(out: Path, g: int) -> Path:
-    return out / "teachers" / f"teacher_{g}.ckpt"
-
-
-def _run_stage(stage: str, cfg: ExperimentConfig, out: Path, force: bool,
-               digests: Optional[dict[Path, str]], reset: bool = False) -> bool:
-    """Common prologue; returns False when the stage can be skipped.
-
-    `digests` caches artifact hashes across the stages of one `run_all`
-    call; a stage run on its own passes None and hashes afresh."""
-    digests = {} if digests is None else digests
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _open_manifest(out, cfg, reset=reset)
-    _require_upstream(manifest, stage, out, cfg, digests)
-    if not force and _stage_ok(manifest, stage, out, digests):
-        print(f"[mstkd] {stage}: up to date in {out}, skipping (use --force to redo)")
-        return False
-    _write_config_copy(out, cfg)
-    _save_manifest(out, manifest)
-    return True
-
-
-def cmd_gen_data(cfg: ExperimentConfig, force: bool = False,
-                 digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("gen-data", cfg, out, force, digests, reset=force):
-        return out
-    train, val, test = data.generate(cfg.dataset)
-    val_pairs = data.build_pairs(val, cfg.pairs_per_group, cfg.genuine_fraction,
-                                 seed=cfg.seeds.data + 1)
-    test_pairs = data.build_pairs(test, cfg.pairs_per_group, cfg.genuine_fraction,
-                                  seed=cfg.seeds.data + 2)
-    paths = _dataset_paths(out)
-    store.ensure_dir(out / "dataset")
-    store.save_sample_set(train, paths["train"])
-    store.save_sample_set(val, paths["validation"])
-    store.save_sample_set(test, paths["test"])
-    store.save_pairs(val_pairs, paths["pairs_validation"])
-    store.save_pairs(test_pairs, paths["pairs_test"])
-    _record_stage("gen-data", out, list(paths.values()), digests)
-    print(f"[mstkd] gen-data: wrote {train.n} train / {val.n} validation / "
-          f"{test.n} test samples to {out / 'dataset'}")
-    return out
-
-
-def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int) -> list[str]:
+def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int) -> None:
     """Worker body for one teacher; safe to run in a separate process."""
     cfg = config_from_dict(cfg_doc)
     out = Path(out_dir)
-    train, val, _, val_pairs, _ = _load_pools(cfg, out)
+    train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
+    val_pairs = store.load_pairs(out / _pairs("validation"))
     split = _split_of(cfg, train)
     subset = train.select(train.rows_of_identities(split.subsets[g]))
     optim = cfg.optim("teacher", cfg.seeds.train + g)
     teacher, records = training.train_teacher(
         subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
         val, val_pairs, init_seed=cfg.seeds.init + g)
-    ckpt = _teacher_path(out, g)
-    log = out / "teachers" / f"teacher_{g}.log.jsonl"
-    models.save_teacher(teacher, ckpt)
-    training.write_log(records, log)
-    return [str(ckpt), str(log)]
+    ckpt, log = _teacher(g)
+    models.save_teacher(teacher, out / ckpt)
+    training.write_log(records, out / log)
 
 
-def cmd_train_teachers(cfg: ExperimentConfig, force: bool = False,
-                       digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("train-teachers", cfg, out, force, digests):
-        return out
-    store.ensure_dir(out / "teachers")
+def _train_teachers(cfg: ExperimentConfig, out: Path) -> str:
     try:
         workers = int(os.environ.get("MSTKD_WORKERS", "1"))
     except ValueError:
         raise ConfigError("MSTKD_WORKERS must be an integer, got "
                           f"{os.environ['MSTKD_WORKERS']!r}") from None
     doc = config_to_dict(cfg)
-    written: list[Path] = []
+    groups = range(cfg.dataset.groups)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.dataset.groups)) as ex:
-            futures = [ex.submit(_train_one_teacher, doc, str(out), g)
-                       for g in range(cfg.dataset.groups)]
-            for fut in futures:
-                written.extend(Path(p) for p in fut.result())
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as ex:
+            for fut in [ex.submit(_train_one_teacher, doc, str(out), g)
+                        for g in groups]:
+                fut.result()
     else:
-        for g in range(cfg.dataset.groups):
-            written.extend(Path(p) for p in _train_one_teacher(doc, str(out), g))
-    _record_stage("train-teachers", out, written, digests)
-    print(f"[mstkd] train-teachers: {cfg.dataset.groups} {cfg.split} teachers -> "
-          f"{out / 'teachers'}")
-    return out
+        for g in groups:
+            _train_one_teacher(doc, str(out), g)
+    return (f"{len(groups)} {cfg.split} teachers -> "
+            f"{(out / _teacher(0)[0]).parent}")
 
 
-def cmd_extract(cfg: ExperimentConfig, force: bool = False,
-                digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("extract", cfg, out, force, digests):
-        return out
-    train, _, _, _, _ = _load_pools(cfg, out)
-    teachers = [models.load_teacher(_teacher_path(out, g))
+def _extract(cfg: ExperimentConfig, out: Path) -> str:
+    train = _load_pool(cfg, out, "train")
+    teachers = [models.load_teacher(out / _teacher(g)[0])
                 for g in range(cfg.dataset.groups)]
     sets = training.extract_embeddings(teachers, train)
-    store.ensure_dir(out / "embeddings")
-    written = []
     for g, s in enumerate(sets):
-        path = out / "embeddings" / f"teacher_{g}.mste"
-        store.save_sample_set(s, path)
-        written.append(path)
-    _record_stage("extract", out, written, digests)
-    print(f"[mstkd] extract: {len(sets)} x {sets[0].n} embeddings -> "
-          f"{out / 'embeddings'}")
-    return out
+        store.save_sample_set(s, out / _embeddings(g))
+    return (f"{len(sets)} x {sets[0].n} embeddings -> "
+            f"{(out / _embeddings(0)).parent}")
 
 
-def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSet]:
-    tags = cfg.dataset.tags()
-    return [store.load_sample_set(out / "embeddings" / f"teacher_{g}.mste", tags)
-            for g in range(cfg.dataset.groups)]
-
-
-def cmd_train_adaptor(cfg: ExperimentConfig, force: bool = False,
-                      digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("train-adaptor", cfg, out, force, digests):
-        return out
+def _train_adaptor(cfg: ExperimentConfig, out: Path) -> str:
     sets = _load_embedding_sets(cfg, out)
-    store.ensure_dir(out / "adaptors")
-    written = []
     for i, kind in enumerate(cfg.adaptors):
         optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
         adaptor, records = training.train_adaptor(
             kind, sets, cfg.eaf, optim, init_seed=cfg.seeds.init + 100 + i,
             fusion_order=cfg.resolved_fusion_order())
-        ckpt = out / "adaptors" / f"{kind}.ckpt"
-        log = out / "adaptors" / f"{kind}.log.jsonl"
-        models.save_adaptor(adaptor, ckpt)
-        training.write_log(records, log)
-        written.extend([ckpt, log])
-    _record_stage("train-adaptor", out, written, digests)
-    print(f"[mstkd] train-adaptor: {list(cfg.adaptors)} -> {out / 'adaptors'}")
-    return out
+        ckpt, log = _adaptor(kind)
+        models.save_adaptor(adaptor, out / ckpt)
+        training.write_log(records, out / log)
+    return f"{list(cfg.adaptors)} -> {(out / ckpt).parent}"
 
 
-def cmd_train_student(cfg: ExperimentConfig, force: bool = False,
-                      digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("train-student", cfg, out, force, digests):
-        return out
-    train, _, _, _, _ = _load_pools(cfg, out)
+def _train_student(cfg: ExperimentConfig, out: Path) -> str:
+    train = _load_pool(cfg, out, "train")
     sets = _load_embedding_sets(cfg, out)
-    store.ensure_dir(out / "students")
-    written = []
     for i, kind in enumerate(cfg.adaptors):
-        adaptor = models.load_adaptor(out / "adaptors" / f"{kind}.ckpt")
+        adaptor = models.load_adaptor(out / _adaptor(kind)[0])
         for j, mode in enumerate(cfg.student_modes):
             optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
             student, records = training.train_student(
@@ -522,45 +395,173 @@ def cmd_train_student(cfg: ExperimentConfig, force: bool = False,
                 StudentLossConfig(cfg.lam, mode), cfg.eaf, cfg.backbone, optim,
                 init_seed=cfg.seeds.init + 200 + 10 * i + j,
                 fusion_order=cfg.resolved_fusion_order())
-            ckpt = out / "students" / f"{kind}_{mode}.ckpt"
-            log = out / "students" / f"{kind}_{mode}.log.jsonl"
-            models.save_student(student, ckpt)
-            training.write_log(records, log)
-            written.extend([ckpt, log])
-    _record_stage("train-student", out, written, digests)
-    print(f"[mstkd] train-student: {len(cfg.adaptors) * len(cfg.student_modes)} "
-          f"students -> {out / 'students'}")
-    return out
+            ckpt, log = _student(kind, mode)
+            models.save_student(student, out / ckpt)
+            training.write_log(records, out / log)
+    return f"{len(_students(cfg))} students -> {(out / ckpt).parent}"
 
 
-def cmd_evaluate(cfg: ExperimentConfig, force: bool = False,
-                 digests: Optional[dict[Path, str]] = None) -> Path:
-    out = Path(cfg.out_dir)
-    if not _run_stage("evaluate", cfg, out, force, digests):
+def _evaluate(cfg: ExperimentConfig, out: Path) -> str:
+    test = _load_pool(cfg, out, "test")
+    test_pairs = store.load_pairs(out / _pairs("test"))
+    for kind, mode in _students(cfg):
+        student = models.load_student(out / _student(kind, mode)[0])
+        report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
+        jpath, tpath = _report(kind, mode)
+        store.write_text_atomic(out / jpath, report_to_json(report))
+        store.write_text_atomic(out / tpath,
+                                render_table([(f"{kind} ({mode})", report)]))
+    return f"reports -> {(out / jpath).parent}"
+
+
+# --- the stage table and its driver ------------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. `artifacts(cfg)` lists the run-relative paths
+    the stage writes, logs included; `body(cfg, out)` writes them and
+    returns the text of the stage's summary line."""
+
+    name: str
+    upstream: tuple[str, ...]
+    artifacts: Callable[[ExperimentConfig], list[str]]
+    body: Callable[[ExperimentConfig, Path], str]
+
+
+# in run order; every stage's upstream comes before it
+STAGES = {stage.name: stage for stage in (
+    Stage("gen-data", (),
+          lambda cfg: [_pool(p) for p in POOLS] + [_pairs(p) for p in PAIR_LISTS],
+          _gen_data),
+    Stage("train-teachers", ("gen-data",),
+          lambda cfg: [p for g in range(cfg.dataset.groups) for p in _teacher(g)],
+          _train_teachers),
+    Stage("extract", ("gen-data", "train-teachers"),
+          lambda cfg: [_embeddings(g) for g in range(cfg.dataset.groups)],
+          _extract),
+    Stage("train-adaptor", ("extract",),
+          lambda cfg: [p for kind in cfg.adaptors for p in _adaptor(kind)],
+          _train_adaptor),
+    Stage("train-student", ("gen-data", "extract", "train-adaptor"),
+          lambda cfg: [p for km in _students(cfg) for p in _student(*km)],
+          _train_student),
+    Stage("evaluate", ("gen-data", "train-student"),
+          lambda cfg: [p for km in _students(cfg) for p in _report(*km)],
+          _evaluate),
+)}
+
+
+@dataclass
+class _Run:
+    """A run directory as the stages of one command see it: the manifest,
+    opened by the first stage, and each artifact's digest, hashed at most
+    once per command."""
+
+    out: Path
+    manifest: Optional[dict] = None
+    digests: dict[str, str] = field(default_factory=dict)
+
+    def digest(self, rel: str) -> Optional[str]:
+        """sha256 of the artifact `rel` (None if absent)."""
+        if rel not in self.digests:
+            path = self.out / rel
+            if not path.exists():
+                return None
+            self.digests[rel] = store.sha256_file(path)
+        return self.digests[rel]
+
+
+def _drive(stage: Stage, cfg: ExperimentConfig, force: bool,
+           run: Optional[_Run]) -> Path:
+    """Run `stage` in `cfg.out_dir`, or skip it when its artifacts are current.
+
+    Fails when an upstream stage has not run or its artifacts are missing or
+    modified. A run records the digest of every declared artifact in the
+    manifest; a declared artifact the body did not write is a ContractError.
+    """
+    run = run or _Run(Path(cfg.out_dir))
+    out = run.out
+    if run.manifest is None:
+        out.mkdir(parents=True, exist_ok=True)
+        # forcing a stage that has no upstream starts a fresh manifest
+        run.manifest = _open_manifest(out, cfg, reset=force and not stage.upstream)
+    records = run.manifest["stages"]
+    for up in stage.upstream:
+        if up not in records:
+            raise MissingArtifactError(
+                f"stage {stage.name!r} needs {up!r}, which has not run in {out}; "
+                f"expected artifacts: {STAGES[up].artifacts(cfg)}")
+        missing = [rel for rel, digest in records[up]["artifacts"].items()
+                   if run.digest(rel) != digest]
+        if missing:
+            raise MissingArtifactError(
+                f"stage {stage.name!r} needs {up!r} artifacts, but these are "
+                f"missing or modified: {missing}")
+    record = records.get(stage.name)
+    if not force and record is not None and all(
+            run.digest(rel) == digest for rel, digest in record["artifacts"].items()):
+        print(f"[mstkd] {stage.name}: up to date in {out}, skipping "
+              "(use --force to redo)")
         return out
-    _, _, test, _, test_pairs = _load_pools(cfg, out)
-    store.ensure_dir(out / "reports")
-    written = []
-    for kind in cfg.adaptors:
-        for mode in cfg.student_modes:
-            student = models.load_student(out / "students" / f"{kind}_{mode}.ckpt")
-            report = evaluate_embeddings(student.embed(test.values), test,
-                                         test_pairs)
-            jpath = out / "reports" / f"{kind}_{mode}.json"
-            tpath = out / "reports" / f"{kind}_{mode}.txt"
-            jpath.write_text(report_to_json(report), encoding="utf-8")
-            tpath.write_text(render_table([(f"{kind} ({mode})", report)]),
-                             encoding="utf-8")
-            written.extend([jpath, tpath])
-    _record_stage("evaluate", out, written, digests)
-    print(f"[mstkd] evaluate: reports -> {out / 'reports'}")
+    store.write_json_atomic(out / CONFIG_COPY, config_to_dict(cfg))
+    store.write_json_atomic(out / MANIFEST, run.manifest)
+    artifacts = stage.artifacts(cfg)
+    for directory in sorted({(out / rel).parent for rel in artifacts}):
+        store.ensure_dir(directory)
+    summary = stage.body(cfg, out)
+    missing = [rel for rel in artifacts if not (out / rel).exists()]
+    if missing:
+        raise ContractError(f"stage {stage.name!r} did not write {missing}")
+    fresh = {rel: store.sha256_file(out / rel) for rel in artifacts}
+    run.digests.update(fresh)
+    records[stage.name] = {"artifacts": fresh}
+    store.write_json_atomic(out / MANIFEST, run.manifest)
+    print(f"[mstkd] {stage.name}: {summary}")
     return out
 
+
+def _command(name: str):
+    def cmd(cfg: ExperimentConfig, force: bool = False,
+            run: Optional[_Run] = None) -> Path:
+        return _drive(STAGES[name], cfg, force, run)
+
+    cmd.__name__ = cmd.__qualname__ = "cmd_" + name.replace("-", "_")
+    return cmd
+
+
+def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:
+    """Every stage in order, sharing one manifest and one digest cache."""
+    run = _Run(Path(cfg.out_dir))
+    for name in STAGES:
+        COMMANDS[name](cfg, force, run)
+    return run.out
+
+
+# The CLI's subcommands. Callers reach the stage commands through this dict
+# or the module names below, never through a saved reference, so that a
+# wrapper installed here (a tracer, a test double) sees every call.
+COMMANDS = {**{name: _command(name) for name in STAGES}, "run-all": run_all}
+cmd_gen_data = COMMANDS["gen-data"]
+cmd_train_teachers = COMMANDS["train-teachers"]
+cmd_extract = COMMANDS["extract"]
+cmd_train_adaptor = COMMANDS["train-adaptor"]
+cmd_train_student = COMMANDS["train-student"]
+cmd_evaluate = COMMANDS["evaluate"]
+
+
+# --- cross-run report --------------------------------------------------------
 
 def _run_label(run_dir: Path) -> str:
-    with open(run_dir / "config.json", encoding="utf-8") as fh:
-        split = json.load(fh)["split"]
-    return "Ours" if split == "specialized" else "Baseline"
+    path = run_dir / CONFIG_COPY
+    if not path.exists():
+        raise MissingArtifactError(f"{run_dir} has no {CONFIG_COPY}; run stages first")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or "split" not in doc:
+        raise FormatError(f"{path} is not a run config: it has no split")
+    return "Ours" if doc["split"] == "specialized" else "Baseline"
 
 
 def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
@@ -574,33 +575,21 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
     runs = [Path(r) for r in run_dirs]
     if not runs:
         raise ConfigError("report needs at least one evaluated run directory")
-    for run in runs:
-        if not (run / "config.json").exists():
-            raise MissingArtifactError(f"{run} has no config.json; run stages first")
+    labels = [_run_label(run) for run in runs]
     out = Path(out_override) if out_override else Path(cfg.out_dir) / "comparison"
     store.ensure_dir(out)
-    written = []
     for mode in cfg.student_modes:
         rows: list[tuple[str, FairnessReport]] = []
-        blocks = []
-        for run in runs:
-            label = _run_label(run)
-            block = 0
+        for run, label in zip(runs, labels):
             for kind in cfg.adaptors:
-                path = run / "reports" / f"{kind}_{mode}.json"
+                path = run / _report(kind, mode)[0]
                 if not path.exists():
                     raise MissingArtifactError(
                         f"missing report {path}; run evaluate on {run} first")
                 rows.append((f"{label}-{kind}",
                              report_from_json(path.read_text(encoding="utf-8"))))
-                block += 1
-            blocks.append(block)
-        table = render_table(rows, blocks=blocks)
-        tpath = out / f"students_{mode}.txt"
-        tpath.write_text(table, encoding="utf-8")
-        doc = {"mode": mode,
-               "rows": [{"label": label, "report": json.loads(report_to_json(r))}
-                        for label, r in rows]}
+        table = render_table(rows, blocks=[len(cfg.adaptors)] * len(runs))
+        store.write_text_atomic(out / f"students_{mode}.txt", table)
         # per-adaptor deltas between the first specialized and first balanced run
         by_label = dict(rows)
         deltas = {}
@@ -608,19 +597,10 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
             ours, base = by_label.get(f"Ours-{kind}"), by_label.get(f"Baseline-{kind}")
             if ours is not None and base is not None:
                 deltas[kind] = compare_reports(ours, base)["deltas"]
-        doc["ours_minus_baseline"] = deltas
-        jpath = out / f"students_{mode}.json"
-        with open(jpath, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.extend([tpath, jpath])
+        store.write_json_atomic(out / f"students_{mode}.json", {
+            "mode": mode,
+            "rows": [{"label": label, "report": json.loads(report_to_json(r))}
+                     for label, r in rows],
+            "ours_minus_baseline": deltas})
         print(f"[mstkd] report ({mode}):\n{table}", end="")
     return out
-
-
-def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:
-    digests: dict[Path, str] = {}  # lives for this call only
-    for cmd in (cmd_gen_data, cmd_train_teachers, cmd_extract,
-                cmd_train_adaptor, cmd_train_student, cmd_evaluate):
-        cmd(cfg, force, digests)
-    return Path(cfg.out_dir)

@@ -190,3 +190,22 @@ def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`: a killed writer leaves the old file or the new one, never a
+    truncated one."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json_atomic(path, doc) -> None:
+    """`doc` as indented, key-sorted JSON with a final newline, written atomically."""
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mstkd import cli, pipeline, store
-from mstkd.errors import ConfigError, MissingArtifactError
+from mstkd.errors import ConfigError, ContractError, MissingArtifactError
 
 
 def tiny_config(out_dir, split="specialized", **overrides):
@@ -300,7 +301,7 @@ def test_cli_calls_parse_independently(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(pipeline, "load_config",
                         lambda path, seed, out: (path, seed, out))
-    monkeypatch.setitem(cli._STAGE_COMMANDS, "gen-data",
+    monkeypatch.setitem(pipeline.COMMANDS, "gen-data",
                         lambda cfg, force: seen.append((cfg, force)))
     assert cli.main(["gen-data", "--config", "a.json", "--force",
                      "--seed-override", "7", "--out", "o"]) == 0
@@ -398,3 +399,57 @@ def test_cli_malformed_manifest_is_a_format_error(tmp_path, capsys, damage):
     # forcing the root stage starts a fresh manifest
     assert cli.main(["gen-data", "--config", cfg_path, "--force"]) == 0
     assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}
+
+
+def test_init_config_into_missing_directory_exits_cleanly(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert cli.main(["init-config", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[mstkd] error:") and err.count("\n") == 1
+    assert "missing/dir" in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("content", [
+    '{"split": "specialized", "out_',   # truncated
+    '["specialized"]',                  # not a JSON object
+    '{"out_dir": "run"}',               # no split
+])
+def test_report_on_a_bad_config_copy_is_a_format_error(tmp_path, capsys, content):
+    cfg_path = _cli_config(tmp_path)
+    run = tmp_path / "evaluated"
+    run.mkdir()
+    (run / "config.json").write_text(content)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(run / "config.json") in err
+
+
+def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    stage = pipeline.STAGES["gen-data"]
+
+    def body(cfg, out):
+        summary = stage.body(cfg, out)
+        (out / "dataset" / "pairs_test.txt").unlink()
+        return summary
+
+    monkeypatch.setitem(pipeline.STAGES, "gen-data",
+                        dataclasses.replace(stage, body=body))
+    with pytest.raises(ContractError, match="pairs_test.txt"):
+        pipeline.cmd_gen_data(cfg)
+    assert pipeline.load_manifest(out)["stages"] == {}
+    with pytest.raises(MissingArtifactError):
+        pipeline.cmd_train_teachers(cfg)
+
+
+def test_manifest_records_exactly_the_declared_artifacts(tmp_path):
+    out = tmp_path / "run"
+    cfg = tiny_config(out, adaptors=["SL", "DLDPO"], student_modes=["a_kd"])
+    pipeline.run_all(cfg)
+    records = pipeline.load_manifest(out)["stages"]
+    assert set(records) == set(pipeline.STAGES)
+    for name, stage in pipeline.STAGES.items():
+        assert sorted(records[name]["artifacts"]) == sorted(stage.artifacts(cfg))

@@ -166,3 +166,13 @@ def test_save_is_deterministic(tmp_path):
     store.save_sample_set(train, p1)
     store.save_sample_set(train, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_atomic_write_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    store.write_json_atomic(path, {"a": [1, 2]})
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+    with pytest.raises(UnicodeEncodeError):
+        store.write_text_atomic(path, "partial \ud800 text")  # fails mid-write
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
