@@ -1,12 +1,14 @@
 """Desk-scale multi-specialized-teacher knowledge distillation with fairness metrics.
 
-The library is organized around seven pieces: a minimal reverse-mode tape
-(`autodiff`), a synthetic group-structured identity generator (`data`),
-binary persistence (`store`), margin and distillation losses (`losses`),
-the teacher/adaptor/student assemblies (`models`), the training engine
-(`training`), and verification-protocol scoring with fairness summaries
-(`evaluation`). `pipeline` wires them into reproducible staged experiments,
-exposed on the command line as `mstkd`.
+The library is organized around seven pieces: a reverse-mode tape holding
+only the six ops that training records (`autodiff`; the primitive chain the
+fused nodes replace is the test oracle, under `tests/`), a synthetic
+group-structured identity generator (`data`), binary persistence (`store`),
+the margin and distillation losses (`losses`), the teacher/adaptor/student
+assemblies (`models`), the training engine (`training`), and
+verification-protocol scoring with fairness summaries (`evaluation`).
+`pipeline` wires them into reproducible staged experiments, exposed on the
+command line as `mstkd`.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +20,7 @@ from .evaluation import (FairnessReport, best_threshold_accuracy,
                          compare_reports, evaluate_embeddings,
                          fairness_metrics, render_table, verification_accuracy)
 from .losses import (EafConfig, StudentLossConfig, elastic_arcface, kd_mse,
-                     softmax_ce, student_loss)
+                     student_loss)
 from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
                      TeacherModel, adaptor_forward, forward, fuse_inputs,
                      new_adaptor, new_student, new_teacher,

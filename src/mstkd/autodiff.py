@@ -3,18 +3,22 @@
 A `Tape` records every operation in creation order, which is already a
 topological order of the computation graph. `backward` walks the recorded
 backward closures once in reverse, accumulating gradients into every tensor
-that requires them. Only the operations needed by this pipeline's models and
-losses are provided; there is no broadcasting framework beyond row-bias
-addition. `affine` and the two training losses (`losses.elastic_arcface`,
-`losses.kd_mse`) are each one node whose backward repeats, float for float,
-the chain of primitives it replaces.
+that requires them.
+
+The tape holds only the six operations that training records: `affine`,
+`leaky_relu`, `dropout` and `l2_normalize` for the models, and `scale` and
+`add` to combine the student's losses. `affine` and the two training losses
+(`losses.elastic_arcface`, `losses.kd_mse`) are each one node whose backward
+repeats, float for float, the chain of primitives it replaces; that
+primitive chain (`matmul`, `clamp`, `arccos`, `logsumexp_rows`, ...) is the
+test oracle and lives in `tests/tape_oracle.py`, built on `Tape._emit` and
+`_accumulate`.
 
 All randomness (dropout) is drawn from a caller-supplied
 `numpy.random.Generator`, so replaying a graph with the same seed is
 bit-identical. The tape is for training only; inference is plain numpy
 (`models.forward`).
 """
-
 from __future__ import annotations
 
 import math
@@ -128,29 +132,26 @@ def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
             f"matmul inner dimensions differ: {a.values.shape} x {b.values.shape}")
 
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Matrix product of two 2-D tensors."""
-    tape = _same_tape(a, b)
-    _check_matmul(a, b)
-    out_values = a.values @ b.values
+def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """x @ w + b with a 1-D bias, recorded as one node.
+
+    Values and gradients are bit-identical to `add(matmul(x, w), b)`."""
+    tape = _same_tape(x, w, b)
+    _check_matmul(x, w)
+    if b.values.ndim != 1 or b.values.shape[0] != w.values.shape[1]:
+        raise DimensionError(
+            f"bias shape {b.values.shape} does not fit {w.values.shape[1]} columns")
+    out_values = x.values @ w.values
+    out_values += b.values
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ b.values.T)
-        if b.requires_grad:
-            _accumulate(b, a.values.T @ g)
+        _accumulate(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ w.values.T)
+        if w.requires_grad:
+            _accumulate(w, x.values.T @ g)
 
-    return tape._emit(out_values, (a, b), bwd)
-
-
-def transpose(a: DiffTensor) -> DiffTensor:
-    if a.values.ndim != 2:
-        raise DimensionError("transpose expects a 2-D tensor")
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return a.tape._emit(a.values.T.copy(), (a,), bwd)
+    return tape._emit(out_values, (x, w, b), bwd)
 
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -170,31 +171,6 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         _accumulate(b, g.sum(axis=0) if bias else g)
 
     return tape._emit(out_values, (a, b), bwd)
-
-
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    tape = _same_tape(a, b)
-    if a.values.shape != b.values.shape:
-        raise DimensionError(f"sub shapes differ: {a.values.shape} vs {b.values.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return tape._emit(a.values - b.values, (a, b), bwd)
-
-
-def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    tape = _same_tape(a, b)
-    if a.values.shape != b.values.shape:
-        raise DimensionError(f"mul shapes differ: {a.values.shape} vs {b.values.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g * b.values)
-        _accumulate(b, g * a.values)
-
-    return tape._emit(a.values * b.values, (a, b), bwd)
 
 
 def scale(a: DiffTensor, c: float) -> DiffTensor:
@@ -257,128 +233,3 @@ def l2_normalize(a: DiffTensor) -> DiffTensor:
         _accumulate(a, (g - out_values * inner) / norms)
 
     return a.tape._emit(out_values, (a,), bwd)
-
-
-def clamp(a: DiffTensor, lo: float, hi: float) -> DiffTensor:
-    """Clip values to [lo, hi]; gradient is zero outside the open interval."""
-    out_values = np.clip(a.values, lo, hi)
-    inside = (a.values > lo) & (a.values < hi)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g * inside)
-
-    return a.tape._emit(out_values, (a,), bwd)
-
-
-def arccos(a: DiffTensor) -> DiffTensor:
-    """Elementwise arccos; inputs must lie in [-1, 1] (clamp first)."""
-    if np.any(np.abs(a.values) > 1.0):
-        raise ContractError("arccos input outside [-1, 1]")
-    out_values = np.arccos(a.values)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, -g / np.sqrt(1.0 - a.values * a.values))
-
-    return a.tape._emit(out_values, (a,), bwd)
-
-
-def cos(a: DiffTensor) -> DiffTensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, -g * np.sin(a.values))
-
-    return a.tape._emit(np.cos(a.values), (a,), bwd)
-
-
-def logsumexp_rows(a: DiffTensor) -> DiffTensor:
-    """Row-wise log(sum(exp(x))) of a 2-D tensor, computed stably."""
-    if a.values.ndim != 2:
-        raise DimensionError("logsumexp_rows expects a 2-D tensor")
-    m = a.values.max(axis=1, keepdims=True)
-    expx = np.exp(a.values - m)
-    sums = expx.sum(axis=1, keepdims=True)
-    out_values = (m + np.log(sums)).reshape(-1)
-    softmax = expx / sums
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, softmax * g[:, None])
-
-    return a.tape._emit(out_values, (a,), bwd)
-
-
-def pick(a: DiffTensor, idx: np.ndarray) -> DiffTensor:
-    """Select one column per row: out[i] = a[i, idx[i]]."""
-    if a.values.ndim != 2:
-        raise DimensionError("pick expects a 2-D tensor")
-    idx = np.asarray(idx)
-    if idx.shape != (a.values.shape[0],):
-        raise DimensionError("pick needs one index per row")
-    if np.any(idx < 0) or np.any(idx >= a.values.shape[1]):
-        raise ContractError("pick index out of range")
-    rows = np.arange(a.values.shape[0])
-    out_values = a.values[rows, idx].copy()
-
-    def bwd(g: np.ndarray) -> None:
-        full = np.zeros_like(a.values)
-        full[rows, idx] = g
-        _accumulate(a, full)
-
-    return a.tape._emit(out_values, (a,), bwd)
-
-
-def scatter_replace(a: DiffTensor, idx: np.ndarray, v: DiffTensor) -> DiffTensor:
-    """Copy of `a` with out[i, idx[i]] = v[i]; gradients split accordingly."""
-    tape = _same_tape(a, v)
-    idx = np.asarray(idx)
-    if a.values.ndim != 2 or v.values.shape != (a.values.shape[0],):
-        raise DimensionError("scatter_replace expects matrix plus one value per row")
-    if np.any(idx < 0) or np.any(idx >= a.values.shape[1]):
-        raise ContractError("scatter_replace index out of range")
-    rows = np.arange(a.values.shape[0])
-    out_values = a.values.copy()
-    out_values[rows, idx] = v.values
-
-    def bwd(g: np.ndarray) -> None:
-        ga = g.copy()
-        ga[rows, idx] = 0.0
-        _accumulate(a, ga)
-        _accumulate(v, g[rows, idx])
-
-    return tape._emit(out_values, (a, v), bwd)
-
-
-def sum_all(a: DiffTensor) -> DiffTensor:
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.values, float(g)))
-
-    return a.tape._emit(np.asarray(a.values.sum()), (a,), bwd)
-
-
-def mean_all(a: DiffTensor) -> DiffTensor:
-    n = a.values.size
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.values, float(g) / n))
-
-    return a.tape._emit(np.asarray(a.values.mean()), (a,), bwd)
-
-
-def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """x @ w + b with a 1-D bias, recorded as one node.
-
-    Values and gradients are bit-identical to `add(matmul(x, w), b)`."""
-    tape = _same_tape(x, w, b)
-    _check_matmul(x, w)
-    if b.values.ndim != 1 or b.values.shape[0] != w.values.shape[1]:
-        raise DimensionError(
-            f"bias shape {b.values.shape} does not fit {w.values.shape[1]} columns")
-    out_values = x.values @ w.values
-    out_values += b.values
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(b, g.sum(axis=0))
-        if x.requires_grad:
-            _accumulate(x, g @ w.values.T)
-        if w.requires_grad:
-            _accumulate(w, x.values.T @ g)
-
-    return tape._emit(out_values, (x, w, b), bwd)

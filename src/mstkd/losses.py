@@ -1,16 +1,18 @@
-"""Objective functions: softmax cross-entropy, ElasticArcFace, the embedding
-mimicry MSE, and the combined student objectives.
+"""The two training objectives, ElasticArcFace and the embedding mimicry MSE,
+and the student objective that combines them.
 
-All losses return scalar `DiffTensor`s reduced by the batch mean and are
-computed through the log-sum-exp path for stability. The angular-margin loss
-follows the elastic formulation: cosines are clamped, converted to angles,
-shifted by a per-sample margin drawn from Normal(m, sigma^2) in train mode
-(exactly m in eval mode), and mapped back through cos before scaling.
+All losses return scalar `DiffTensor`s reduced by the batch mean; the
+angular-margin loss takes its cross-entropy through the log-sum-exp path for
+stability. It follows the elastic formulation: cosines are clamped,
+converted to angles, shifted by a per-sample margin drawn from
+Normal(m, sigma^2) (exactly m when sigma is 0), and mapped back through cos
+before scaling.
 
 `elastic_arcface` and `kd_mse` each record one tape node. Their backward
 passes repeat the float operations of the equivalent chain of autodiff
 primitives in the same order and on the same array layouts, so values and
-gradients are bit-identical to that chain (the tests keep it as the oracle).
+gradients are bit-identical to that chain. The chain, with the softmax
+cross-entropy it ends in, is the test oracle (`tests/tape_oracle.py`).
 """
 
 from __future__ import annotations
@@ -59,30 +61,18 @@ def _check_labels(labels: np.ndarray, n_classes: int, batch: int) -> np.ndarray:
     return labels
 
 
-def softmax_ce(logits: DiffTensor, labels: np.ndarray) -> DiffTensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
-    if logits.values.ndim != 2:
-        raise DimensionError("softmax_ce expects a [batch, classes] matrix")
-    if not np.all(np.isfinite(logits.values)):
-        raise ContractError("softmax_ce requires finite logits")
-    labels = _check_labels(labels, logits.values.shape[1], logits.values.shape[0])
-    return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), ad.pick(logits, labels)))
-
-
 def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
-                    labels: np.ndarray, cfg: EafConfig, mode: str = "train",
+                    labels: np.ndarray, cfg: EafConfig,
                     rng: Optional[np.random.Generator] = None) -> DiffTensor:
     """Angular-margin cross-entropy with a per-sample Gaussian margin.
 
     The target-class cosine is clamped, turned into an angle, shifted by a
-    margin drawn from Normal(m, sigma^2) (train) or fixed at m (eval), and
+    margin drawn from Normal(m, sigma^2) (fixed at m when sigma is 0), and
     mapped back; the shifted angle is clipped to [0, pi] so a larger margin
     can never make the target logit more favorable. All logits are scaled
     by s before the cross-entropy.
     """
     cfg.validate()
-    if mode not in ("train", "eval"):
-        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     emb, w = embeddings.values, class_weights.values
     if emb.ndim != 2 or w.ndim != 2:
         raise DimensionError("elastic_arcface expects 2-D embeddings and weights")
@@ -95,9 +85,9 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     labels = _check_labels(labels, w.shape[0], batch)
     tape = ad._same_tape(embeddings, class_weights)
 
-    if mode == "train" and cfg.sigma > 0.0:
+    if cfg.sigma > 0.0:
         if rng is None:
-            raise ContractError("train mode with sigma > 0 requires an rng")
+            raise ContractError("elastic_arcface with sigma > 0 requires an rng")
         margins = rng.normal(cfg.m, cfg.sigma, size=batch)
     else:
         margins = np.full(batch, cfg.m)
@@ -124,7 +114,7 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     logits *= float(cfg.s)
     # softmax cross-entropy
     if not np.all(np.isfinite(logits)):
-        raise ContractError("softmax_ce requires finite logits")
+        raise ContractError("elastic_arcface requires finite logits")
     top = logits.max(axis=1, keepdims=True)
     expx = np.exp(logits - top)
     sums = expx.sum(axis=1, keepdims=True)

@@ -251,10 +251,6 @@ def trace_teacher_attribution(a: AdaptorModel) -> np.ndarray:
     return norms / norms.sum()
 
 
-def count_params(params: dict[str, np.ndarray]) -> int:
-    return sum(arr.size for arr in params.values())
-
-
 # --- checkpoint persistence ------------------------------------------------
 
 def save_teacher(t: TeacherModel, path) -> None:

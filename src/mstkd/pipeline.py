@@ -590,8 +590,9 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
                              report_from_json(path.read_text(encoding="utf-8"))))
         table = render_table(rows, blocks=[len(cfg.adaptors)] * len(runs))
         store.write_text_atomic(out / f"students_{mode}.txt", table)
-        # per-adaptor deltas between the first specialized and first balanced run
-        by_label = dict(rows)
+        # per-adaptor deltas between the first specialized and first balanced
+        # run: reversed, so the first row of each label is the one kept
+        by_label = dict(reversed(rows))
         deltas = {}
         for kind in cfg.adaptors:
             ours, base = by_label.get(f"Ours-{kind}"), by_label.get(f"Baseline-{kind}")

@@ -10,12 +10,16 @@ per pair.
 
 Checkpoints reuse the container preamble, then a text manifest (one line of
 JSON metadata, then `name dims offset` per parameter) followed by the raw
-f64 parameter data.
+f64 parameter data, which the parameters tile exactly, in manifest order.
+
+Every file is written through `write_atomic`; the loaders reject malformed
+files with `FormatError` and check sizes against the file before allocating.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -44,15 +48,11 @@ def save_sample_set(s: SampleSet, path, dtype_code: int = 1) -> None:
         raise FormatError("identity labels overflow u32")
     if s.n and (s.groups.min() < 0 or s.groups.max() > 0xFF):
         raise FormatError("group tags overflow u8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint8(dtype_code).tobytes())
-        fh.write(np.uint64(s.n).tobytes())
-        fh.write(np.uint64(s.dim).tobytes())
-        fh.write(np.ascontiguousarray(s.values, dtype=_DTYPES[dtype_code]).data)
-        fh.write(s.identities.astype("<u4").data)
-        fh.write(s.groups.astype("<u1").data)
+    write_atomic(path, [
+        MAGIC, np.uint32(VERSION).tobytes(), np.uint8(dtype_code).tobytes(),
+        np.uint64(s.n).tobytes(), np.uint64(s.dim).tobytes(),
+        np.ascontiguousarray(s.values, dtype=_DTYPES[dtype_code]).data,
+        s.identities.astype("<u4").data, s.groups.astype("<u1").data])
 
 
 def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet:
@@ -90,10 +90,9 @@ def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet
 
 
 def save_pairs(pairs: PairList, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(pairs.n):
-            fh.write(f"{pairs.a[i]} {pairs.b[i]} "
-                     f"{1 if pairs.genuine[i] else 0} {pairs.group[i]}\n")
+    write_text_atomic(path, "".join(
+        f"{pairs.a[i]} {pairs.b[i]} {1 if pairs.genuine[i] else 0} {pairs.group[i]}\n"
+        for i in range(pairs.n)))
 
 
 def load_pairs(path) -> PairList:
@@ -133,14 +132,9 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
         offset += arr.size
         blobs.append(arr)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint8(1).tobytes())
-        fh.write(np.uint64(len(manifest)).tobytes())
-        fh.write(manifest)
-        for blob in blobs:
-            fh.write(blob.data)
+    write_atomic(path, [MAGIC, np.uint32(VERSION).tobytes(), np.uint8(1).tobytes(),
+                        np.uint64(len(manifest)).tobytes(), manifest]
+                 + [blob.data for blob in blobs])
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -154,14 +148,29 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
         if code != 1:
             raise FormatError(f"{path}: checkpoints must be f64")
         manifest_len = int(np.frombuffer(_read_exact(fh, 8, "manifest length"), "<u8")[0])
-        manifest = _read_exact(fh, manifest_len, "manifest").decode("utf-8")
+        room = os.fstat(fh.fileno()).st_size - fh.tell()
+        if manifest_len > room:   # checked before the manifest is allocated
+            raise FormatError(f"{path}: manifest length {manifest_len} exceeds "
+                              f"the {room} bytes left in the file")
+        manifest = _read_exact(fh, manifest_len, "manifest")
         data = fh.read()
-    lines = [ln for ln in manifest.splitlines() if ln]
+    try:
+        lines = [ln for ln in manifest.decode("utf-8").splitlines() if ln]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 ({exc})") from exc
     if not lines or not lines[0].startswith("meta "):
         raise FormatError(f"{path}: manifest missing meta line")
-    meta = json.loads(lines[0][5:])
+    try:
+        meta = json.loads(lines[0][5:])
+    except ValueError as exc:
+        raise FormatError(f"{path}: meta line is not JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta line is not a JSON object")
+    if len(data) % 8:
+        raise FormatError(f"{path}: data block of {len(data)} bytes is not whole f64 values")
     flat = np.frombuffer(data, "<f8")
     params: dict[str, np.ndarray] = {}
+    end = 0   # the parameters tile the data block, in manifest order
     for ln in lines[1:]:
         try:
             name, dims, offset = ln.split(" ")
@@ -169,10 +178,19 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
             offset = int(offset)
         except ValueError as exc:
             raise FormatError(f"{path}: bad manifest line {ln!r}") from exc
-        size = int(np.prod(shape)) if shape else 1
-        if offset + size > flat.size:
+        if any(d < 0 for d in shape):
+            raise FormatError(f"{path}: parameter {name} has a negative dimension")
+        if name in params:
+            raise FormatError(f"{path}: parameter {name} is listed twice")
+        if offset != end:
+            raise FormatError(f"{path}: parameter {name} starts at {offset}, not "
+                              f"where the previous one ends ({end})")
+        end = offset + math.prod(shape)
+        if end > flat.size:
             raise FormatError(f"{path}: parameter {name} exceeds data block")
-        params[name] = flat[offset:offset + size].reshape(shape).copy()
+        params[name] = flat[offset:end].reshape(shape).copy()
+    if end != flat.size:
+        raise FormatError(f"{path}: {flat.size - end} values after the last parameter")
     return params, meta
 
 
@@ -192,18 +210,24 @@ def ensure_dir(path) -> Path:
     return p
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
-    `path`: a killed writer leaves the old file or the new one, never a
-    truncated one."""
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temporary file beside `path`, then rename
+    it over `path`: a killed or failed writer leaves the old file or the new
+    one, never a truncated one. Every artifact is written through here."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """`text` as UTF-8, written atomically."""
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def write_json_atomic(path, doc) -> None:

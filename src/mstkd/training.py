@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import losses, models
+from . import losses, models, store
 from .autodiff import Tape
 from .data import GroupTag, PairList, SampleSet
 from .errors import ConfigError, ContractError, DivergenceError
@@ -160,9 +160,7 @@ class TrainLogRecord:
 
 
 def write_log(records: list[TrainLogRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+    store.write_text_atomic(path, "".join(rec.to_json() + "\n" for rec in records))
 
 
 def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -227,7 +225,7 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     def step(tape, ptens, batch):
         emb = models.backbone_graph(tape, ptens, backbone_cfg, subset.values[batch])
         return losses.elastic_arcface(emb, ptens["header.W"], local_labels[batch],
-                                      eaf_cfg, mode="train", rng=margin_rng), {}
+                                      eaf_cfg, rng=margin_rng), {}
 
     best_acc, best_epoch, best_params = -np.inf, 0, None
     records = []
@@ -280,7 +278,7 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     def step(tape, ptens, batch):
         e_mt = models.adaptor_graph(tape, ptens, model, fused[batch], rng=dropout_rng)
         return losses.elastic_arcface(e_mt, ptens["header.W"], local_labels[batch],
-                                      eaf_cfg, mode="train", rng=margin_rng), {}
+                                      eaf_cfg, rng=margin_rng), {}
 
     best_loss, best_epoch, best_params = np.inf, 0, None
     records = []
@@ -341,7 +339,7 @@ def train_student(mode: str, adaptor: AdaptorModel,
         if mode == "eaf_kd":
             terms["eaf"] = losses.elastic_arcface(emb, ptens["header.W"],
                                                   local_labels[batch], eaf_cfg,
-                                                  mode="train", rng=margin_rng)
+                                                  rng=margin_rng)
         return losses.student_loss(terms.get("eaf"), terms["kd"], loss_cfg), terms
 
     records = []

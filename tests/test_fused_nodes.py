@@ -2,7 +2,8 @@
 autodiff primitives they replace.
 
 The chains below are the oracle: each is the loss or layer written with the
-primitives, one tape node per operation. The fused nodes must give the same
+primitives of `tape_oracle` (and the production `add`, `scale` and
+`l2_normalize`), one tape node per operation. The fused nodes must give the same
 value and the same gradient for every input, bit for bit.
 """
 
@@ -14,25 +15,27 @@ from mstkd import losses
 from mstkd.errors import ContractError, DegenerateEmbeddingError
 from mstkd.losses import EafConfig, StudentLossConfig
 
+import tape_oracle as oracle
+
 
 def chain_affine(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    return ad.add(oracle.matmul(x, w), b)
 
 
 def chain_elastic_arcface(emb, w, labels, cfg, margins):
     tape = emb.tape
-    cosines = ad.clamp(ad.matmul(emb, ad.transpose(ad.l2_normalize(w))),
-                       -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS)
-    theta = ad.arccos(ad.pick(cosines, labels))
-    shifted = ad.clamp(ad.add(theta, tape.constant(margins)), 0.0, ad.PI)
-    logits = ad.scatter_replace(cosines, labels, ad.cos(shifted))
-    return losses.softmax_ce(ad.scale(logits, cfg.s), labels)
+    cosines = oracle.clamp(oracle.matmul(emb, oracle.transpose(ad.l2_normalize(w))),
+                           -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS)
+    theta = oracle.arccos(oracle.pick(cosines, labels))
+    shifted = oracle.clamp(ad.add(theta, tape.constant(margins)), 0.0, ad.PI)
+    logits = oracle.scatter_replace(cosines, labels, oracle.cos(shifted))
+    return oracle.softmax_ce(ad.scale(logits, cfg.s), labels)
 
 
 def chain_kd_mse(target, emb):
     values = target.values if isinstance(target, ad.DiffTensor) else target
-    diff = ad.sub(emb.tape.constant(values), emb)
-    return ad.mean_all(ad.mul(diff, diff))
+    diff = oracle.sub(emb.tape.constant(values), emb)
+    return oracle.mean_all(oracle.mul(diff, diff))
 
 
 def assert_bitwise(got, want):
@@ -79,7 +82,7 @@ def test_affine_equals_matmul_add_bitwise(x_grad):
     def build(layer):
         def f(tape, xt, wt, bt):
             h = ad.leaky_relu(layer(xt, wt, bt), 0.1)
-            return ad.sum_all(ad.mul(h, tape.constant(probe)))
+            return oracle.sum_all(oracle.mul(h, tape.constant(probe)))
         return f
 
     (v1, g1), (v2, g2) = run_both(build(ad.affine), build(chain_affine),
@@ -108,23 +111,27 @@ def test_kd_mse_equals_chain_bitwise(as_tensor):
     assert_bitwise(g1, g2)
 
 
-@pytest.mark.parametrize("mode,cfg", [
-    ("train", EafConfig(s=64.0, m=0.5, sigma=0.05)),
-    ("train", EafConfig(s=64.0, m=0.0, sigma=0.5)),   # some margins < 0
-    ("eval", EafConfig(s=64.0, m=0.5, sigma=0.05)),
-    ("eval", EafConfig(s=30.0, m=0.0, sigma=0.0)),
+# "train" configs draw one margin per sample; "eval" configs (sigma = 0) fix
+# every margin at m
+@pytest.mark.parametrize("cfg", [
+    pytest.param(EafConfig(s=64.0, m=0.5, sigma=0.05), id="train-cfg0"),
+    # some drawn margins fall below 0
+    pytest.param(EafConfig(s=64.0, m=0.0, sigma=0.5), id="train-cfg1"),
+    pytest.param(EafConfig(s=64.0, m=0.5, sigma=0.0), id="eval-cfg2"),
+    pytest.param(EafConfig(s=30.0, m=0.0, sigma=0.0), id="eval-cfg3"),
 ])
 @pytest.mark.parametrize("header_grad", [True, False])
-def test_elastic_arcface_equals_chain_bitwise(mode, cfg, header_grad):
+def test_elastic_arcface_equals_chain_bitwise(cfg, header_grad):
     emb, w, labels = edge_case_batch(np.random.default_rng(3))
     n = len(labels)
-    if mode == "train":
+    drawn = cfg.sigma > 0.0
+    if drawn:
         margins = np.random.default_rng(17).normal(cfg.m, cfg.sigma, size=n)
     else:
         margins = np.full(n, cfg.m)
 
     def fused(tape, e, h):
-        return losses.elastic_arcface(e, h, labels, cfg, mode=mode,
+        return losses.elastic_arcface(e, h, labels, cfg,
                                       rng=np.random.default_rng(17))
 
     def chain(tape, e, h):
@@ -145,9 +152,9 @@ def test_elastic_arcface_equals_chain_bitwise(mode, cfg, header_grad):
     target = cos[np.arange(n), labels]
     assert np.any(target >= 1.0 - ad.EPS_COS) and np.any(target <= -1.0 + ad.EPS_COS)
     shifted = np.arccos(np.clip(target, -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS)) + margins
-    if cfg.m > 0.0 or mode == "train":
+    if cfg.m > 0.0 or drawn:
         assert np.any(shifted > ad.PI)
-    if cfg.m == 0.0 and mode == "train":
+    if cfg.m == 0.0 and drawn:
         assert np.any(shifted < 0.0)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -267,6 +268,22 @@ def test_report_layout_and_deltas(tmp_path):
         assert set(doc["ours_minus_baseline"]) == {"SL", "DuL", "DLDPO"}
         for deltas in doc["ours_minus_baseline"].values():
             assert len(deltas["per_group_acc"]) == 4
+    # a second specialized run, passed after the first, with other accuracies:
+    # the deltas still come from the first specialized run
+    copy_out = tmp_path / "spec_copy"
+    shutil.copytree(spec_out, copy_out)
+    for report in (copy_out / "reports").glob("*.json"):
+        doc = json.loads(report.read_text())
+        doc["global_acc"] -= 10.0
+        doc["per_group_acc"] = [acc - 10.0 for acc in doc["per_group_acc"]]
+        report.write_text(json.dumps(doc))
+    comp2 = pipeline.cmd_report(cfg_s, [str(spec_out), str(bal_out), str(copy_out)],
+                                out_override=str(tmp_path / "cmp2"))
+    for mode in ("eaf_kd", "a_kd"):
+        first = json.loads((comp / f"students_{mode}.json").read_text())
+        both = json.loads((comp2 / f"students_{mode}.json").read_text())
+        assert [row["label"] for row in both["rows"]].count("Ours-SL") == 2
+        assert both["ours_minus_baseline"] == first["ours_minus_baseline"]
 
 
 def test_report_requires_evaluated_runs(tmp_path):

@@ -1,8 +1,11 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 
 from mstkd import data as d
-from mstkd import store
+from mstkd import store, training
 from mstkd.errors import FormatError
 
 
@@ -166,6 +169,73 @@ def test_save_is_deterministic(tmp_path):
     store.save_sample_set(train, p1)
     store.save_sample_set(train, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _checkpoint(manifest=b'meta {"kind": "t"}\nw 2x3 0\nb 3 6\n', values=9,
+                extra=b"", manifest_len=None):
+    """Checkpoint bytes with the given manifest and `values` f64 values."""
+    n = len(manifest) if manifest_len is None else manifest_len
+    return (store.MAGIC + np.uint32(store.VERSION).tobytes() + np.uint8(1).tobytes()
+            + np.uint64(n).tobytes() + manifest + np.arange(float(values)).tobytes()
+            + extra)
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(_checkpoint(values=10), id="trailing-data"),
+    pytest.param(_checkpoint(b"meta {}\nw 2x3 0\nb 3 3\n", values=6), id="overlap"),
+    pytest.param(_checkpoint(b"meta [1]\nw 2x3 0\nb 3 6\n"), id="meta-not-object"),
+    pytest.param(_checkpoint(extra=b"\0\0\0"), id="data-not-whole-f64"),
+    pytest.param(_checkpoint(b"meta {}\nw 2x3 -1\nb 3 5\n", values=8),
+                 id="negative-offset"),
+    pytest.param(_checkpoint(b"meta {}\nw -2x3 0\nb 3 6\n"), id="negative-dim"),
+    pytest.param(_checkpoint(b'meta {"kind": t}\nw 2x3 0\nb 3 6\n'), id="bad-meta-json"),
+    pytest.param(_checkpoint(b"meta {}\nw\xff 2x3 0\nb 3 6\n"), id="manifest-not-utf8"),
+    pytest.param(_checkpoint(manifest_len=2**62), id="manifest-length-2**62"),
+    pytest.param(_checkpoint(b"meta {}\nw 3 0\nw 6 3\n"), id="duplicate-name"),
+])
+def test_malformed_checkpoint_raises_format_error(tmp_path, blob):
+    path = tmp_path / "t.ckpt"
+    path.write_bytes(_checkpoint())
+    params, meta = store.load_params(path)   # the uncorrupted layout loads
+    assert meta == {"kind": "t"} and params["b"].tolist() == [6.0, 7.0, 8.0]
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        store.load_params(path)
+
+
+class DiskFull(io.FileIO):
+    """A file that takes half of a write, then fails as a full disk does."""
+
+    def write(self, chunk):
+        chunk = bytes(chunk)
+        super().write(chunk[:len(chunk) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+PAIRS = d.PairList(np.array([0, 1]), np.array([1, 2]), np.array([True, False]),
+                   np.array([0, 1]))
+WRITERS = {
+    "write_text_atomic": lambda p: store.write_text_atomic(p, "new text\n"),
+    "save_sample_set": lambda p: store.save_sample_set(make_set(), p),
+    "save_pairs": lambda p: store.save_pairs(PAIRS, p),
+    "save_params": lambda p: store.save_params(p, {"w": np.ones((2, 3))}, {"k": 1}),
+    "write_log": lambda p: training.write_log([training.TrainLogRecord(0, 1.5, 0.1)], p),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_full_disk_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old")
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "open", lambda p, mode: DiskFull(p, "w"), raising=False)
+        with pytest.raises(OSError):
+            WRITERS[writer](path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    WRITERS[writer](path)
+    assert path.read_bytes() != b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_atomic_write_failure_keeps_the_old_file(tmp_path):
