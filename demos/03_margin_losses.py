@@ -9,7 +9,7 @@ and the lambda-weighted combination with the mimicry MSE.
 import numpy as np
 
 from mstkd import autodiff as ad
-from mstkd import EafConfig, StudentLossConfig
+from mstkd import EafConfig
 from mstkd import elastic_arcface, kd_mse, student_loss
 
 rng = np.random.default_rng(3)
@@ -55,8 +55,8 @@ e = tape.param(emb)
 w = tape.param(weights)
 eaf = elastic_arcface(e, w, labels, EafConfig(sigma=0.0))
 kd = kd_mse(target, e)
-combined = student_loss(eaf, kd, StudentLossConfig(lam=10000.0, mode="eaf_kd"))
+combined = student_loss(eaf, kd, 10000.0)
 print(f"\nclassification term {float(eaf.values):.4f} + 10000 * "
       f"mimicry {float(kd.values):.6f} = {float(combined.values):.4f}")
-kd_only = student_loss(None, kd, StudentLossConfig(lam=10000.0, mode="a_kd"))
+kd_only = student_loss(None, kd, 10000.0)
 print(f"label-free variant: 10000 * mimicry = {float(kd_only.values):.4f}")

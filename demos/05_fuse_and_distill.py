@@ -8,7 +8,7 @@ student against the fused space and evaluate its per-group fairness.
 
 import numpy as np
 
-from mstkd import (BackboneConfig, EafConfig, OptimConfig, StudentLossConfig,
+from mstkd import (BackboneConfig, EafConfig, OptimConfig,
                    SyntheticDatasetSpec, build_pairs, evaluate_embeddings,
                    extract_embeddings, fused_target, generate, render_table,
                    scale_phase, split_specialized, trace_teacher_attribution,
@@ -46,8 +46,7 @@ print("teacher attribution (share of fusion weight mass): "
       + ", ".join(f"teacher {g}: {a:.3f}" for g, a in enumerate(attribution)))
 
 optim_s = OptimConfig(*scale_phase(*STUDENT_PHASE, 0.25), batch_size=128, seed=30)
-student, _ = train_student("a_kd", adaptor, sets, train,
-                           StudentLossConfig(10000.0, "a_kd"), EafConfig(),
+student, _ = train_student("a_kd", adaptor, sets, train, 10000.0, EafConfig(),
                            backbone, optim_s, init_seed=300)
 
 e_mt = fused_target(adaptor, extract_embeddings(teachers, val))

@@ -19,8 +19,7 @@ from .data import (DataSplit, GroupTag, PairList, SampleSet,
 from .evaluation import (FairnessReport, best_threshold_accuracy,
                          compare_reports, evaluate_embeddings,
                          fairness_metrics, render_table, verification_accuracy)
-from .losses import (EafConfig, StudentLossConfig, elastic_arcface, kd_mse,
-                     student_loss)
+from .losses import EafConfig, elastic_arcface, kd_mse, student_loss
 from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
                      TeacherModel, adaptor_forward, forward, fuse_inputs,
                      new_adaptor, new_student, new_teacher,

@@ -135,7 +135,8 @@ def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
 def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
     """x @ w + b with a 1-D bias, recorded as one node.
 
-    Values and gradients are bit-identical to `add(matmul(x, w), b)`."""
+    Values and gradients are bit-identical to the oracle chain
+    `bias_add(matmul(x, w), b)`."""
     tape = _same_tape(x, w, b)
     _check_matmul(x, w)
     if b.values.ndim != 1 or b.values.shape[0] != w.values.shape[1]:
@@ -155,22 +156,16 @@ def affine(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Elementwise addition; also accepts a 1-D bias added to each matrix row."""
+    """Elementwise addition of same-shape tensors."""
     tape = _same_tape(a, b)
-    bias = a.values.ndim == 2 and b.values.ndim == 1
-    if bias:
-        if a.values.shape[1] != b.values.shape[0]:
-            raise DimensionError(
-                f"bias length {b.values.shape[0]} != row width {a.values.shape[1]}")
-    elif a.values.shape != b.values.shape:
+    if a.values.shape != b.values.shape:
         raise DimensionError(f"add shapes differ: {a.values.shape} vs {b.values.shape}")
-    out_values = a.values + b.values
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if bias else g)
+        _accumulate(b, g)
 
-    return tape._emit(out_values, (a, b), bwd)
+    return tape._emit(a.values + b.values, (a, b), bwd)
 
 
 def scale(a: DiffTensor, c: float) -> DiffTensor:

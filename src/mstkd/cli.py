@@ -9,8 +9,9 @@ config). MSTKD_WORKERS=N trains the teachers in N processes; set
 OPENBLAS_NUM_THREADS=1 with it, or the workers' BLAS threads oversubscribe
 the cores and the stage runs slower than in one process.
 
-Exit codes: 0 success, 2 config error, 3 data/format error, 4 divergence,
-5 missing upstream artifact, 1 anything else.
+Exit codes: 0 success, 2 config error, 3 data/format error, 4 divergence
+(the first non-finite loss or gradient in training), 5 missing upstream
+artifact, 1 anything else.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from . import store
 from .autodiff import DiffTensor, Tape
 from .data import GroupTag, SampleSet
 from .errors import (ConfigError, ContractError, DegenerateEmbeddingError,
-                     DimensionError, UnsupportedKindError)
+                     DimensionError, FormatError, UnsupportedKindError)
 
 ADAPTOR_KINDS = ("SL", "DuL", "DLDPO")
 DROPOUT_P = 0.2
@@ -262,11 +262,10 @@ def save_teacher(t: TeacherModel, path) -> None:
 
 def load_teacher(path) -> TeacherModel:
     params, meta = store.load_params(path)
-    _expect_kind(meta, "teacher", path)
-    return TeacherModel(BackboneConfig(**meta["backbone"]), params,
-                        GroupTag(meta["group_index"], meta["group_name"]),
-                        np.array(meta["class_ids"], dtype=np.int64),
-                        meta["best_epoch"])
+    m = _checked_meta(meta, path, "teacher", _TEACHER_META)
+    return TeacherModel(BackboneConfig(**m["backbone"]), params,
+                        GroupTag(m["group_index"], m["group_name"]),
+                        np.array(m["class_ids"], dtype=np.int64), m["best_epoch"])
 
 
 def save_adaptor(a: AdaptorModel, path) -> None:
@@ -278,9 +277,9 @@ def save_adaptor(a: AdaptorModel, path) -> None:
 
 def load_adaptor(path) -> AdaptorModel:
     params, meta = store.load_params(path)
-    _expect_kind(meta, "adaptor", path)
-    return AdaptorModel(meta["adaptor_kind"], meta["n_teachers"], meta["emb_dim"],
-                        params, meta["slope"], meta["dropout_p"], meta["best_epoch"])
+    m = _checked_meta(meta, path, "adaptor", _ADAPTOR_META)
+    return AdaptorModel(m["adaptor_kind"], m["n_teachers"], m["emb_dim"],
+                        params, m["slope"], m["dropout_p"], m["best_epoch"])
 
 
 def save_student(s: StudentModel, path) -> None:
@@ -291,13 +290,59 @@ def save_student(s: StudentModel, path) -> None:
 
 def load_student(path) -> StudentModel:
     params, meta = store.load_params(path)
-    _expect_kind(meta, "student", path)
-    ids = meta["class_ids"]
-    return StudentModel(BackboneConfig(**meta["backbone"]), meta["mode"], params,
+    m = _checked_meta(meta, path, "student", _STUDENT_META)
+    ids = m["class_ids"]
+    return StudentModel(BackboneConfig(**m["backbone"]), m["mode"], params,
                         None if ids is None else np.array(ids, dtype=np.int64))
 
 
-def _expect_kind(meta: dict, kind: str, path) -> None:
-    if meta.get("kind") != kind:
-        raise ContractError(f"{path}: checkpoint holds a {meta.get('kind')}, "
-                            f"expected {kind}")
+# checkpoint meta fields, each with the test its value must pass; a dict
+# holds the fields of a nested JSON object
+def _is_int(v) -> bool:
+    return type(v) is int and abs(v) < 2 ** 63   # bool is not an int here
+
+
+def _is_float(v) -> bool:
+    return type(v) is float or _is_int(v)
+
+
+def _is_str(v) -> bool:
+    return type(v) is str
+
+
+def _is_ids(v) -> bool:
+    return type(v) is list and all(map(_is_int, v))
+
+
+_BACKBONE_META = {"input_dim": _is_int, "hidden": _is_ids,
+                  "embedding_dim": _is_int, "slope": _is_float}
+_TEACHER_META = {"backbone": _BACKBONE_META, "group_index": _is_int,
+                 "group_name": _is_str, "class_ids": _is_ids, "best_epoch": _is_int}
+_ADAPTOR_META = {"adaptor_kind": _is_str, "n_teachers": _is_int, "emb_dim": _is_int,
+                 "slope": _is_float, "dropout_p": _is_float, "best_epoch": _is_int}
+_STUDENT_META = {"backbone": _BACKBONE_META, "mode": _is_str,
+                 "class_ids": lambda v: v is None or _is_ids(v)}
+
+
+def _checked_meta(meta: dict, path, kind: Optional[str], fields: dict,
+                  where: str = "meta") -> dict:
+    """The `fields` of a checkpoint's meta, each checked; a checkpoint of
+    another kind, a missing field or a value of the wrong type is a
+    FormatError naming the file and the key."""
+    if kind is not None and meta.get("kind") != kind:
+        raise FormatError(f"{path}: checkpoint holds a {meta.get('kind')!r}, "
+                          f"expected a {kind}")
+    out = {}
+    for key, check in fields.items():
+        if key not in meta:
+            raise FormatError(f"{path}: checkpoint {where} lacks {key!r}")
+        value = meta[key]
+        if isinstance(check, dict):
+            if type(value) is not dict:
+                raise FormatError(f"{path}: checkpoint {where}.{key} is not an object")
+            value = _checked_meta(value, path, None, check, f"{where}.{key}")
+        elif not check(value):
+            raise FormatError(f"{path}: checkpoint {where}.{key} has the bad "
+                              f"value {value!r}")
+        out[key] = value
+    return out

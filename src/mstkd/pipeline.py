@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -30,7 +31,7 @@ from . import __version__, data, models, store, training
 from .errors import ConfigError, ContractError, FormatError, MissingArtifactError
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
-from .losses import EafConfig, StudentLossConfig
+from .losses import EafConfig
 
 
 @dataclass
@@ -157,6 +158,8 @@ def _decode(tp, value, where: str):
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if tp is float else tp):
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and not -math.inf < value < math.inf:  # JSON admits NaN, Infinity
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
@@ -392,7 +395,7 @@ def _train_student(cfg: ExperimentConfig, out: Path) -> str:
             optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
             student, records = training.train_student(
                 mode, adaptor, sets, train,
-                StudentLossConfig(cfg.lam, mode), cfg.eaf, cfg.backbone, optim,
+                cfg.lam, cfg.eaf, cfg.backbone, optim,
                 init_seed=cfg.seeds.init + 200 + 10 * i + j,
                 fusion_order=cfg.resolved_fusion_order())
             ckpt, log = _student(kind, mode)

@@ -96,26 +96,32 @@ def save_pairs(pairs: PairList, path) -> None:
 
 
 def load_pairs(path) -> PairList:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: pair list is not UTF-8 ({exc})") from exc
     a, b, genuine, group = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                a.append(int(parts[0]))
-                b.append(int(parts[1]))
-                flag = int(parts[2])
-                group.append(int(parts[3]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if flag not in (0, 1):
-                raise FormatError(f"{path}:{lineno}: genuine flag must be 0 or 1")
-            genuine.append(bool(flag))
-    return PairList(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                    np.array(genuine, dtype=bool), np.array(group, dtype=np.int64))
+    for lineno, line in enumerate(text.split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 fields")
+        try:
+            a.append(int(parts[0]))
+            b.append(int(parts[1]))
+            flag = int(parts[2])
+            group.append(int(parts[3]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if flag not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: genuine flag must be 0 or 1")
+        genuine.append(bool(flag))
+    try:
+        return PairList(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                        np.array(genuine, dtype=bool), np.array(group, dtype=np.int64))
+    except OverflowError as exc:
+        raise FormatError(f"{path}: an index does not fit 64 bits") from exc
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:

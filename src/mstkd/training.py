@@ -9,7 +9,9 @@ and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
 (optionally plus classification), and keep the final epoch. All three share
 one loop, the only code that records a tape; frozen networks run in plain
-numpy. All shuffling, margins, and dropout draw from generators derived
+numpy. The loop has one divergence rule: the first non-finite loss or
+gradient stops training with `DivergenceError` (exit 4); no batch is ever
+skipped. All shuffling, margins, and dropout draw from generators derived
 from the configured seeds, so a full run is bit-reproducible.
 """
 
@@ -28,10 +30,8 @@ from .autodiff import Tape
 from .data import GroupTag, PairList, SampleSet
 from .errors import ConfigError, ContractError, DivergenceError
 from .evaluation import verification_accuracy
-from .losses import EafConfig, StudentLossConfig
+from .losses import EafConfig
 from .models import AdaptorModel, BackboneConfig, StudentModel, TeacherModel
-
-DIVERGENCE_LIMIT = 3   # consecutive non-finite losses before aborting
 
 
 @dataclass
@@ -47,6 +47,8 @@ class OptimConfig:
     def validate(self) -> None:
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be > 0")
+        if not self.decay_factor > 0:
+            raise ConfigError("decay_factor must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -117,25 +119,6 @@ class SgdMomentum:
         sgd_step(self.params, grads, self.velocity, lr, self.momentum)
 
 
-class DivergenceGuard:
-    """Aborts after `limit` consecutive non-finite losses."""
-
-    def __init__(self, limit: int = DIVERGENCE_LIMIT):
-        self.limit = limit
-        self.consecutive = 0
-
-    def check(self, loss_value: float) -> bool:
-        """True if the loss is finite; raises once the limit is hit."""
-        if np.isfinite(loss_value):
-            self.consecutive = 0
-            return True
-        self.consecutive += 1
-        if self.consecutive >= self.limit:
-            raise DivergenceError(
-                f"loss non-finite for {self.consecutive} consecutive steps")
-        return False
-
-
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     """Seeded shuffle covering every index exactly once; last batch kept."""
     order = rng.permutation(n)
@@ -172,39 +155,40 @@ def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
     """The one training loop, and the only code that records a tape.
 
     `step(tape, ptens, batch)` records one batch's `(total, terms)`: the loss
-    to minimize and a dict of scalar terms to log. The guard drops a batch
-    whose loss is not finite. Yields `(epoch, lr, t0, kept)` per epoch, with
-    `kept` one dict of floats (`loss` and the terms) per batch that stepped.
+    to minimize and a dict of scalar terms to log. The first non-finite loss
+    raises `DivergenceError` naming its epoch and batch (both 1-based); a
+    non-finite gradient raises in `sgd_step`. Yields `(epoch, lr, t0, means)`
+    per epoch, `means` holding the batch mean of `loss` and of each term.
     Each step's tape is emptied once the step is done, which breaks the
     tensor <-> tape reference cycle, so its arrays are freed right away
     rather than by the cyclic garbage collector.
     """
+    if n < 1:
+        raise ContractError("training needs at least one sample")
     opt = SgdMomentum(params, optim.momentum)
-    guard = DivergenceGuard()
     for epoch in range(1, optim.epochs + 1):
         t0 = time.perf_counter()
         lr = lr_at_epoch(optim, epoch)
-        kept = []
-        for batch in epoch_batches(n, optim.batch_size, shuffle_rng):
+        logged: dict[str, list[float]] = {}
+        batches = epoch_batches(n, optim.batch_size, shuffle_rng)
+        for i, batch in enumerate(batches, 1):
             tape = Tape()
             ptens = models.param_tensors(tape, params)
             total, terms = step(tape, ptens, batch)
             loss = float(total.values)
-            if guard.check(loss):
-                kept.append({"loss": loss,
-                             **{k: float(t.values) for k, t in terms.items()}})
-                tape.backward(total)
-                opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
-                          for name, t in ptens.items()}, lr)
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite loss ({loss}) at epoch {epoch}, batch {i}")
+            row = {"loss": loss, **{k: float(t.values) for k, t in terms.items()}}
+            for key, value in row.items():
+                logged.setdefault(key, []).append(value)
+            tape.backward(total)
+            opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
+                      for name, t in ptens.items()}, lr)
             tape.nodes.clear()
             tape.tensors.clear()
             del tape, ptens, total, terms
-        yield epoch, lr, t0, kept
-
-
-def _mean(kept: list[dict], key: str, empty):
-    """Mean of one logged term over the kept batches; `empty` if none."""
-    return float(np.mean([b[key] for b in kept])) if kept else empty
+        yield epoch, lr, t0, {key: float(np.mean(v)) for key, v in logged.items()}
 
 
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
@@ -214,8 +198,6 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     """Train one teacher on its subset; keep the epoch checkpoint with the
     best own-group validation verification accuracy (ties: earliest)."""
     optim.validate()
-    if subset.n == 0:
-        raise ContractError("teacher training subset is empty")
     class_ids = np.unique(subset.identities)
     local_labels = np.searchsorted(class_ids, subset.identities)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
@@ -229,14 +211,13 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
 
     best_acc, best_epoch, best_params = -np.inf, 0, None
     records = []
-    for epoch, lr, t0, kept in _epochs(model.params, optim, subset.n,
-                                       shuffle_rng, step):
+    for epoch, lr, t0, means in _epochs(model.params, optim, subset.n,
+                                        shuffle_rng, step):
         acc, _ = verification_accuracy(model.embed(val_pool.values), own_pairs)
         if acc > best_acc:
             best_acc, best_epoch = acc, epoch
             best_params = {n: p.copy() for n, p in model.params.items()}
-        records.append(TrainLogRecord(epoch, _mean(kept, "loss", float("nan")),
-                                      lr, {group.name: acc},
+        records.append(TrainLogRecord(epoch, means["loss"], lr, {group.name: acc},
                                       time.perf_counter() - t0))
     model.params = best_params
     model.best_epoch = best_epoch
@@ -282,9 +263,9 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
 
     best_loss, best_epoch, best_params = np.inf, 0, None
     records = []
-    for epoch, lr, t0, kept in _epochs({**model.params, **header}, optim,
-                                       fused.shape[0], shuffle_rng, step):
-        mean_loss = _mean(kept, "loss", float("inf"))
+    for epoch, lr, t0, means in _epochs({**model.params, **header}, optim,
+                                        fused.shape[0], shuffle_rng, step):
+        mean_loss = means["loss"]
         if mean_loss < best_loss:
             best_loss, best_epoch = mean_loss, epoch
             best_params = {n: model.params[n].copy() for n in model.params}
@@ -305,8 +286,7 @@ def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
 
 def train_student(mode: str, adaptor: AdaptorModel,
                   embedding_sets: list[SampleSet], dataset: SampleSet,
-                  loss_cfg: StudentLossConfig,
-                  eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,
+                  lam: float, eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
                   ) -> tuple[StudentModel, list[TrainLogRecord]]:
@@ -318,8 +298,8 @@ def train_student(mode: str, adaptor: AdaptorModel,
     computed once, before the first epoch; the adaptor stays frozen
     (verified)."""
     optim.validate()
-    loss_cfg = StudentLossConfig(loss_cfg.lam, mode)
-    loss_cfg.validate()
+    if not lam > 0:
+        raise ContractError(f"lambda must be > 0, got {lam}")
     frozen_before = _param_bytes(adaptor)
     targets = fused_target(adaptor, embedding_sets, fusion_order)
     if targets.shape[0] != dataset.n:
@@ -340,16 +320,14 @@ def train_student(mode: str, adaptor: AdaptorModel,
             terms["eaf"] = losses.elastic_arcface(emb, ptens["header.W"],
                                                   local_labels[batch], eaf_cfg,
                                                   rng=margin_rng)
-        return losses.student_loss(terms.get("eaf"), terms["kd"], loss_cfg), terms
+        return losses.student_loss(terms.get("eaf"), terms["kd"], lam), terms
 
     records = []
-    for epoch, lr, t0, kept in _epochs(model.params, optim, dataset.n,
-                                       shuffle_rng, step):
-        extras = {"mean_kd": _mean(kept, "kd", None)}
-        if mode == "eaf_kd":
-            extras["mean_eaf"] = _mean(kept, "eaf", None)
-        records.append(TrainLogRecord(epoch, _mean(kept, "loss", float("nan")),
-                                      lr, None, time.perf_counter() - t0, extras))
+    for epoch, lr, t0, means in _epochs(model.params, optim, dataset.n,
+                                        shuffle_rng, step):
+        extras = {f"mean_{key}": v for key, v in means.items() if key != "loss"}
+        records.append(TrainLogRecord(epoch, means["loss"], lr, None,
+                                      time.perf_counter() - t0, extras))
     if _param_bytes(adaptor) != frozen_before:
         raise ContractError("frozen adaptor parameters changed "
                             "during student training")

@@ -3,8 +3,8 @@
 Training records only `affine`, `leaky_relu`, `dropout`, `l2_normalize`,
 `scale` and `add` (`mstkd.autodiff`). The fused nodes (`affine`,
 `losses.elastic_arcface`, `losses.kd_mse`) each replace a chain of the
-primitives below, and `test_fused_nodes` checks them against that chain bit
-for bit. Each op records one node on a `mstkd.autodiff.Tape` through
+primitives below (`affine` is `bias_add(matmul(x, w), b)`), and
+`test_fused_nodes` checks them against that chain bit for bit. Each op records one node on a `mstkd.autodiff.Tape` through
 `Tape._emit`, and its backward closure feeds `_accumulate`, exactly as the
 production ops do; the tests check these ops against finite differences.
 """
@@ -29,6 +29,20 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
             _accumulate(b, a.values.T @ g)
 
     return tape._emit(out_values, (a, b), bwd)
+
+
+def bias_add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """A 1-D bias added to each row of a 2-D tensor."""
+    tape = _same_tape(a, b)
+    if a.values.ndim != 2 or b.values.shape != (a.values.shape[1],):
+        raise DimensionError(f"bias shape {b.values.shape} does not fit rows "
+                             f"of {a.values.shape}")
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(a, g)
+        _accumulate(b, g.sum(axis=0))
+
+    return tape._emit(a.values + b.values, (a, b), bwd)
 
 
 def transpose(a: DiffTensor) -> DiffTensor:

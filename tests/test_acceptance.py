@@ -16,7 +16,7 @@ import pytest
 from mstkd import autodiff as ad
 from mstkd import data, losses, models, pipeline, store, training
 from mstkd.evaluation import fairness_metrics, verification_accuracy
-from mstkd.losses import EafConfig, StudentLossConfig
+from mstkd.losses import EafConfig
 
 from gradcheck import assert_grads_close, numeric_grad
 from reference_rows import ALL_TABLES
@@ -165,12 +165,10 @@ def test_criterion_2_gradients_match_finite_differences():
                 "combine_np": lambda e, k, *_: e},
         "kd": {"combine_ad": lambda e, k, *_: k,
                "combine_np": lambda e, k, *_: k},
-        "combined": {"combine_ad": lambda e, k, *_: losses.student_loss(
-            e, k, StudentLossConfig(10.0, "eaf_kd")),
-            "combine_np": lambda e, k, *_: e + 10.0 * k},
-        "kd_only": {"combine_ad": lambda e, k, *_: losses.student_loss(
-            None, k, StudentLossConfig(10.0, "a_kd")),
-            "combine_np": lambda e, k, *_: 10.0 * k},
+        "combined": {"combine_ad": lambda e, k, *_: losses.student_loss(e, k, 10.0),
+                     "combine_np": lambda e, k, *_: e + 10.0 * k},
+        "kd_only": {"combine_ad": lambda e, k, *_: losses.student_loss(None, k, 10.0),
+                    "combine_np": lambda e, k, *_: 10.0 * k},
     }
     for builder in combos.values():
         for _ in range(100):
@@ -195,8 +193,7 @@ def test_criterion_2_gradients_match_finite_differences():
             kd = losses.kd_mse(target, emb)
             losses_by_name = {
                 "eaf": eaf, "kd": kd,
-                "combined": losses.student_loss(
-                    eaf, kd, StudentLossConfig(10000.0, "eaf_kd"))}
+                "combined": losses.student_loss(eaf, kd, 10000.0)}
             tape.backward(losses_by_name[which])
             return raw.grad.copy()
 
@@ -508,8 +505,7 @@ def test_criterion_9_frozen_network_guarantee(sweep):
     for mode in ("eaf_kd", "a_kd"):
         training.train_student(mode, adaptor,
                                training.extract_embeddings(teachers, train), train,
-                               StudentLossConfig(cfg.lam, mode), cfg.eaf,
-                               cfg.backbone, optim, init_seed=8,
+                               cfg.lam, cfg.eaf, cfg.backbone, optim, init_seed=8,
                                fusion_order=cfg.resolved_fusion_order())
         for t, snap in zip(teachers, before):
             for n in snap:

@@ -215,7 +215,7 @@ def test_bias_add_gradient():
     tape = ad.Tape()
     x = tape.param(x0)
     b = tape.param(b0)
-    loss = oracle.sum_all(oracle.mul(ad.add(x, b), tape.constant(w)))
+    loss = oracle.sum_all(oracle.mul(oracle.bias_add(x, b), tape.constant(w)))
     tape.backward(loss)
     nx, nb = numeric_grad(f, [x0.copy(), b0.copy()])
     assert_grads_close(x.grad, nx, rel_tol=1e-6)

@@ -6,7 +6,7 @@ import pytest
 from mstkd import autodiff as ad
 from mstkd import losses
 from mstkd.errors import ContractError, DimensionError
-from mstkd.losses import EafConfig, StudentLossConfig
+from mstkd.losses import EafConfig
 
 from gradcheck import assert_grads_close, numeric_grad
 import tape_oracle as oracle
@@ -258,20 +258,11 @@ def test_student_loss_arithmetic():
     tape = ad.Tape()
     eaf = tape.param(np.asarray(2.0))
     kd = tape.param(np.asarray(1e-4))
-    combined = losses.student_loss(eaf, kd, StudentLossConfig(lam=10000.0,
-                                                              mode="eaf_kd"))
+    combined = losses.student_loss(eaf, kd, 10000.0)
     assert float(combined.values) == pytest.approx(3.0, abs=1e-12)
     tape = ad.Tape()
     kd0 = tape.param(np.asarray(0.0))
-    assert float(losses.student_loss(None, kd0,
-                                     StudentLossConfig(mode="a_kd")).values) == 0.0
-
-
-def test_student_loss_requires_classification_term():
-    tape = ad.Tape()
-    kd = tape.param(np.asarray(1.0))
-    with pytest.raises(ContractError):
-        losses.student_loss(None, kd, StudentLossConfig(mode="eaf_kd"))
+    assert float(losses.student_loss(None, kd0, 10000.0).values) == 0.0
 
 
 def test_student_loss_gradient_is_linear_combination():
@@ -295,8 +286,7 @@ def test_student_loss_gradient_is_linear_combination():
         elif which == "kd":
             tape.backward(kd)
         else:
-            tape.backward(losses.student_loss(eaf, kd,
-                                              StudentLossConfig(lam=lam)))
+            tape.backward(losses.student_loss(eaf, kd, lam))
         return raw.grad.copy()
 
     combined = build("both")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mstkd import autodiff as ad
-from mstkd import models
+from mstkd import models, store
 from mstkd.data import GroupTag, SampleSet
 from mstkd.errors import (ConfigError, ContractError, DegenerateEmbeddingError,
-                          DimensionError, UnsupportedKindError)
+                          DimensionError, FormatError, UnsupportedKindError)
 from mstkd.models import BackboneConfig
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -294,3 +294,52 @@ def test_checkpoint_round_trips(tmp_path):
     assert np.array_equal(s2.class_ids, s.class_ids)
     for n in s.params:
         assert np.array_equal(s2.params[n], s.params[n])
+
+
+def _without(key):
+    return lambda meta: meta.pop(key)
+
+
+def _set(key, value, *nested):
+    def edit(meta):
+        for k in nested:
+            meta = meta[k]
+        meta[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("which, edit, named", [
+    ("teacher", _without("backbone"), "lacks 'backbone'"),
+    ("teacher", _without("class_ids"), "lacks 'class_ids'"),
+    ("teacher", _without("group_index"), "lacks 'group_index'"),
+    ("teacher", _set("hidden", "x", "backbone"), "meta.backbone.hidden"),
+    ("teacher", _set("backbone", [64]), "meta.backbone is not an object"),
+    ("teacher", _set("best_epoch", True), "meta.best_epoch"),
+    ("teacher", _set("class_ids", [0, 2 ** 70]), "meta.class_ids"),
+    ("teacher", _set("kind", "student"), "expected a teacher"),
+    ("adaptor", _without("slope"), "lacks 'slope'"),
+    ("adaptor", _set("n_teachers", "4"), "meta.n_teachers"),
+    ("student", _without("mode"), "lacks 'mode'"),
+    ("student", _set("class_ids", "x"), "meta.class_ids"),
+    ("student", _set("embedding_dim", 8.0, "backbone"), "meta.backbone.embedding_dim"),
+], ids=["no-backbone", "no-class-ids", "no-group-index", "hidden-str",
+        "backbone-list", "best-epoch-bool", "class-id-over-64-bits", "wrong-kind",
+        "adaptor-no-slope", "adaptor-n-teachers-str", "student-no-mode",
+        "student-class-ids-str", "student-embedding-dim-float"])
+def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
+    model, save, load = {
+        "teacher": (make_teacher(seed=13), models.save_teacher, models.load_teacher),
+        "adaptor": (models.new_adaptor("SL", 4, 8, seed=14), models.save_adaptor,
+                    models.load_adaptor),
+        "student": (models.new_student(CFG, "a_kd", None, seed=15),
+                    models.save_student, models.load_student),
+    }[which]
+    path = tmp_path / f"{which}.ckpt"
+    save(model, path)
+    load(path)   # the file as written loads
+    params, meta = store.load_params(path)
+    edit(meta)
+    store.save_params(path, params, meta)
+    with pytest.raises(FormatError, match=named) as info:
+        load(path)
+    assert str(path) in str(info.value)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 
@@ -132,6 +133,13 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"momentum": False}, "config.momentum must be float"),
     ({"backbone": {"hidden": [32.0]}}, "config.backbone.hidden[0] must be int"),
     ({"eaf": {"s": -1.0}}, "eaf: EafConfig requires s > 0"),
+    ({"schedule_scale": math.inf}, "config.schedule_scale must be finite"),
+    ({"decay_factor": 0}, "decay_factor must be > 0"),
+    ({"decay_factor": -10}, "decay_factor must be > 0"),
+    ({"eaf": {"sigma": math.inf}}, "config.eaf.sigma must be finite"),
+    ({"eaf": {"s": math.inf}}, "config.eaf.s must be finite"),
+    ({"dataset": {"intra_class_noise": [math.nan, 0.1, 0.1, 0.1]}},
+     "config.dataset.intra_class_noise[0] must be finite"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):

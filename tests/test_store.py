@@ -145,6 +145,13 @@ def test_pair_list_malformed_line(tmp_path):
         store.load_pairs(path)
 
 
+def test_pair_list_not_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1 1 0\n\xff 2 0 1\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        store.load_pairs(path)
+
+
 def test_params_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     params = {"backbone.0.W": rng.normal(size=(8, 4)),

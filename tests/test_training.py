@@ -10,7 +10,7 @@ from mstkd import losses, models
 from mstkd import training as tr
 from mstkd.errors import ConfigError, ContractError, DivergenceError
 from mstkd.evaluation import evaluate_embeddings, verification_accuracy
-from mstkd.losses import EafConfig, StudentLossConfig
+from mstkd.losses import EafConfig
 from mstkd.models import BackboneConfig
 
 
@@ -68,19 +68,6 @@ def test_sgd_rejects_non_finite_gradient():
     opt = tr.SgdMomentum(params)
     with pytest.raises(DivergenceError):
         opt.step({"p": np.array([1.0, np.nan])}, lr=0.1)
-
-
-def test_divergence_guard_three_strikes():
-    guard = tr.DivergenceGuard()
-    assert guard.check(1.0)
-    assert not guard.check(float("nan"))
-    assert not guard.check(float("inf"))
-    with pytest.raises(DivergenceError):
-        guard.check(float("nan"))
-    guard = tr.DivergenceGuard()
-    guard.check(float("nan"))
-    guard.check(1.0)  # finite loss resets the streak
-    assert guard.consecutive == 0
 
 
 def test_lr_schedule_matches_presets():
@@ -233,8 +220,7 @@ def test_train_student_akd_never_reads_labels_and_mimics():
     optim_s = tr.OptimConfig(0.1, 6, (2, 4), **FAST)
     scrubbed = d.SampleSet(train.values, np.full(train.n, -1), train.groups,
                            train.group_tags)  # labels poisoned: a_kd must not look
-    student, recs = tr.train_student("a_kd", adaptor, sets, scrubbed,
-                                     StudentLossConfig(10000.0, "a_kd"),
+    student, recs = tr.train_student("a_kd", adaptor, sets, scrubbed, 10000.0,
                                      EafConfig(), CFG, optim_s, init_seed=60)
     assert student.params.keys() == {f"backbone.{i}.{p}" for i in range(2)
                                      for p in "Wb"}
@@ -247,46 +233,60 @@ def test_train_student_akd_never_reads_labels_and_mimics():
     assert min(report.per_group_acc) > 60.0
 
 
-def test_train_student_eaf_kd_loss_bookkeeping():
+def _recorded(real, calls, nan_at=None):
+    """`real`, noting each loss it returns in `calls`; the loss of call
+    number `nan_at` (1-based) is replaced by NaN."""
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(float(out.values))
+        if len(calls) == nan_at:
+            out.values = np.array(np.nan)
+        return out
+    return wrapped
+
+
+def test_train_student_eaf_kd_loss_bookkeeping(monkeypatch):
     train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
+    eaf_values, kd_values = [], []
+    monkeypatch.setattr(losses, "elastic_arcface",
+                        _recorded(losses.elastic_arcface, eaf_values))
+    monkeypatch.setattr(losses, "kd_mse", _recorded(losses.kd_mse, kd_values))
     optim_s = tr.OptimConfig(0.1, 3, (2,), **FAST)
-    student, recs = tr.train_student("eaf_kd", adaptor, sets, train,
-                                     StudentLossConfig(10000.0, "eaf_kd"),
+    student, recs = tr.train_student("eaf_kd", adaptor, sets, train, 10000.0,
                                      EafConfig(), CFG, optim_s, init_seed=61)
     assert student.params["header.W"].shape[0] == len(np.unique(train.identities))
     for r in recs:
         assert r.mean_loss == pytest.approx(
             r.extras["mean_eaf"] + 10000.0 * r.extras["mean_kd"], rel=1e-9)
+    # each epoch's means are the plain means of its batches' values
+    per_epoch = len(eaf_values) // len(recs)
+    assert per_epoch >= 2
+    assert len(eaf_values) == len(kd_values) == len(recs) * per_epoch
+    for i, r in enumerate(recs):
+        batches = slice(i * per_epoch, (i + 1) * per_epoch)
+        assert r.extras["mean_eaf"] == float(np.mean(eaf_values[batches]))
+        assert r.extras["mean_kd"] == float(np.mean(kd_values[batches]))
 
 
-def test_train_student_mean_eaf_averages_kept_batches_only(monkeypatch):
+@pytest.mark.parametrize("mode, loss", [("eaf_kd", "elastic_arcface"),
+                                        ("a_kd", "kd_mse")])
+def test_train_student_non_finite_loss_stops_at_its_batch(monkeypatch, mode, loss):
     train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
-    eaf_values, kd_values = [], []
-    real_eaf, real_kd = losses.elastic_arcface, losses.kd_mse
+    calls = []
+    monkeypatch.setattr(losses, loss, _recorded(getattr(losses, loss), calls, nan_at=2))
+    with pytest.raises(DivergenceError, match=r"at epoch 1, batch 2$"):
+        tr.train_student(mode, adaptor, sets, train, 10000.0, EafConfig(), CFG,
+                         tr.OptimConfig(0.1, 1, (), **FAST), init_seed=61)
+    assert len(calls) == 2   # no batch after the bad one
 
-    def eaf(*args, **kwargs):
-        out = real_eaf(*args, **kwargs)
-        if len(eaf_values) == 1:
-            out.values = np.array(np.nan)  # the guard drops this batch
-        eaf_values.append(float(out.values))
-        return out
 
-    def kd(*args, **kwargs):
-        out = real_kd(*args, **kwargs)
-        kd_values.append(float(out.values))
-        return out
-
-    monkeypatch.setattr(losses, "elastic_arcface", eaf)
-    monkeypatch.setattr(losses, "kd_mse", kd)
-    _, (rec,) = tr.train_student("eaf_kd", adaptor, sets, train,
-                                 StudentLossConfig(10000.0, "eaf_kd"), EafConfig(),
-                                 CFG, tr.OptimConfig(0.1, 1, (), **FAST),
-                                 init_seed=61)
-    kept = [i for i, v in enumerate(eaf_values) if np.isfinite(v)]
-    assert len(kept) == len(eaf_values) - 1 >= 2
-    assert np.isfinite(rec.extras["mean_eaf"])
-    assert rec.extras["mean_eaf"] == float(np.mean([eaf_values[i] for i in kept]))
-    assert rec.extras["mean_kd"] == float(np.mean([kd_values[i] for i in kept]))
+def test_train_teacher_on_a_nan_row_raises_divergence():
+    train, val, _, val_pairs, _ = desk_data()
+    subset = train.select(train.rows_of_group(0))
+    subset.values[5] = np.nan
+    with pytest.raises(DivergenceError, match=r"at epoch 1, batch \d+$"):
+        tr.train_teacher(subset, train.group_tags[0], CFG, EafConfig(),
+                         teacher_optim(), val, val_pairs, init_seed=3)
 
 
 def test_inference_never_builds_a_tape(monkeypatch):
@@ -322,21 +322,12 @@ class RecordingTape(ad.Tape):
 
 
 def _train_without_cyclic_gc(monkeypatch, train):
-    """Run `train()` with the cyclic GC off and every third loss set to NaN
-    (the guard drops those batches); return the per-step node counts."""
+    """Run `train()` with the cyclic GC off; return the per-step node counts."""
     made, nodes_at_backward = [], []
     monkeypatch.setattr(tr, "Tape", lambda: RecordingTape(made, nodes_at_backward))
-    real_eaf = losses.elastic_arcface
     calls = []
-
-    def eaf(*args, **kwargs):
-        out = real_eaf(*args, **kwargs)
-        calls.append(len(calls) % 3 == 1)
-        if calls[-1]:
-            out.values = np.array(np.nan)
-        return out
-
-    monkeypatch.setattr(losses, "elastic_arcface", eaf)
+    monkeypatch.setattr(losses, "elastic_arcface",
+                        _recorded(losses.elastic_arcface, calls))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -345,8 +336,7 @@ def _train_without_cyclic_gc(monkeypatch, train):
     finally:
         if was_enabled:
             gc.enable()
-    assert len(made) == len(calls) >= 6
-    assert len(nodes_at_backward) == calls.count(False)
+    assert len(made) == len(nodes_at_backward) == len(calls) >= 6
     return nodes_at_backward
 
 
@@ -362,8 +352,8 @@ def test_each_step_tape_is_freed_without_the_cyclic_gc(monkeypatch):
 
     train, _, _, _, _, sets, adaptor, _ = pipeline_pieces()
     counts = _train_without_cyclic_gc(monkeypatch, lambda: tr.train_student(
-        "eaf_kd", adaptor, sets, train, StudentLossConfig(10000.0, "eaf_kd"),
-        EafConfig(), CFG, tr.OptimConfig(0.1, 1, (), **FAST), init_seed=61))
+        "eaf_kd", adaptor, sets, train, 10000.0, EafConfig(), CFG,
+        tr.OptimConfig(0.1, 1, (), **FAST), init_seed=61))
     # the teacher's 11, plus kd_mse, the lambda scale and the sum
     assert set(counts) == {14}
 
@@ -373,8 +363,7 @@ def test_train_student_leaves_teachers_and_adaptor_frozen():
     before_t = [{n: p.copy() for n, p in t.params.items()} for t in teachers]
     before_a = {n: p.copy() for n, p in adaptor.params.items()}
     optim_s = tr.OptimConfig(0.1, 2, (), **FAST)
-    tr.train_student("a_kd", adaptor, sets, train,
-                     StudentLossConfig(10000.0, "a_kd"), EafConfig(), CFG,
+    tr.train_student("a_kd", adaptor, sets, train, 10000.0, EafConfig(), CFG,
                      optim_s, init_seed=62)
     for t, before in zip(teachers, before_t):
         for n in before:
