@@ -1,18 +1,19 @@
 """Desk-scale multi-specialized-teacher knowledge distillation with fairness metrics.
 
-The library is organized around seven pieces: a reverse-mode tape holding
-only the six ops that training records (`autodiff`; the primitive chain the
-fused nodes replace is the test oracle, under `tests/`), a synthetic
-group-structured identity generator (`data`), binary persistence (`store`),
-the margin and distillation losses (`losses`), the teacher/adaptor/student
-assemblies (`models`), the training engine (`training`), and
-verification-protocol scoring with fairness summaries (`evaluation`).
+The library is organized around seven pieces: the layer stack every model
+shares, a plain-numpy forward with its hand-written backward (`autodiff`),
+a synthetic group-structured identity generator (`data`), binary
+persistence (`store`), the margin and distillation losses with their
+gradients (`losses`), the teacher/adaptor/student assemblies (`models`),
+the training engine (`training`), and verification-protocol scoring with
+fairness summaries (`evaluation`).
 `pipeline` wires them into reproducible staged experiments, exposed on the
 command line as `mstkd`.
 """
 
 __version__ = "0.1.0"
 
+from .autodiff import backward, forward
 from .data import (DataSplit, GroupTag, PairList, SampleSet,
                    SyntheticDatasetSpec, build_pairs, generate,
                    split_balanced, split_specialized)
@@ -21,7 +22,7 @@ from .evaluation import (FairnessReport, best_threshold_accuracy,
                          fairness_metrics, render_table, verification_accuracy)
 from .losses import EafConfig, elastic_arcface, kd_mse, student_loss
 from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
-                     TeacherModel, adaptor_forward, forward, fuse_inputs,
+                     TeacherModel, adaptor_forward, fuse_inputs,
                      new_adaptor, new_student, new_teacher,
                      trace_teacher_attribution)
 from .training import (OptimConfig, SgdMomentum, TrainLogRecord,

@@ -1,22 +1,22 @@
 """The two training objectives, ElasticArcFace and the embedding mimicry MSE,
 and the student objective that combines them.
 
-All losses return scalar `DiffTensor`s reduced by the batch mean; the
-angular-margin loss takes its cross-entropy through the log-sum-exp path for
-stability. It follows the elastic formulation: cosines are clamped,
-converted to angles, shifted by a per-sample margin drawn from
-Normal(m, sigma^2) (exactly m when sigma is 0), and mapped back through cos
-before scaling.
+Each loss takes plain arrays and returns its batch-mean value together with
+the gradient of that value with respect to its inputs; the angular-margin
+loss takes its cross-entropy through the log-sum-exp path for stability. It
+follows the elastic formulation: cosines are clamped, converted to angles,
+shifted by a per-sample margin drawn from Normal(m, sigma^2) (exactly m when
+sigma is 0), and mapped back through cos before scaling.
 
 `EafConfig` admits only finite `s`, `m` and `sigma`, so finite unit-norm
 embeddings always give finite logits; a non-finite embedding yields a
 non-finite loss, which the training loop's divergence rule stops on.
 
-`elastic_arcface` and `kd_mse` each record one tape node. Their backward
-passes repeat the float operations of the equivalent chain of autodiff
-primitives in the same order and on the same array layouts, so values and
-gradients are bit-identical to that chain. The chain, with the softmax
-cross-entropy it ends in, is the test oracle (`tests/tape_oracle.py`).
+The gradients repeat the float operations of the equivalent chain of
+reverse-mode primitives in the same order and on the same array layouts,
+so values and gradients are bit-identical to that chain. The chain, with
+the softmax cross-entropy it ends in, is the test oracle
+(`tests/tape_oracle.py`).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import DiffTensor
+from .autodiff import EPS_COS, EPS_NORM, PI
 from .errors import ContractError, DegenerateEmbeddingError, DimensionError
 
 UNIT_NORM_TOL = 1e-8
@@ -56,19 +55,21 @@ def _check_labels(labels: np.ndarray, n_classes: int, batch: int) -> np.ndarray:
     return labels
 
 
-def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
+def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
                     labels: np.ndarray, cfg: EafConfig,
-                    rng: Optional[np.random.Generator] = None) -> DiffTensor:
+                    rng: Optional[np.random.Generator] = None,
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
     """Angular-margin cross-entropy with a per-sample Gaussian margin.
 
     The target-class cosine is clamped, turned into an angle, shifted by a
     margin drawn from Normal(m, sigma^2) (fixed at m when sigma is 0), and
     mapped back; the shifted angle is clipped to [0, pi] so a larger margin
     can never make the target logit more favorable. All logits are scaled
-    by s before the cross-entropy.
+    by s before the cross-entropy. Returns the loss and its gradients with
+    respect to the embeddings and the class weights.
     """
     cfg.validate()
-    emb, w = embeddings.values, class_weights.values
+    w = class_weights
     if emb.ndim != 2 or w.ndim != 2:
         raise DimensionError("elastic_arcface expects 2-D embeddings and weights")
     if emb.shape[1] != w.shape[1]:
@@ -78,7 +79,6 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
         raise ContractError("embeddings must be unit-norm rows")
     batch = emb.shape[0]
     labels = _check_labels(labels, w.shape[0], batch)
-    tape = ad._same_tape(embeddings, class_weights)
 
     if cfg.sigma > 0.0:
         if rng is None:
@@ -89,12 +89,12 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
 
     # cosine logits against the row-normalized header
     w_norms = np.linalg.norm(w, axis=1, keepdims=True)
-    if np.any(w_norms <= ad.EPS_NORM):
+    if np.any(w_norms <= EPS_NORM):
         raise DegenerateEmbeddingError(
-            f"row norm at or below {ad.EPS_NORM}; cannot normalize")
+            f"row norm at or below {EPS_NORM}; cannot normalize")
     wn = w / w_norms
     wn_t = wn.T.copy()
-    lo, hi = -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS
+    lo, hi = -1.0 + EPS_COS, 1.0 - EPS_COS
     raw = emb @ wn_t
     cos_inside = (raw > lo) & (raw < hi)
     cosines = np.clip(raw, lo, hi)
@@ -102,8 +102,8 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     rows = np.arange(batch)
     target_cos = cosines[rows, labels]
     shifted = np.arccos(target_cos) + margins
-    angle_inside = (shifted > 0.0) & (shifted < ad.PI)
-    shifted = np.clip(shifted, 0.0, ad.PI)
+    angle_inside = (shifted > 0.0) & (shifted < PI)
+    shifted = np.clip(shifted, 0.0, PI)
     logits = cosines.copy()
     logits[rows, labels] = np.cos(shifted)
     logits *= float(cfg.s)
@@ -114,52 +114,53 @@ def elastic_arcface(embeddings: DiffTensor, class_weights: DiffTensor,
     per_row = (top + np.log(sums)).reshape(-1) - logits[rows, labels]
     softmax = expx / sums
 
-    def bwd(g: np.ndarray) -> None:
-        g_row = float(g) / batch
-        g_logits = np.zeros_like(logits)
-        g_logits[rows, labels] = -g_row
-        g_logits += softmax * g_row
-        g_logits *= float(cfg.s)
-        g_cos = -g_logits[rows, labels] * np.sin(shifted) * angle_inside
-        g_target = -g_cos / np.sqrt(1.0 - target_cos * target_cos)
-        g_logits[rows, labels] = 0.0
-        g_logits[rows, labels] += g_target
-        g_raw = g_logits * cos_inside
-        if embeddings.requires_grad:
-            ad._accumulate(embeddings, g_raw @ wn_t.T)
-        if class_weights.requires_grad:
-            g_wn = (emb.T @ g_raw).T.copy()
-            inner = np.sum(g_wn * wn, axis=1, keepdims=True)
-            ad._accumulate(class_weights, (g_wn - wn * inner) / w_norms)
-
-    return tape._emit(np.asarray(per_row.mean()), (embeddings, class_weights), bwd)
+    # the backward pass
+    g_row = 1.0 / batch
+    g_logits = np.zeros_like(logits)
+    g_logits[rows, labels] = -g_row
+    g_logits += softmax * g_row
+    g_logits *= float(cfg.s)
+    g_cos = -g_logits[rows, labels] * np.sin(shifted) * angle_inside
+    g_target = -g_cos / np.sqrt(1.0 - target_cos * target_cos)
+    g_logits[rows, labels] = 0.0
+    g_logits[rows, labels] += g_target
+    g_raw = g_logits * cos_inside
+    g_wn = (emb.T @ g_raw).T.copy()
+    inner = np.sum(g_wn * wn, axis=1, keepdims=True)
+    return (float(per_row.mean()), g_raw @ wn_t.T,
+            (g_wn - wn * inner) / w_norms)
 
 
-def kd_mse(target, student_emb: DiffTensor) -> DiffTensor:
+def kd_mse(target: np.ndarray, student_emb: np.ndarray,
+           weight: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean squared error between the mimicry target and the student embedding.
 
-    The target is treated as a constant: no gradient reaches whatever
-    produced it. Equals the batch mean of (1/D) * sum_d (target - emb)^2.
+    Equals the batch mean of (1/D) * sum_d (target - emb)^2. Returns the
+    loss and the gradient of `weight` times it with respect to the student
+    embedding; the target is a constant and gets none.
     """
-    values = target.values if isinstance(target, DiffTensor) else np.asarray(target)
-    if values.shape != student_emb.values.shape:
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != student_emb.shape:
         raise DimensionError(
-            f"kd_mse shapes differ: {values.shape} vs {student_emb.values.shape}")
-    diff = np.asarray(values, dtype=np.float64) - student_emb.values
+            f"kd_mse shapes differ: {target.shape} vs {student_emb.shape}")
+    diff = target - student_emb
     squares = diff * diff
-
-    def bwd(g: np.ndarray) -> None:
-        g_each = float(g) / squares.size
-        g_diff = g_each * diff
-        g_diff += g_each * diff   # d(diff * diff): one term per factor
-        ad._accumulate(student_emb, -g_diff)
-
-    return student_emb.tape._emit(np.asarray(squares.mean()), (student_emb,), bwd)
+    g_each = float(weight) / squares.size
+    g_diff = g_each * diff
+    g_diff += g_each * diff   # d(diff * diff): one term per factor
+    return float(squares.mean()), -g_diff
 
 
-def student_loss(classification: Optional[DiffTensor], kd: DiffTensor,
-                 lam: float) -> DiffTensor:
+def student_loss(eaf: Optional[tuple[float, np.ndarray]],
+                 kd: tuple[float, np.ndarray],
+                 lam: float) -> tuple[float, np.ndarray]:
     """Combined student objective: classification + lam*kd (eaf_kd), or
-    lam*kd alone when no classification term is given (a_kd)."""
-    weighted = ad.scale(kd, lam)
-    return weighted if classification is None else ad.add(classification, weighted)
+    lam*kd alone when no classification term is given (a_kd).
+
+    `eaf` is the (loss, embedding gradient) of `elastic_arcface` and `kd`
+    that of `kd_mse` at weight `lam`. Returns the objective and its gradient
+    at the embedding, the classification gradient plus the mimicry one."""
+    weighted = kd[0] * float(lam)
+    if eaf is None:
+        return weighted, kd[1]
+    return eaf[0] + weighted, eaf[1] + kd[1]

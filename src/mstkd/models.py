@@ -5,10 +5,10 @@ affine output is L2-normalized onto the unit hypersphere. Classification
 headers are bias-free weight matrices whose rows are normalized at use time,
 so header logits are cosine similarities in [-1, 1].
 
-Parameters live in plain float64 arrays keyed by dotted names. Inference
-is plain numpy (`forward`); only training records its forward pass onto a
-tape (`backbone_graph`, `adaptor_graph`), and both give bit-identical
-values.
+Parameters live in plain float64 arrays keyed by dotted names. Every
+network is one `autodiff` layer stack: inference runs its `forward`, and
+training runs the same `forward` keeping what its hand-written `backward`
+needs.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from . import store
-from .autodiff import DiffTensor, Tape
+from .autodiff import forward
 from .data import GroupTag, SampleSet
-from .errors import (ConfigError, ContractError, DegenerateEmbeddingError,
-                     DimensionError, FormatError, UnsupportedKindError)
+from .errors import ConfigError, ContractError, FormatError, UnsupportedKindError
 
 ADAPTOR_KINDS = ("SL", "DuL", "DLDPO")
 DROPOUT_P = 0.2
@@ -46,6 +44,8 @@ class BackboneConfig:
             raise ConfigError("backbone needs at least one hidden layer")
         if min((self.input_dim,) + tuple(self.hidden)) < 1:
             raise ConfigError("layer sizes must be positive")
+        if not 0.0 <= self.slope < 1.0:
+            raise ConfigError(f"backbone slope must lie in [0, 1), got {self.slope}")
 
 
 @dataclass
@@ -147,70 +147,6 @@ def new_student(cfg: BackboneConfig, mode: str,
     return StudentModel(cfg, mode, params, class_ids)
 
 
-def param_tensors(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, DiffTensor]:
-    return {name: tape.param(arr) for name, arr in params.items()}
-
-
-def backbone_graph(tape: Tape, ptens: dict[str, DiffTensor], cfg: BackboneConfig,
-                   x_values: np.ndarray, prefix: str = "backbone") -> DiffTensor:
-    """Record the backbone forward pass; returns the unit-norm embedding."""
-    if x_values.ndim != 2 or x_values.shape[1] != cfg.input_dim:
-        raise DimensionError(
-            f"batch width {x_values.shape} does not match input_dim {cfg.input_dim}")
-    h = tape.constant(x_values)
-    n_layers = len(cfg.hidden) + 1
-    for i in range(n_layers):
-        h = ad.affine(h, ptens[f"{prefix}.{i}.W"], ptens[f"{prefix}.{i}.b"])
-        if i < n_layers - 1:
-            h = ad.leaky_relu(h, cfg.slope)
-    return ad.l2_normalize(h)
-
-
-def adaptor_graph(tape: Tape, ptens: dict[str, DiffTensor], a: AdaptorModel,
-                  fused_values: np.ndarray,
-                  rng: Optional[np.random.Generator] = None) -> DiffTensor:
-    """Record the adaptor's training forward pass; returns the unit-norm
-    fused embedding. DLDPO applies dropout before the activation."""
-    if fused_values.ndim != 2 or fused_values.shape[1] != a.input_dim:
-        raise DimensionError(
-            f"fused width {fused_values.shape} does not match {a.input_dim}")
-    h = ad.affine(tape.constant(fused_values), ptens["adaptor.0.W"],
-                  ptens["adaptor.0.b"])
-    if a.kind in ("DuL", "DLDPO"):
-        if a.kind == "DLDPO":
-            h = ad.dropout(h, a.dropout_p, rng)
-        h = ad.leaky_relu(h, a.slope)
-        h = ad.affine(h, ptens["adaptor.1.W"], ptens["adaptor.1.b"])
-    return ad.l2_normalize(h)
-
-
-def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
-            x: np.ndarray) -> np.ndarray:
-    """Inference in plain numpy: the `prefix.{i}` affine layers with leaky-relu
-    between them, each row scaled to unit length. Bit-identical to the values
-    `backbone_graph` and `adaptor_graph` (without dropout) record; each layer
-    works in place on its one output array."""
-    x = np.asarray(x, dtype=np.float64)
-    width = params[f"{prefix}.0.W"].shape[0]
-    if x.ndim != 2 or x.shape[1] != width:
-        raise DimensionError(
-            f"batch width {x.shape} does not match input width {width}")
-    h = x @ params[f"{prefix}.0.W"]
-    h += params[f"{prefix}.0.b"]
-    i = 1
-    while f"{prefix}.{i}.W" in params:
-        np.multiply(h, slope, out=h, where=h < 0.0)
-        h = h @ params[f"{prefix}.{i}.W"]
-        h += params[f"{prefix}.{i}.b"]
-        i += 1
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if np.any(norms <= ad.EPS_NORM):
-        raise DegenerateEmbeddingError(
-            f"row norm at or below {ad.EPS_NORM}; cannot normalize")
-    h /= norms
-    return h
-
-
 def adaptor_forward(a: AdaptorModel, fused: np.ndarray) -> np.ndarray:
     """Frozen adaptor: the unit-norm fused embedding of each row."""
     return forward(a.params, "adaptor", a.slope, fused)
@@ -306,6 +242,10 @@ def _is_float(v) -> bool:
     return type(v) is float or _is_int(v)
 
 
+def _is_fraction(v) -> bool:   # a slope or a dropout probability
+    return _is_float(v) and 0 <= v < 1
+
+
 def _is_str(v) -> bool:
     return type(v) is str
 
@@ -315,11 +255,12 @@ def _is_ids(v) -> bool:
 
 
 _BACKBONE_META = {"input_dim": _is_int, "hidden": _is_ids,
-                  "embedding_dim": _is_int, "slope": _is_float}
+                  "embedding_dim": _is_int, "slope": _is_fraction}
 _TEACHER_META = {"backbone": _BACKBONE_META, "group_index": _is_int,
                  "group_name": _is_str, "class_ids": _is_ids, "best_epoch": _is_int}
 _ADAPTOR_META = {"adaptor_kind": _is_str, "n_teachers": _is_int, "emb_dim": _is_int,
-                 "slope": _is_float, "dropout_p": _is_float, "best_epoch": _is_int}
+                 "slope": _is_fraction, "dropout_p": _is_fraction,
+                 "best_epoch": _is_int}
 _STUDENT_META = {"backbone": _BACKBONE_META, "mode": _is_str,
                  "class_ids": lambda v: v is None or _is_ids(v)}
 

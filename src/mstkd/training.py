@@ -8,11 +8,13 @@ frozen-teacher embeddings with their own disposable classification header
 and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
 (optionally plus classification), and keep the final epoch. All three share
-one loop, the only code that records a tape; frozen networks run in plain
-numpy. The loop has one divergence rule: the first non-finite loss or
-gradient stops training with `DivergenceError` (exit 4); no batch is ever
-skipped. All shuffling, margins, and dropout draw from generators derived
-from the configured seeds, so a full run is bit-reproducible.
+one loop; each step runs its network's `autodiff.forward` keeping what the
+hand-written `autodiff.backward` needs, and frozen networks run the same
+forward keeping nothing. The loop has one divergence rule: the first
+non-finite loss or gradient stops training with `DivergenceError` (exit 4);
+no batch is ever skipped. All shuffling, margins, and dropout draw from
+generators derived from the configured seeds, so a full run is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses, models, store
-from .autodiff import Tape
+from .autodiff import backward, forward
 from .data import GroupTag, PairList, SampleSet
 from .errors import ConfigError, ContractError, DivergenceError
 from .evaluation import verification_accuracy
@@ -75,6 +77,8 @@ def scale_phase(lr0: float, epochs: int, decay_epochs: tuple[int, ...],
     """
     if scale <= 0:
         raise ConfigError("schedule scale must be > 0")
+    if not math.isfinite(epochs * scale):
+        raise ConfigError(f"schedule scale {scale} overflows the epoch count")
     new_epochs = max(1, math.floor(epochs * scale))
     scaled = []
     prev = 0
@@ -152,16 +156,14 @@ def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
             shuffle_rng: np.random.Generator, step):
-    """The one training loop, and the only code that records a tape.
+    """The one training loop.
 
-    `step(tape, ptens, batch)` records one batch's `(total, terms)`: the loss
-    to minimize and a dict of scalar terms to log. The first non-finite loss
-    raises `DivergenceError` naming its epoch and batch (both 1-based); a
-    non-finite gradient raises in `sgd_step`. Yields `(epoch, lr, t0, means)`
-    per epoch, `means` holding the batch mean of `loss` and of each term.
-    Each step's tape is emptied once the step is done, which breaks the
-    tensor <-> tape reference cycle, so its arrays are freed right away
-    rather than by the cyclic garbage collector.
+    `step(params, batch)` returns one batch's `(loss, terms, grads)`: the
+    loss to minimize, a dict of scalar terms to log and the loss gradient of
+    every parameter. The first non-finite loss raises `DivergenceError`
+    naming its epoch and batch (both 1-based); a non-finite gradient raises
+    in `sgd_step`. Yields `(epoch, lr, t0, means)` per epoch, `means`
+    holding the batch mean of `loss` and of each term.
     """
     if n < 1:
         raise ContractError("training needs at least one sample")
@@ -172,23 +174,31 @@ def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
         logged: dict[str, list[float]] = {}
         batches = epoch_batches(n, optim.batch_size, shuffle_rng)
         for i, batch in enumerate(batches, 1):
-            tape = Tape()
-            ptens = models.param_tensors(tape, params)
-            total, terms = step(tape, ptens, batch)
-            loss = float(total.values)
+            loss, terms, grads = step(params, batch)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss ({loss}) at epoch {epoch}, batch {i}")
-            row = {"loss": loss, **{k: float(t.values) for k, t in terms.items()}}
-            for key, value in row.items():
+            for key, value in {"loss": loss, **terms}.items():
                 logged.setdefault(key, []).append(value)
-            tape.backward(total)
-            opt.step({name: t.grad if t.grad is not None else np.zeros_like(t.values)
-                      for name, t in ptens.items()}, lr)
-            tape.nodes.clear()
-            tape.tensors.clear()
-            del tape, ptens, total, terms
+            opt.step(grads, lr)
         yield epoch, lr, t0, {key: float(np.mean(v)) for key, v in logged.items()}
+
+
+def _margin_step(prefix: str, slope: float, inputs: np.ndarray,
+                 labels: np.ndarray, eaf_cfg: EafConfig,
+                 margin_rng: np.random.Generator, dropout_p: float = 0.0,
+                 dropout_rng: Optional[np.random.Generator] = None):
+    """The training step of a `prefix` stack under the angular-margin loss
+    against the classification header `header.W`."""
+    def step(params, batch):
+        emb, saved = forward(params, prefix, slope, inputs[batch], True,
+                             dropout_p, dropout_rng)
+        loss, g_emb, g_header = losses.elastic_arcface(
+            emb, params["header.W"], labels[batch], eaf_cfg, rng=margin_rng)
+        grads = backward(params, prefix, saved, g_emb)
+        grads["header.W"] = g_header
+        return loss, {}, grads
+    return step
 
 
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
@@ -204,11 +214,8 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
     own_pairs = val_pairs.of_group(group.index)
 
-    def step(tape, ptens, batch):
-        emb = models.backbone_graph(tape, ptens, backbone_cfg, subset.values[batch])
-        return losses.elastic_arcface(emb, ptens["header.W"], local_labels[batch],
-                                      eaf_cfg, rng=margin_rng), {}
-
+    step = _margin_step("backbone", backbone_cfg.slope, subset.values,
+                        local_labels, eaf_cfg, margin_rng)
     best_acc, best_epoch, best_params = -np.inf, 0, None
     records = []
     for epoch, lr, t0, means in _epochs(model.params, optim, subset.n,
@@ -256,11 +263,10 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     header = {"header.W": models.init_header(header_rng, len(class_ids), emb_dim)}
     shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
 
-    def step(tape, ptens, batch):
-        e_mt = models.adaptor_graph(tape, ptens, model, fused[batch], rng=dropout_rng)
-        return losses.elastic_arcface(e_mt, ptens["header.W"], local_labels[batch],
-                                      eaf_cfg, rng=margin_rng), {}
-
+    # DLDPO drops before the activation; the other kinds never drop
+    dropout_p = model.dropout_p if kind == "DLDPO" else 0.0
+    step = _margin_step("adaptor", model.slope, fused, local_labels, eaf_cfg,
+                        margin_rng, dropout_p, dropout_rng)
     best_loss, best_epoch, best_params = np.inf, 0, None
     records = []
     for epoch, lr, t0, means in _epochs({**model.params, **header}, optim,
@@ -313,14 +319,20 @@ def train_student(mode: str, adaptor: AdaptorModel,
         model = models.new_student(backbone_cfg, mode, None, init_seed)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
 
-    def step(tape, ptens, batch):
-        emb = models.backbone_graph(tape, ptens, backbone_cfg, dataset.values[batch])
-        terms = {"kd": losses.kd_mse(targets[batch], emb)}
+    slope = backbone_cfg.slope
+
+    def step(params, batch):
+        emb, saved = forward(params, "backbone", slope, dataset.values[batch], True)
+        kd = losses.kd_mse(targets[batch], emb, lam)
+        terms, grads, eaf = {"kd": kd[0]}, {}, None
         if mode == "eaf_kd":
-            terms["eaf"] = losses.elastic_arcface(emb, ptens["header.W"],
-                                                  local_labels[batch], eaf_cfg,
-                                                  rng=margin_rng)
-        return losses.student_loss(terms.get("eaf"), terms["kd"], lam), terms
+            value, g_emb, grads["header.W"] = losses.elastic_arcface(
+                emb, params["header.W"], local_labels[batch], eaf_cfg,
+                rng=margin_rng)
+            terms["eaf"], eaf = value, (value, g_emb)
+        loss, g_emb = losses.student_loss(eaf, kd, lam)
+        grads.update(backward(params, "backbone", saved, g_emb))
+        return loss, terms, grads
 
     records = []
     for epoch, lr, t0, means in _epochs(model.params, optim, dataset.n,

@@ -22,6 +22,7 @@ from gradcheck import assert_grads_close, numeric_grad
 from reference_rows import ALL_TABLES
 import tape_oracle as oracle
 from test_evaluation import brute_force_best_accuracy
+from test_losses import through_unit_rows
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -119,19 +120,13 @@ def _check_loss_instance(rng, builder):
         eaf, kd = numpy_loss(raw, w)
         return builder["combine_np"](eaf, kd, raw, w)
 
-    tape = ad.Tape()
-    raw = tape.param(raw0.copy())
-    w = tape.param(w0.copy())
-    emb = ad.l2_normalize(raw)
-    eaf = losses.elastic_arcface(emb, w, labels, EafConfig(sigma=0.0))
-    kd = losses.kd_mse(target, emb)
-    tape.backward(builder["combine_ad"](eaf, kd, raw, w))
+    _, g_raw, w_grad = through_unit_rows(
+        raw0.copy(), lambda emb: builder["combine"](emb, w0, labels, target))
     # the s=64 scale gives the margin loss third derivatives ~1e6, so the
     # difference step must sit at the truncation/roundoff optimum
     numeric = numeric_grad(f, [raw0.copy(), w0.copy()], h=3e-7)
-    assert_grads_close(raw.grad, numeric[0])
-    # kd-only objectives leave w untouched: its grad stays None (zero)
-    w_grad = w.grad if w.grad is not None else np.zeros_like(w0)
+    assert_grads_close(g_raw, numeric[0])
+    # kd-only objectives leave w untouched: its gradient is zero
     assert_grads_close(w_grad, numeric[1])
 
 
@@ -150,7 +145,7 @@ def test_criterion_2_gradients_match_finite_differences():
             p /= p.sum(axis=1, keepdims=True)
             return float(np.mean(-np.log(p[np.arange(3), labels])))
 
-        tape = ad.Tape()
+        tape = oracle.Tape()
         logits = tape.param(logits0.copy())
         tape.backward(oracle.softmax_ce(logits, labels))
         assert_grads_close(logits.grad, numeric_grad(f, [logits0.copy()])[0])
@@ -160,15 +155,28 @@ def test_criterion_2_gradients_match_finite_differences():
     # combined check runs at lambda=10 because at 10000 the kd term's value
     # (w-independent) swamps FD differences for the header weights, and the
     # production lambda is covered by the exact linearity check below
+    # each "combine" gives (value, gradient at emb, gradient at w)
+    def eaf(emb, w, labels, target=None):
+        return losses.elastic_arcface(emb, w, labels, EafConfig(sigma=0.0))
+
+    def kd(emb, w, labels, target):
+        return (*losses.kd_mse(target, emb), np.zeros_like(w))
+
+    def combined(emb, w, labels, target):
+        value, g_emb, g_w = eaf(emb, w, labels)
+        return (*losses.student_loss((value, g_emb),
+                                     losses.kd_mse(target, emb, 10.0), 10.0), g_w)
+
+    def kd_only(emb, w, labels, target):
+        return (*losses.student_loss(None, losses.kd_mse(target, emb, 10.0), 10.0),
+                np.zeros_like(w))
+
     combos = {
-        "eaf": {"combine_ad": lambda e, k, *_: e,
-                "combine_np": lambda e, k, *_: e},
-        "kd": {"combine_ad": lambda e, k, *_: k,
-               "combine_np": lambda e, k, *_: k},
-        "combined": {"combine_ad": lambda e, k, *_: losses.student_loss(e, k, 10.0),
+        "eaf": {"combine": eaf, "combine_np": lambda e, k, *_: e},
+        "kd": {"combine": kd, "combine_np": lambda e, k, *_: k},
+        "combined": {"combine": combined,
                      "combine_np": lambda e, k, *_: e + 10.0 * k},
-        "kd_only": {"combine_ad": lambda e, k, *_: losses.student_loss(None, k, 10.0),
-                    "combine_np": lambda e, k, *_: 10.0 * k},
+        "kd_only": {"combine": kd_only, "combine_np": lambda e, k, *_: 10.0 * k},
     }
     for builder in combos.values():
         for _ in range(100):
@@ -185,17 +193,15 @@ def test_criterion_2_gradients_match_finite_differences():
         target /= np.linalg.norm(target, axis=1, keepdims=True)
 
         def run(which):
-            tape = ad.Tape()
-            raw = tape.param(raw0.copy())
-            w = tape.param(w0.copy())
-            emb = ad.l2_normalize(raw)
-            eaf = losses.elastic_arcface(emb, w, labels, EafConfig(sigma=0.0))
-            kd = losses.kd_mse(target, emb)
-            losses_by_name = {
-                "eaf": eaf, "kd": kd,
-                "combined": losses.student_loss(eaf, kd, 10000.0)}
-            tape.backward(losses_by_name[which])
-            return raw.grad.copy()
+            def objective(emb):
+                if which == "kd":
+                    return losses.kd_mse(target, emb)
+                value, g_emb, _ = eaf(emb, w0, labels)
+                if which == "eaf":
+                    return value, g_emb
+                return losses.student_loss(
+                    (value, g_emb), losses.kd_mse(target, emb, 10000.0), 10000.0)
+            return through_unit_rows(raw0.copy(), objective)[1]
 
         assert np.all(np.abs(run("combined") - (run("eaf") + 10000.0 * run("kd")))
                       < 1e-10)
@@ -229,13 +235,11 @@ def test_criterion_2_gradients_match_finite_differences():
             h /= np.linalg.norm(h, axis=1, keepdims=True)
             return float(np.sum(h * proj))
 
-        tape = ad.Tape()
-        ptens = models.param_tensors(tape, t.params)
-        emb = models.backbone_graph(tape, ptens, cfg, x)
-        tape.backward(oracle.sum_all(oracle.mul(emb, tape.constant(proj))))
+        _, saved = ad.forward(t.params, "backbone", cfg.slope, x, train=True)
+        grads = ad.backward(t.params, "backbone", saved, proj.copy())
         numeric = numeric_grad(f, [a.copy() for a in arrays])
         for name, n in zip(names, numeric):
-            assert_grads_close(ptens[name].grad, n)
+            assert_grads_close(grads[name], n)
         count += 1
 
     for kind in models.ADAPTOR_KINDS:
@@ -266,14 +270,13 @@ def test_criterion_2_gradients_match_finite_differences():
                 h = h / np.linalg.norm(h, axis=1, keepdims=True)
                 return float(np.sum(h * proj))
 
-            tape = ad.Tape()
-            ptens = models.param_tensors(tape, a.params)
-            out = models.adaptor_graph(tape, ptens, a, fused,
-                                       rng=np.random.default_rng(drop_seed))
-            tape.backward(oracle.sum_all(oracle.mul(out, tape.constant(proj))))
+            _, saved = ad.forward(a.params, "adaptor", a.slope, fused, train=True,
+                                  dropout_p=a.dropout_p if kind == "DLDPO" else 0.0,
+                                  rng=np.random.default_rng(drop_seed))
+            grads = ad.backward(a.params, "adaptor", saved, proj.copy())
             numeric = numeric_grad(f, [arr.copy() for arr in arrays])
             for name, n in zip(names, numeric):
-                assert_grads_close(ptens[name].grad, n)
+                assert_grads_close(grads[name], n)
             count += 1
 
     elapsed = time.perf_counter() - t0
@@ -299,12 +302,11 @@ def test_criterion_3_loss_reductions():
             if np.abs(emb @ wn.T).max() < 1.0 - 1e-5:
                 break  # keep cosines clear of the clamp epsilon
         labels = rng.integers(0, c, size=b)
-        tape = ad.Tape()
-        eaf = losses.elastic_arcface(tape.param(emb), tape.param(w), labels,
-                                     EafConfig(m=0.0, sigma=0.0))
-        tape2 = ad.Tape()
-        plain = oracle.softmax_ce(ad.scale(tape2.param(emb @ wn.T), 64.0), labels)
-        worst_eaf = max(worst_eaf, abs(float(eaf.values) - float(plain.values)))
+        eaf, _, _ = losses.elastic_arcface(emb, w, labels,
+                                           EafConfig(m=0.0, sigma=0.0))
+        tape = oracle.Tape()
+        plain = oracle.softmax_ce(oracle.scale(tape.param(emb @ wn.T), 64.0), labels)
+        worst_eaf = max(worst_eaf, abs(eaf - float(plain.values)))
     assert worst_eaf < 1e-12
 
     worst_kd = 0.0
@@ -312,8 +314,7 @@ def test_criterion_3_loss_reductions():
         b, d = rng.integers(1, 6), rng.integers(1, 16)
         t = rng.normal(size=(b, d))
         s = rng.normal(size=(b, d))
-        tape = ad.Tape()
-        got = float(losses.kd_mse(t, tape.param(s)).values)
+        got, _ = losses.kd_mse(t, s)
         naive = 0.0
         for i in range(b):
             row = 0.0

@@ -1,7 +1,9 @@
+"""The primitive tape of `tape_oracle` against finite differences and its
+own invariants: the oracle the hand-written backward passes are held to."""
+
 import numpy as np
 import pytest
 
-from mstkd import autodiff as ad
 from mstkd.errors import ContractError, DegenerateEmbeddingError, DimensionError
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -9,7 +11,7 @@ import tape_oracle as oracle
 
 
 def test_matmul_identity():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([[1.0, 2.0], [3.0, 4.0]]))
     eye = tape.constant(np.eye(2))
     out = oracle.matmul(eye, x)
@@ -17,7 +19,7 @@ def test_matmul_identity():
 
 
 def test_matmul_hand_case():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     a = tape.param(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = tape.param(np.array([[1.0], [1.0]]))
     out = oracle.matmul(a, b)
@@ -25,7 +27,7 @@ def test_matmul_hand_case():
 
 
 def test_matmul_shape_mismatch():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     a = tape.param(np.zeros((2, 3)))
     b = tape.param(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
@@ -41,7 +43,7 @@ def test_matmul_gradient_matches_finite_differences():
     def f(a, b):
         return float(np.sum((a @ b) * c0))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     a = tape.param(a0)
     b = tape.param(b0)
     loss = oracle.sum_all(oracle.mul(oracle.matmul(a, b), tape.constant(c0)))
@@ -52,19 +54,19 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_l2_normalize_rows():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([[3.0, 4.0], [0.6, 0.8]]))
-    out = ad.l2_normalize(x)
+    out = oracle.l2_normalize(x)
     assert np.allclose(out.values[0], [0.6, 0.8])
     assert np.allclose(out.values[1], [0.6, 0.8])  # already unit: unchanged
     assert np.all(np.abs(np.linalg.norm(out.values, axis=1) - 1.0) < 1e-10)
 
 
 def test_l2_normalize_degenerate_row():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([[0.0, 0.0]]))
     with pytest.raises(DegenerateEmbeddingError):
-        ad.l2_normalize(x)
+        oracle.l2_normalize(x)
 
 
 def test_l2_normalize_gradient():
@@ -76,20 +78,20 @@ def test_l2_normalize_gradient():
         y = x / np.linalg.norm(x, axis=1, keepdims=True)
         return float(np.sum(y * w))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
-    loss = oracle.sum_all(oracle.mul(ad.l2_normalize(x), tape.constant(w)))
+    loss = oracle.sum_all(oracle.mul(oracle.l2_normalize(x), tape.constant(w)))
     tape.backward(loss)
     (nx,) = numeric_grad(f, [x0.copy()])
     assert_grads_close(x.grad, nx, rel_tol=1e-6)
 
 
 def test_leaky_relu_values():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([-1.0, 0.0, 2.0]))
-    out = ad.leaky_relu(x, 0.01)
+    out = oracle.leaky_relu(x, 0.01)
     assert np.allclose(out.values, [-0.01, 0.0, 2.0])
-    relu = ad.leaky_relu(x, 0.0)
+    relu = oracle.leaky_relu(x, 0.0)
     assert np.allclose(relu.values, [0.0, 0.0, 2.0])
 
 
@@ -102,39 +104,39 @@ def test_leaky_relu_gradient_away_from_kink():
     def f(x):
         return float(np.sum(np.where(x >= 0, x, 0.01 * x) * w))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
-    loss = oracle.sum_all(oracle.mul(ad.leaky_relu(x, 0.01), tape.constant(w)))
+    loss = oracle.sum_all(oracle.mul(oracle.leaky_relu(x, 0.01), tape.constant(w)))
     tape.backward(loss)
     (nx,) = numeric_grad(f, [x0.copy()])
     assert_grads_close(x.grad, nx, rel_tol=1e-6)
 
 
 def test_dropout_identity_cases():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(ad.dropout(x, 0.0, np.random.default_rng(0)).values,
+    assert np.array_equal(oracle.dropout(x, 0.0, np.random.default_rng(0)).values,
                           x.values)
 
 
 def test_dropout_mean_preserved():
     rng = np.random.default_rng(3)
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.full((100_000,), 1.0))
-    out = ad.dropout(x, 0.2, rng)
+    out = oracle.dropout(x, 0.2, rng)
     assert abs(out.values.mean() - 1.0) < 0.02
 
 
 def test_dropout_deterministic_given_seed():
-    tape1, tape2 = ad.Tape(), ad.Tape()
+    tape1, tape2 = oracle.Tape(), oracle.Tape()
     vals = np.random.default_rng(9).normal(size=(50, 20))
-    a = ad.dropout(tape1.param(vals.copy()), 0.3, np.random.default_rng(7))
-    b = ad.dropout(tape2.param(vals.copy()), 0.3, np.random.default_rng(7))
+    a = oracle.dropout(tape1.param(vals.copy()), 0.3, np.random.default_rng(7))
+    b = oracle.dropout(tape2.param(vals.copy()), 0.3, np.random.default_rng(7))
     assert np.array_equal(a.values, b.values)
 
 
 def test_backward_sum_gives_ones():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([1.0, 2.0, 3.0]))
     loss = oracle.sum_all(x)
     tape.backward(loss)
@@ -143,7 +145,7 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_square_gives_two_x():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([1.5, -2.0]))
     loss = oracle.sum_all(oracle.mul(x, x))
     tape.backward(loss)
@@ -151,7 +153,7 @@ def test_backward_square_gives_two_x():
 
 
 def test_backward_requires_scalar():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.ones((2, 2)))
     with pytest.raises(ContractError):
         tape.backward(oracle.mul(x, x))
@@ -163,24 +165,24 @@ def test_backward_linearity():
     a_coef, b_coef = 2.5, -1.25
 
     def grads(combined):
-        tape = ad.Tape()
+        tape = oracle.Tape()
         x = tape.param(x0.copy())
         l1 = oracle.mean_all(oracle.mul(x, x))
-        l2 = oracle.sum_all(ad.leaky_relu(x, 0.01))
+        l2 = oracle.sum_all(oracle.leaky_relu(x, 0.01))
         if combined:
-            loss = ad.add(ad.scale(l1, a_coef), ad.scale(l2, b_coef))
+            loss = oracle.add(oracle.scale(l1, a_coef), oracle.scale(l2, b_coef))
         else:
             return l1, l2, tape, x
         tape.backward(loss)
         return x.grad
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0.copy())
     tape.backward(oracle.mean_all(oracle.mul(x, x)))
     g1 = x.grad.copy()
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0.copy())
-    tape.backward(oracle.sum_all(ad.leaky_relu(x, 0.01)))
+    tape.backward(oracle.sum_all(oracle.leaky_relu(x, 0.01)))
     g2 = x.grad.copy()
 
     assert np.all(np.abs(grads(True) - (a_coef * g1 + b_coef * g2)) < 1e-10)
@@ -190,9 +192,9 @@ def test_replay_is_bit_identical():
     vals = np.random.default_rng(5).normal(size=(8, 4))
 
     def run():
-        tape = ad.Tape()
+        tape = oracle.Tape()
         x = tape.param(vals.copy())
-        h = ad.dropout(ad.leaky_relu(x, 0.01), 0.2, np.random.default_rng(11))
+        h = oracle.dropout(oracle.leaky_relu(x, 0.01), 0.2, np.random.default_rng(11))
         loss = oracle.mean_all(oracle.mul(h, h))
         tape.backward(loss)
         return loss.values.copy(), x.grad.copy()
@@ -212,7 +214,7 @@ def test_bias_add_gradient():
     def f(x, b):
         return float(np.sum((x + b) * w))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
     b = tape.param(b0)
     loss = oracle.sum_all(oracle.mul(oracle.bias_add(x, b), tape.constant(w)))
@@ -232,7 +234,7 @@ def test_logsumexp_pick_scatter_gradients():
         lse = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).reshape(-1)
         return float(np.mean(lse - x[np.arange(5), idx]))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
     loss = oracle.mean_all(oracle.sub(oracle.logsumexp_rows(x), oracle.pick(x, idx)))
     tape.backward(loss)
@@ -252,7 +254,7 @@ def test_scatter_replace_values_and_grads():
         y[np.arange(3), idx] = v
         return float(np.sum(y * w))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
     v = tape.param(v0)
     out = oracle.scatter_replace(x, idx, v)
@@ -272,24 +274,24 @@ def test_cos_arccos_clamp_gradients():
     def f(x):
         return float(np.sum(np.cos(np.arccos(np.clip(x, -0.999, 0.999)) + 0.4)))
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(x0)
     theta = oracle.arccos(oracle.clamp(x, -0.999, 0.999))
-    loss = oracle.sum_all(oracle.cos(ad.add(theta, tape.constant(np.full(6, 0.4)))))
+    loss = oracle.sum_all(oracle.cos(oracle.add(theta, tape.constant(np.full(6, 0.4)))))
     tape.backward(loss)
     (nx,) = numeric_grad(f, [x0.copy()])
     assert_grads_close(x.grad, nx)
 
 
 def test_arccos_rejects_out_of_domain():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.array([1.5]))
     with pytest.raises(ContractError):
         oracle.arccos(x)
 
 
 def test_constant_leaves_receive_no_grad():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.ones(3))
     c = tape.constant(np.ones(3))
     tape.backward(oracle.sum_all(oracle.mul(x, c)))
@@ -315,12 +317,12 @@ def test_random_op_compositions_match_finite_differences():
             lse = (m_ + np.log(np.exp(y - m_).sum(axis=1, keepdims=True))).reshape(-1)
             return float(np.mean(lse))
 
-        tape = ad.Tape()
+        tape = oracle.Tape()
         x = tape.param(x0.copy())
         w = tape.param(w0.copy())
         b = tape.param(b0.copy())
-        h = ad.leaky_relu(ad.affine(x, w, b), 0.01)
-        loss = oracle.mean_all(oracle.logsumexp_rows(ad.l2_normalize(h)))
+        h = oracle.leaky_relu(oracle.affine(x, w, b), 0.01)
+        loss = oracle.mean_all(oracle.logsumexp_rows(oracle.l2_normalize(h)))
         tape.backward(loss)
         nx, nw, nb = numeric_grad(f, [x0.copy(), w0.copy(), b0.copy()])
         assert_grads_close(x.grad, nx)
@@ -329,7 +331,7 @@ def test_random_op_compositions_match_finite_differences():
 
 
 def test_tape_nodes_are_topologically_ordered():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     x = tape.param(np.ones((2, 2)))
     c = tape.constant(np.ones((2, 2)))
     y = oracle.mul(x, c)

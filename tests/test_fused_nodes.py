@@ -1,44 +1,26 @@
-"""The one-node `affine`, `elastic_arcface` and `kd_mse` against the chains of
-autodiff primitives they replace.
+"""The hand-written backward passes against the primitive tape they replace.
 
-The chains below are the oracle: each is the loss or layer written with the
-primitives of `tape_oracle` (and the production `add`, `scale` and
-`l2_normalize`), one tape node per operation. The fused nodes must give the same
-value and the same gradient for every input, bit for bit.
+The tape of `tape_oracle` records each layer and loss one primitive per
+node. The production layer stack (`autodiff.forward`, `autodiff.backward`)
+and the array losses (`losses.elastic_arcface`, `losses.kd_mse`,
+`losses.student_loss`) must give the same values and the same gradients
+for every input, bit for bit, and so must every step of a seeded training
+run.
 """
 
 import numpy as np
 import pytest
 
 from mstkd import autodiff as ad
-from mstkd import losses
-from mstkd.errors import ContractError, DegenerateEmbeddingError
+from mstkd import data, losses, models, training
+from mstkd.errors import ContractError, DegenerateEmbeddingError, DimensionError
 from mstkd.losses import EafConfig
 
 import tape_oracle as oracle
 
 
-def chain_affine(x, w, b):
-    return oracle.bias_add(oracle.matmul(x, w), b)
-
-
-def chain_elastic_arcface(emb, w, labels, cfg, margins):
-    tape = emb.tape
-    cosines = oracle.clamp(oracle.matmul(emb, oracle.transpose(ad.l2_normalize(w))),
-                           -1.0 + ad.EPS_COS, 1.0 - ad.EPS_COS)
-    theta = oracle.arccos(oracle.pick(cosines, labels))
-    shifted = oracle.clamp(ad.add(theta, tape.constant(margins)), 0.0, ad.PI)
-    logits = oracle.scatter_replace(cosines, labels, oracle.cos(shifted))
-    return oracle.softmax_ce(ad.scale(logits, cfg.s), labels)
-
-
-def chain_kd_mse(target, emb):
-    values = target.values if isinstance(target, ad.DiffTensor) else target
-    diff = oracle.sub(emb.tape.constant(values), emb)
-    return oracle.mean_all(oracle.mul(diff, diff))
-
-
 def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
@@ -60,55 +42,57 @@ def edge_case_batch(rng, n=12, d=6, k=9):
     return emb, w, labels
 
 
-def run_both(build_fused, build_chain, arrays, grad_mask):
-    """Record each side on its own tape and return (values, grads) pairs."""
-    out = []
-    for build in (build_fused, build_chain):
-        tape = ad.Tape()
-        leaves = [tape.param(a.copy()) if g else tape.constant(a.copy())
-                  for a, g in zip(arrays, grad_mask)]
-        loss = build(tape, *leaves)
-        tape.backward(loss)
-        out.append((loss.values, [t.grad for t in leaves]))
-    return out
+def on_tape(build, arrays, grad_mask):
+    """Record `build(tape, *leaves)` on a fresh tape and run its backward;
+    returns the loss value and each leaf's gradient (None for constants)."""
+    tape = oracle.Tape()
+    leaves = [tape.param(a.copy()) if g else tape.constant(a.copy())
+              for a, g in zip(arrays, grad_mask)]
+    loss = build(tape, *leaves)
+    tape.backward(loss)
+    return loss.values, [t.grad for t in leaves]
 
 
-@pytest.mark.parametrize("x_grad", [True, False])
-def test_affine_equals_matmul_add_bitwise(x_grad):
+@pytest.mark.parametrize("hidden", [True, False])
+def test_affine_equals_matmul_add_bitwise(hidden):
+    """The stack's affine layers (two around a leaky-relu, or one) against
+    `bias_add(matmul(x, w), b)` on the tape, under a fixed projection."""
     rng = np.random.default_rng(0)
-    x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)
-    probe = rng.normal(size=(7, 4))
+    dims = (5, 4, 3) if hidden else (5, 3)
+    params = {}
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+        params[f"s.{i}.W"] = rng.normal(size=(din, dout))
+        params[f"s.{i}.b"] = rng.normal(size=dout)
+    x, probe = rng.normal(size=(7, 5)), rng.normal(size=(7, 3))
 
-    def build(layer):
-        def f(tape, xt, wt, bt):
-            h = ad.leaky_relu(layer(xt, wt, bt), 0.1)
-            return oracle.sum_all(oracle.mul(h, tape.constant(probe)))
-        return f
+    unit, saved = ad.forward(params, "s", 0.1, x, train=True)
+    grads = ad.backward(params, "s", saved, probe.copy())
 
-    (v1, g1), (v2, g2) = run_both(build(ad.affine), build(chain_affine),
-                                  [x, w, b], [x_grad, True, True])
-    assert_bitwise(v1, v2)
-    assert (g1[0] is None) == (not x_grad)
-    for a, c in zip(g1, g2):
-        if a is not None or c is not None:
-            assert_bitwise(a, c)
+    tape = oracle.Tape()
+    ptens = {n: tape.param(p.copy()) for n, p in params.items()}
+    out = oracle.stack_graph(tape, ptens, "s", 0.1, x)
+    tape.backward(oracle.sum_all(oracle.mul(out, tape.constant(probe))))
+    assert_bitwise(unit, out.values)
+    assert grads.keys() == ptens.keys()
+    for name, t in ptens.items():
+        assert_bitwise(grads[name], t.grad)
 
 
-@pytest.mark.parametrize("as_tensor", [False, True])
-def test_kd_mse_equals_chain_bitwise(as_tensor):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kd_mse_equals_chain_bitwise(weighted):
+    """At weight 1, and at the student's lambda, which scales the chain."""
     rng = np.random.default_rng(2)
-    target, raw = unit_rows(rng, 9, 8), rng.normal(size=(9, 8))
+    target, emb = unit_rows(rng, 9, 8), unit_rows(rng, 9, 8)
+    lam = 10000.0 if weighted else 1.0
+    value, g_emb = losses.kd_mse(target, emb, lam)
 
-    def build(loss_fn):
-        def f(tape, rawt):
-            t = tape.constant(target) if as_tensor else target
-            return ad.scale(loss_fn(t, ad.l2_normalize(rawt)), 10000.0)
-        return f
+    def chain(tape, e):
+        kd = oracle.kd_mse(target, e)
+        return oracle.scale(kd, lam) if weighted else kd
 
-    (v1, (g1,)), (v2, (g2,)) = run_both(build(losses.kd_mse), build(chain_kd_mse),
-                                        [raw], [True])
-    assert_bitwise(v1, v2)
-    assert_bitwise(g1, g2)
+    want, (g_want,) = on_tape(chain, [emb], [True])
+    assert_bitwise(value * lam if weighted else value, want)
+    assert_bitwise(g_emb, g_want)
 
 
 # "train" configs draw one margin per sample; "eval" configs (sigma = 0) fix
@@ -122,6 +106,8 @@ def test_kd_mse_equals_chain_bitwise(as_tensor):
 ])
 @pytest.mark.parametrize("header_grad", [True, False])
 def test_elastic_arcface_equals_chain_bitwise(cfg, header_grad):
+    """The header is a tape parameter, or a constant whose gradient the
+    chain never computes: the embedding gradient is the same either way."""
     emb, w, labels = edge_case_batch(np.random.default_rng(3))
     n = len(labels)
     drawn = cfg.sigma > 0.0
@@ -130,20 +116,17 @@ def test_elastic_arcface_equals_chain_bitwise(cfg, header_grad):
     else:
         margins = np.full(n, cfg.m)
 
-    def fused(tape, e, h):
-        return losses.elastic_arcface(e, h, labels, cfg,
-                                      rng=np.random.default_rng(17))
-
-    def chain(tape, e, h):
-        return chain_elastic_arcface(e, h, labels, cfg, margins)
-
-    (v1, g1), (v2, g2) = run_both(fused, chain, [emb, w], [True, header_grad])
-    assert_bitwise(v1, v2)
-    assert_bitwise(g1[0], g2[0])
+    value, g_emb, g_w = losses.elastic_arcface(emb, w, labels, cfg,
+                                               rng=np.random.default_rng(17))
+    want, (g_emb_want, g_w_want) = on_tape(
+        lambda tape, e, h: oracle.elastic_arcface(e, h, labels, cfg, margins),
+        [emb, w], [True, header_grad])
+    assert_bitwise(value, want)
+    assert_bitwise(g_emb, g_emb_want)
     if header_grad:
-        assert_bitwise(g1[1], g2[1])
+        assert_bitwise(g_w, g_w_want)
     else:
-        assert g1[1] is None and g2[1] is None
+        assert g_w_want is None
 
     # the batch covers both clamp bounds of the cosine (clamped rows have no
     # cosine gradient at the target); a positive margin clips the shifted
@@ -163,42 +146,136 @@ def test_student_objective_equals_chain_bitwise():
     embedding's two gradients are summed in the same order."""
     rng = np.random.default_rng(4)
     emb, w, labels = edge_case_batch(rng)
-    raw = emb * rng.uniform(0.5, 2.0, size=(len(labels), 1))
     target = unit_rows(rng, *emb.shape)
     cfg = EafConfig(s=64.0, m=0.5, sigma=0.05)
     margins = np.random.default_rng(5).normal(cfg.m, cfg.sigma, size=len(labels))
 
-    def build(eaf_fn, kd_fn):
-        def f(tape, rawt, h):
-            e = ad.l2_normalize(rawt)
-            kd = kd_fn(target, e)
-            eaf = eaf_fn(e, h)
-            return losses.student_loss(eaf, kd, 10000.0)
-        return f
+    kd = losses.kd_mse(target, emb, 10000.0)
+    eaf, g_eaf, g_w = losses.elastic_arcface(emb, w, labels, cfg,
+                                             rng=np.random.default_rng(5))
+    value, g_emb = losses.student_loss((eaf, g_eaf), kd, 10000.0)
 
-    fused = build(lambda e, h: losses.elastic_arcface(
-        e, h, labels, cfg, rng=np.random.default_rng(5)), losses.kd_mse)
-    chain = build(lambda e, h: chain_elastic_arcface(e, h, labels, cfg, margins),
-                  chain_kd_mse)
-    (v1, g1), (v2, g2) = run_both(fused, chain, [raw, w], [True, True])
-    assert_bitwise(v1, v2)
-    for a, c in zip(g1, g2):
-        assert_bitwise(a, c)
+    def chain(tape, e, h):
+        kd = oracle.kd_mse(target, e)
+        eaf = oracle.elastic_arcface(e, h, labels, cfg, margins)
+        return oracle.student_loss(eaf, kd, 10000.0)
+
+    want, (g_emb_want, g_w_want) = on_tape(chain, [emb, w], [True, True])
+    assert_bitwise(value, want)
+    assert_bitwise(g_emb, g_emb_want)
+    assert_bitwise(g_w, g_w_want)
 
 
 def test_elastic_arcface_keeps_its_checks():
     rng = np.random.default_rng(7)
-    tape = ad.Tape()
-    e = tape.param(unit_rows(rng, 2, 3))
+    e = unit_rows(rng, 2, 3)
     with pytest.raises(DegenerateEmbeddingError):
-        losses.elastic_arcface(e, tape.param(np.zeros((2, 3))), np.array([0, 1]),
+        losses.elastic_arcface(e, np.zeros((2, 3)), np.array([0, 1]),
                                EafConfig(sigma=0.0))
     with pytest.raises(ContractError):
-        losses.elastic_arcface(e, tape.param(rng.normal(size=(2, 3))),
-                               np.array([0, 2]), EafConfig(sigma=0.0))
+        losses.elastic_arcface(e, rng.normal(size=(2, 3)), np.array([0, 2]),
+                               EafConfig(sigma=0.0))
     with pytest.raises(ContractError):   # a non-finite scale
-        losses.elastic_arcface(e, tape.param(rng.normal(size=(2, 3))),
-                               np.array([0, 1]), EafConfig(s=np.inf, sigma=0.0))
-    with pytest.raises(ContractError):
-        losses.elastic_arcface(e, ad.Tape().param(rng.normal(size=(2, 3))),
-                               np.array([0, 1]), EafConfig(sigma=0.0))
+        losses.elastic_arcface(e, rng.normal(size=(2, 3)), np.array([0, 1]),
+                               EafConfig(s=np.inf, sigma=0.0))
+    with pytest.raises(DimensionError):
+        losses.elastic_arcface(e, rng.normal(size=(2, 4)), np.array([0, 1]),
+                               EafConfig(sigma=0.0))
+
+
+# --- every step of a seeded training run -----------------------------------
+
+MODEL_KINDS = ("teacher", "SL", "DuL", "DLDPO", "eaf_kd", "a_kd")
+STEPS = 3   # recorded steps of each run: one epoch of 192 rows in batches of 64
+LAM = 10000.0
+
+
+class _Recorded(Exception):
+    """Stops a training run once its first steps are recorded."""
+
+
+def record_steps(monkeypatch, train):
+    """The first `STEPS` steps of `train()`: the parameters before each
+    step, its batch, and the step's (loss, terms, grads)."""
+    steps = []
+    real_epochs = training._epochs
+
+    def epochs(params, optim, n, shuffle_rng, step):
+        def recorded(params, batch):
+            before = {name: p.copy() for name, p in params.items()}
+            steps.append((before, batch.copy(), step(params, batch)))
+            if len(steps) == STEPS:
+                raise _Recorded
+            return steps[-1][2]
+        return real_epochs(params, optim, n, shuffle_rng, recorded)
+
+    monkeypatch.setattr(training, "_epochs", epochs)
+    with pytest.raises(_Recorded):
+        train()
+    return steps
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_steps_equal_the_tape_bitwise(monkeypatch, kind):
+    """The loss, the logged terms and every parameter gradient of the first
+    steps of a run equal the tape's, replayed on the same margin and
+    dropout streams."""
+    spec = data.SyntheticDatasetSpec(seed=0, identities_per_group=6,
+                                     samples_per_identity=8,
+                                     validation_identities_per_group=2,
+                                     test_identities_per_group=2)
+    train, val, _ = data.generate(spec)
+    val_pairs = data.build_pairs(val, 20, 0.5, seed=1)
+    cfg = models.BackboneConfig(input_dim=64, hidden=(16,), embedding_dim=8)
+    eaf_cfg = EafConfig()
+    optim = training.OptimConfig(0.1, 2, (1,), batch_size=64, seed=5)
+    teachers = [models.new_teacher(cfg, np.arange(1), train.group_tags[g], seed=g)
+                for g in range(4)]
+    sets = training.extract_embeddings(teachers, train)
+    adaptor = models.new_adaptor("DuL", 4, cfg.embedding_dim, seed=9)
+
+    inputs = train.values
+    if kind == "teacher":
+        run = lambda: training.train_teacher(train, train.group_tags[0], cfg,
+                                             eaf_cfg, optim, val, val_pairs, 3)
+    elif kind in models.ADAPTOR_KINDS:
+        inputs = models.fuse_inputs(sets)
+        run = lambda: training.train_adaptor(kind, sets, eaf_cfg, optim, 4)
+    else:
+        targets = training.fused_target(adaptor, sets)
+        run = lambda: training.train_student(kind, adaptor, sets, train, LAM,
+                                             eaf_cfg, cfg, optim, 6)
+    steps = record_steps(monkeypatch, run)
+    labels = np.searchsorted(np.unique(train.identities), train.identities)
+    # the run's margin and dropout streams: spawned children depend only on
+    # their index, so the first two of three are those of a 2-stream run
+    margin_rng, dropout_rng = training._rng_streams(optim.seed, 3)[1:]
+
+    for before, batch, (loss, terms, grads) in steps:
+        tape = oracle.Tape()
+        ptens = {name: tape.param(p) for name, p in before.items()}
+        if kind in models.ADAPTOR_KINDS:
+            a = models.AdaptorModel(kind, 4, cfg.embedding_dim, {})
+            emb = oracle.adaptor_graph(tape, ptens, a, inputs[batch], dropout_rng)
+        else:
+            emb = oracle.backbone_graph(tape, ptens, cfg, inputs[batch])
+        want_terms, eaf = {}, None
+        if kind != "a_kd":
+            margins = margin_rng.normal(eaf_cfg.m, eaf_cfg.sigma, size=len(batch))
+            eaf = oracle.elastic_arcface(emb, ptens["header.W"], labels[batch],
+                                         eaf_cfg, margins)
+            want_terms["eaf"] = eaf
+        if kind in ("eaf_kd", "a_kd"):
+            want_terms["kd"] = oracle.kd_mse(targets[batch], emb)
+            total = oracle.student_loss(eaf, want_terms["kd"], LAM)
+        else:
+            total, want_terms = eaf, {}
+        tape.backward(total)
+
+        assert_bitwise(loss, total.values)
+        assert terms.keys() == want_terms.keys()
+        for name, t in want_terms.items():
+            assert_bitwise(terms[name], t.values)
+        assert grads.keys() == ptens.keys()
+        for name, t in ptens.items():
+            assert_bitwise(grads[name], t.grad)

@@ -17,6 +17,19 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def through_unit_rows(raw, objective):
+    """`objective(emb)` at the unit rows emb = raw / |raw|, and its gradient
+    at `raw`, through the production layer stack: `raw` is the weight of one
+    affine layer fed the identity, so that layer's output is `raw` exactly
+    and its weight gradient is the gradient at `raw`. `objective` returns
+    (value, gradient at emb, *rest); this returns (value, gradient at raw,
+    *rest)."""
+    params = {"raw.0.W": raw, "raw.0.b": np.zeros(raw.shape[1])}
+    emb, saved = ad.forward(params, "raw", 0.0, np.eye(len(raw)), train=True)
+    value, g_emb, *rest = objective(emb)
+    return (value, ad.backward(params, "raw", saved, g_emb)["raw.0.W"], *rest)
+
+
 def naive_softmax_ce(logits, labels):
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     return float(np.mean(-np.log(p[np.arange(len(labels)), labels])))
@@ -37,7 +50,7 @@ def eaf_oracle(emb, w, labels, cfg, margins):
 
 
 def test_softmax_ce_uniform_logits():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     logits = tape.param(np.zeros((3, 7000)))
     loss = oracle.softmax_ce(logits, np.array([0, 1, 6999]))
     assert abs(float(loss.values) - math.log(7000)) < 1e-9
@@ -45,7 +58,7 @@ def test_softmax_ce_uniform_logits():
 
 
 def test_softmax_ce_confident_logit():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     logits = tape.param(np.array([[100.0, 0.0]]))
     loss = oracle.softmax_ce(logits, np.array([0]))
     assert float(loss.values) < 1e-10
@@ -55,13 +68,13 @@ def test_softmax_ce_matches_probability_space_oracle():
     rng = np.random.default_rng(0)
     logits0 = rng.normal(size=(8, 10))
     labels = rng.integers(0, 10, size=8)
-    tape = ad.Tape()
+    tape = oracle.Tape()
     loss = oracle.softmax_ce(tape.param(logits0), labels)
     assert abs(float(loss.values) - naive_softmax_ce(logits0, labels)) < 1e-10
 
 
 def test_softmax_ce_label_out_of_range():
-    tape = ad.Tape()
+    tape = oracle.Tape()
     with pytest.raises(ContractError):
         oracle.softmax_ce(tape.param(np.zeros((2, 3))), np.array([0, 3]))
 
@@ -74,7 +87,7 @@ def test_softmax_ce_gradient():
     def f(x):
         return naive_softmax_ce(x, labels)
 
-    tape = ad.Tape()
+    tape = oracle.Tape()
     logits = tape.param(logits0)
     tape.backward(oracle.softmax_ce(logits, labels))
     (n,) = numeric_grad(f, [logits0.copy()])
@@ -88,33 +101,30 @@ def test_eaf_reduces_to_softmax_ce_when_margin_vanishes():
         emb0 = unit_rows(rng, 6, 8)
         w0 = rng.normal(size=(9, 8))
         labels = rng.integers(0, 9, size=6)
-        tape = ad.Tape()
-        eaf = losses.elastic_arcface(tape.param(emb0), tape.param(w0), labels, cfg)
+        eaf, _, _ = losses.elastic_arcface(emb0, w0, labels, cfg)
         wn = w0 / np.linalg.norm(w0, axis=1, keepdims=True)
-        tape2 = ad.Tape()
+        tape = oracle.Tape()
         plain = oracle.softmax_ce(
-            ad.scale(tape2.param(emb0 @ wn.T), 64.0), labels)
-        assert abs(float(eaf.values) - float(plain.values)) < 1e-12
+            oracle.scale(tape.param(emb0 @ wn.T), 64.0), labels)
+        assert abs(eaf - float(plain.values)) < 1e-12
 
 
 def test_eaf_single_class_is_zero():
-    tape = ad.Tape()
-    emb = tape.param(unit_rows(np.random.default_rng(3), 4, 5))
-    w = tape.param(np.random.default_rng(4).normal(size=(1, 5)))
-    loss = losses.elastic_arcface(emb, w, np.zeros(4, dtype=int),
-                                  EafConfig(sigma=0.0))
-    assert float(loss.values) == 0.0
+    emb = unit_rows(np.random.default_rng(3), 4, 5)
+    w = np.random.default_rng(4).normal(size=(1, 5))
+    loss, _, _ = losses.elastic_arcface(emb, w, np.zeros(4, dtype=int),
+                                        EafConfig(sigma=0.0))
+    assert loss == 0.0
 
 
 def test_eaf_hand_case():
-    tape = ad.Tape()
-    emb = tape.param(np.array([[1.0, 0.0]]))
-    w = tape.param(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    emb = np.array([[1.0, 0.0]])
+    w = np.array([[1.0, 0.0], [0.0, 1.0]])
     cfg = EafConfig(s=64.0, m=0.5, sigma=0.0)
-    loss = losses.elastic_arcface(emb, w, np.array([0]), cfg)
+    loss, _, _ = losses.elastic_arcface(emb, w, np.array([0]), cfg)
     # target logit ~= 64*cos(0.5) ~= 56.16, other 0 -> loss ~= exp(-56.16),
     # which underflows to 0 in float64
-    assert 0.0 <= float(loss.values) < 1e-20
+    assert 0.0 <= loss < 1e-20
 
 
 def test_eaf_matches_numpy_oracle_with_drawn_margins():
@@ -123,11 +133,10 @@ def test_eaf_matches_numpy_oracle_with_drawn_margins():
     emb0 = unit_rows(rng, 7, 6)
     w0 = rng.normal(size=(11, 6))
     labels = rng.integers(0, 11, size=7)
-    tape = ad.Tape()
-    loss = losses.elastic_arcface(tape.param(emb0), tape.param(w0), labels, cfg,
-                                  rng=np.random.default_rng(99))
+    loss, _, _ = losses.elastic_arcface(emb0, w0, labels, cfg,
+                                        rng=np.random.default_rng(99))
     margins = np.random.default_rng(99).normal(cfg.m, cfg.sigma, size=7)
-    assert abs(float(loss.values) - eaf_oracle(emb0, w0, labels, cfg, margins)) < 1e-12
+    assert abs(loss - eaf_oracle(emb0, w0, labels, cfg, margins)) < 1e-12
 
 
 def test_eaf_zero_sigma_uses_fixed_margin_and_is_deterministic():
@@ -138,9 +147,7 @@ def test_eaf_zero_sigma_uses_fixed_margin_and_is_deterministic():
     labels = rng.integers(0, 8, size=5)
 
     def run():
-        tape = ad.Tape()
-        return float(losses.elastic_arcface(tape.param(emb0), tape.param(w0),
-                                            labels, cfg).values)
+        return losses.elastic_arcface(emb0, w0, labels, cfg)[0]
 
     assert run() == run()
     assert run() == pytest.approx(
@@ -154,27 +161,23 @@ def test_eaf_margin_monotonicity():
     labels = rng.integers(0, 12, size=10)
     prev = -np.inf
     for m in np.linspace(0.0, 1.0, 11):
-        tape = ad.Tape()
-        loss = losses.elastic_arcface(tape.param(emb0), tape.param(w0), labels,
-                                      EafConfig(m=float(m), sigma=0.0))
-        assert float(loss.values) >= prev - 1e-12
-        prev = float(loss.values)
+        loss, _, _ = losses.elastic_arcface(emb0, w0, labels,
+                                            EafConfig(m=float(m), sigma=0.0))
+        assert loss >= prev - 1e-12
+        prev = loss
 
 
 def test_eaf_rejects_non_unit_embeddings():
-    tape = ad.Tape()
-    emb = tape.param(np.array([[2.0, 0.0]]))
-    w = tape.param(np.eye(2))
     with pytest.raises(ContractError):
-        losses.elastic_arcface(emb, w, np.array([0]), EafConfig())
+        losses.elastic_arcface(np.array([[2.0, 0.0]]), np.eye(2), np.array([0]),
+                               EafConfig())
 
 
 def test_eaf_train_sigma_requires_rng():
-    tape = ad.Tape()
-    emb = tape.param(unit_rows(np.random.default_rng(0), 2, 3))
-    w = tape.param(np.eye(3))
+    emb = unit_rows(np.random.default_rng(0), 2, 3)
     with pytest.raises(ContractError):
-        losses.elastic_arcface(emb, w, np.array([0, 1]), EafConfig(sigma=0.05))
+        losses.elastic_arcface(emb, np.eye(3), np.array([0, 1]),
+                               EafConfig(sigma=0.05))
 
 
 def test_eaf_gradient_matches_finite_differences():
@@ -188,54 +191,45 @@ def test_eaf_gradient_matches_finite_differences():
         emb = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         return eaf_oracle(emb, w, labels, cfg, np.full(4, cfg.m))
 
-    tape = ad.Tape()
-    raw = tape.param(raw0)
-    w = tape.param(w0)
-    loss = losses.elastic_arcface(ad.l2_normalize(raw), w, labels, cfg)
-    tape.backward(loss)
+    _, g_raw, g_w = through_unit_rows(
+        raw0, lambda emb: losses.elastic_arcface(emb, w0, labels, cfg))
     nr, nw = numeric_grad(f, [raw0.copy(), w0.copy()])
-    assert_grads_close(raw.grad, nr)
-    assert_grads_close(w.grad, nw)
+    assert_grads_close(g_raw, nr)
+    assert_grads_close(g_w, nw)
 
 
 def test_kd_mse_zero_and_hand_case():
-    tape = ad.Tape()
-    e = tape.param(np.array([[1.0, 0.0]]))
-    assert float(losses.kd_mse(np.array([[1.0, 0.0]]), e).values) == 0.0
-    tape = ad.Tape()
-    e = tape.param(np.array([[0.0, 1.0]]))
-    assert float(losses.kd_mse(np.array([[1.0, 0.0]]), e).values) == 1.0
+    target = np.array([[1.0, 0.0]])
+    assert losses.kd_mse(target, np.array([[1.0, 0.0]]))[0] == 0.0
+    assert losses.kd_mse(target, np.array([[0.0, 1.0]]))[0] == 1.0
 
 
 def test_kd_mse_matches_double_loop():
     rng = np.random.default_rng(9)
     a = unit_rows(rng, 4, 512)
     b = unit_rows(rng, 4, 512)
-    tape = ad.Tape()
-    loss = losses.kd_mse(a, tape.param(b))
+    loss, _ = losses.kd_mse(a, b)
     total = 0.0
     for i in range(4):
         acc = 0.0
         for d in range(512):
             acc += (a[i, d] - b[i, d]) ** 2
         total += acc / 512
-    assert abs(float(loss.values) - total / 4) < 1e-12
+    assert abs(loss - total / 4) < 1e-12
 
 
 def test_kd_mse_blocks_target_gradient():
     rng = np.random.default_rng(10)
-    tape = ad.Tape()
-    target = tape.param(unit_rows(rng, 3, 4))
-    student = tape.param(unit_rows(rng, 3, 4))
-    tape.backward(losses.kd_mse(target, student))
-    assert target.grad is None
-    assert student.grad is not None
+    target = unit_rows(rng, 3, 4)
+    before = target.copy()
+    out = losses.kd_mse(target, unit_rows(rng, 3, 4))
+    assert len(out) == 2 and out[1].shape == target.shape   # one gradient
+    assert target.tobytes() == before.tobytes()
 
 
 def test_kd_mse_shape_mismatch():
-    tape = ad.Tape()
     with pytest.raises(DimensionError):
-        losses.kd_mse(np.zeros((2, 3)), tape.param(np.zeros((2, 4))))
+        losses.kd_mse(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 def test_kd_mse_gradient():
@@ -247,22 +241,19 @@ def test_kd_mse_gradient():
         e = b / np.linalg.norm(b, axis=1, keepdims=True)
         return float(np.mean((t0 - e) ** 2))
 
-    tape = ad.Tape()
-    b = tape.param(b0)
-    tape.backward(losses.kd_mse(t0, ad.l2_normalize(b)))
+    _, g_b = through_unit_rows(b0, lambda emb: losses.kd_mse(t0, emb))
     (nb,) = numeric_grad(f, [b0.copy()])
-    assert_grads_close(b.grad, nb)
+    assert_grads_close(g_b, nb)
 
 
 def test_student_loss_arithmetic():
-    tape = ad.Tape()
-    eaf = tape.param(np.asarray(2.0))
-    kd = tape.param(np.asarray(1e-4))
-    combined = losses.student_loss(eaf, kd, 10000.0)
-    assert float(combined.values) == pytest.approx(3.0, abs=1e-12)
-    tape = ad.Tape()
-    kd0 = tape.param(np.asarray(0.0))
-    assert float(losses.student_loss(None, kd0, 10000.0).values) == 0.0
+    g_eaf, g_kd = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+    combined, g = losses.student_loss((2.0, g_eaf), (1e-4, g_kd), 10000.0)
+    assert combined == pytest.approx(3.0, abs=1e-12)
+    assert np.array_equal(g, [1.5, -1.75])
+    assert np.array_equal(g_eaf, [1.0, -2.0])   # the inputs are left alone
+    kd_only, g = losses.student_loss(None, (0.0, g_kd), 10000.0)
+    assert kd_only == 0.0 and g is g_kd
 
 
 def test_student_loss_gradient_is_linear_combination():
@@ -275,19 +266,14 @@ def test_student_loss_gradient_is_linear_combination():
     lam = 10000.0
 
     def build(which):
-        tape = ad.Tape()
-        raw = tape.param(raw0.copy())
-        w = tape.param(w0.copy())
-        emb = ad.l2_normalize(raw)
-        eaf = losses.elastic_arcface(emb, w, labels, cfg)
-        kd = losses.kd_mse(target, emb)
-        if which == "eaf":
-            tape.backward(eaf)
-        elif which == "kd":
-            tape.backward(kd)
-        else:
-            tape.backward(losses.student_loss(eaf, kd, lam))
-        return raw.grad.copy()
+        def objective(emb):
+            eaf = losses.elastic_arcface(emb, w0, labels, cfg)[:2]
+            if which == "eaf":
+                return eaf
+            if which == "kd":
+                return losses.kd_mse(target, emb)
+            return losses.student_loss(eaf, losses.kd_mse(target, emb, lam), lam)
+        return through_unit_rows(raw0, objective)[1]
 
     combined = build("both")
     expected = build("eaf") + lam * build("kd")

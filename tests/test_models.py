@@ -15,6 +15,10 @@ G0 = GroupTag(0, "g0")
 CFG = BackboneConfig(input_dim=16, hidden=(24,), embedding_dim=8)
 
 
+def param_tensors(tape, params):
+    return {name: tape.param(arr) for name, arr in params.items()}
+
+
 def make_teacher(n_classes=10, seed=0, cfg=CFG):
     return models.new_teacher(cfg, np.arange(n_classes), G0, seed)
 
@@ -38,7 +42,7 @@ def test_fresh_teacher_loss_near_uniform():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(64, 16))
     logits = cosine_logits(t.embed(x), t.params["header.W"])
-    tape = ad.Tape()
+    tape = oracle.Tape()
     loss = oracle.softmax_ce(tape.param(logits), rng.integers(0, 50, size=64))
     assert abs(float(loss.values) - np.log(50)) < 0.2 * np.log(50)
 
@@ -47,11 +51,13 @@ def test_forward_equals_backbone_graph_bitwise():
     cfg = BackboneConfig(input_dim=16, hidden=(24, 12), embedding_dim=8, slope=0.1)
     t = make_teacher(seed=3, cfg=cfg)
     x = np.random.default_rng(12).normal(size=(9, 16))
-    tape = ad.Tape()
-    graph = models.backbone_graph(tape, models.param_tensors(tape, t.params), cfg, x)
-    out = models.forward(t.params, "backbone", cfg.slope, x)
+    tape = oracle.Tape()
+    graph = oracle.backbone_graph(tape, param_tensors(tape, t.params), cfg, x)
+    out = ad.forward(t.params, "backbone", cfg.slope, x)
     assert out.tobytes() == graph.values.tobytes()
     assert t.embed(x).tobytes() == graph.values.tobytes()
+    trained, _ = ad.forward(t.params, "backbone", cfg.slope, x, train=True)
+    assert trained.tobytes() == graph.values.tobytes()
 
 
 @pytest.mark.parametrize("kind", models.ADAPTOR_KINDS)
@@ -59,8 +65,8 @@ def test_forward_equals_adaptor_graph_bitwise(kind):
     a = models.new_adaptor(kind, 4, 6, seed=4, slope=0.05)
     a.dropout_p = 0.0
     fused = np.random.default_rng(13).normal(size=(11, 24))
-    tape = ad.Tape()
-    graph = models.adaptor_graph(tape, models.param_tensors(tape, a.params), a, fused)
+    tape = oracle.Tape()
+    graph = oracle.adaptor_graph(tape, param_tensors(tape, a.params), a, fused)
     assert models.adaptor_forward(a, fused).tobytes() == graph.values.tobytes()
 
 
@@ -69,7 +75,7 @@ def test_forward_rejects_wrong_width_and_zero_row():
     with pytest.raises(DimensionError):
         t.embed(np.ones((3, 15)))
     with pytest.raises(DimensionError):
-        models.forward(t.params, "backbone", CFG.slope, np.ones(16))
+        ad.forward(t.params, "backbone", CFG.slope, np.ones(16))
     with pytest.raises(DimensionError):
         models.adaptor_forward(models.new_adaptor("DuL", 4, 6, seed=0), np.ones((2, 18)))
     x = np.random.default_rng(14).normal(size=(3, 16))
@@ -96,13 +102,11 @@ def test_backbone_gradients_match_finite_differences():
         h = h / np.linalg.norm(h, axis=1, keepdims=True)
         return float(np.sum(h * w_proj))
 
-    tape = ad.Tape()
-    ptens = models.param_tensors(tape, t.params)
-    emb = models.backbone_graph(tape, ptens, cfg, x)
-    tape.backward(oracle.sum_all(oracle.mul(emb, tape.constant(w_proj))))
+    _, saved = ad.forward(t.params, "backbone", cfg.slope, x, train=True)
+    grads = ad.backward(t.params, "backbone", saved, w_proj.copy())
     numeric = numeric_grad(f, [a.copy() for a in arrays])
     for name, n in zip(names, numeric):
-        assert_grads_close(ptens[name].grad, n)
+        assert_grads_close(grads[name], n)
 
 
 def test_init_is_deterministic():
@@ -178,9 +182,9 @@ def test_adaptor_outputs_unit_norm_all_kinds():
     fused = rng.normal(size=(10, 4 * 6))
     for kind in models.ADAPTOR_KINDS:
         a = models.new_adaptor(kind, 4, 6, seed=1)
-        tape = ad.Tape()
-        trained = models.adaptor_graph(tape, models.param_tensors(tape, a.params),
-                                       a, fused, np.random.default_rng(0)).values
+        trained, _ = ad.forward(a.params, "adaptor", a.slope, fused, train=True,
+                                dropout_p=a.dropout_p if kind == "DLDPO" else 0.0,
+                                rng=np.random.default_rng(0))
         for out in (trained, models.adaptor_forward(a, fused)):
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 
@@ -196,9 +200,8 @@ def test_dldpo_dropout_rate_and_placement():
     a = models.new_adaptor("DLDPO", 4, 16, seed=3)
     rng = np.random.default_rng(10)
     fused = rng.normal(size=(500, 64))
-    tape = ad.Tape()
-    out = models.adaptor_graph(tape, models.param_tensors(tape, a.params), a, fused,
-                               np.random.default_rng(42)).values
+    out, _ = ad.forward(a.params, "adaptor", a.slope, fused, train=True,
+                        dropout_p=a.dropout_p, rng=np.random.default_rng(42))
     # reconstruct: the dropout mask is the generator's first draw
     h = fused @ a.params["adaptor.0.W"] + a.params["adaptor.0.b"]
     keep = (np.random.default_rng(42).random(h.shape) >= 0.2) / 0.8
@@ -322,10 +325,13 @@ def _set(key, value, *nested):
     ("student", _without("mode"), "lacks 'mode'"),
     ("student", _set("class_ids", "x"), "meta.class_ids"),
     ("student", _set("embedding_dim", 8.0, "backbone"), "meta.backbone.embedding_dim"),
+    ("teacher", _set("slope", 1.5, "backbone"), "meta.backbone.slope"),
+    ("adaptor", _set("dropout_p", -0.2), "meta.dropout_p"),
 ], ids=["no-backbone", "no-class-ids", "no-group-index", "hidden-str",
         "backbone-list", "best-epoch-bool", "class-id-over-64-bits", "wrong-kind",
         "adaptor-no-slope", "adaptor-n-teachers-str", "student-no-mode",
-        "student-class-ids-str", "student-embedding-dim-float"])
+        "student-class-ids-str", "student-embedding-dim-float",
+        "backbone-slope-1.5", "adaptor-dropout-negative"])
 def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     model, save, load = {
         "teacher": (make_teacher(seed=13), models.save_teacher, models.load_teacher),

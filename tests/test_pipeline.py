@@ -140,6 +140,10 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"eaf": {"s": math.inf}}, "config.eaf.s must be finite"),
     ({"dataset": {"intra_class_noise": [math.nan, 0.1, 0.1, 0.1]}},
      "config.dataset.intra_class_noise[0] must be finite"),
+    ({"backbone": {"slope": 1.5}}, "backbone slope must lie in [0, 1), got 1.5"),
+    ({"teacher_backbone": {"slope": -0.5}},
+     "backbone slope must lie in [0, 1), got -0.5"),
+    ({"schedule_scale": 1e307}, "schedule scale 1e+307 overflows the epoch count"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
