@@ -27,7 +27,6 @@ from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
                      trace_teacher_attribution)
 from .training import (OptimConfig, SgdMomentum, TrainLogRecord,
                        extract_embeddings, fused_target, lr_at_epoch,
-                       scale_phase, sgd_step, train_adaptor, train_student,
-                       train_teacher)
+                       scale_phase, train_adaptor, train_student, train_teacher)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"eaf: {exc}") from None
         if self.lam <= 0:
             raise ConfigError("lambda must be > 0")
+        # data.build_pairs draws this many genuine pairs per group, the rest impostors
+        n_genuine = round(self.pairs_per_group * self.genuine_fraction)
+        if not 1 <= n_genuine < self.pairs_per_group:
+            raise ConfigError("pairs_per_group and genuine_fraction must give "
+                              "each group at least one genuine and one impostor pair")
         if self.fusion_order is not None and (
                 sorted(self.fusion_order) != list(range(self.dataset.groups))):
             raise ConfigError("fusion_order must be a permutation of the teachers")

@@ -7,14 +7,16 @@ pairs (ties go to the earliest epoch). Adaptors train on concatenated
 frozen-teacher embeddings with their own disposable classification header
 and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
-(optionally plus classification), and keep the final epoch. All three share
-one loop; each step runs its network's `autodiff.forward` keeping what the
-hand-written `autodiff.backward` needs, and frozen networks run the same
-forward keeping nothing. The loop has one divergence rule: the first
-non-finite loss or gradient stops training with `DivergenceError` (exit 4);
-no batch is ever skipped. All shuffling, margins, and dropout draw from
-generators derived from the configured seeds, so a full run is
-bit-reproducible.
+(optionally plus classification), and keep the final epoch. One loop logs
+and keeps epochs for all three; a trainer gives it its step and its score.
+Each model's parameters live in one flat buffer, so an SGD step is three
+vector operations and a kept epoch one copy. Each step runs its network's
+`autodiff.forward` keeping what the hand-written `autodiff.backward` needs;
+frozen networks run the same forward keeping nothing. The loop has one
+divergence rule: the first non-finite loss or gradient stops training with
+`DivergenceError` (exit 4); no batch is ever skipped. All shuffling,
+margins, and dropout draw from generators derived from the configured
+seeds, so a full run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -75,10 +77,8 @@ def scale_phase(lr0: float, epochs: int, decay_epochs: tuple[int, ...],
     kept strictly increasing (at least 1 apart) and must stay below the
     final epoch count, dropping any that cannot.
     """
-    if scale <= 0:
-        raise ConfigError("schedule scale must be > 0")
-    if not math.isfinite(epochs * scale):
-        raise ConfigError(f"schedule scale {scale} overflows the epoch count")
+    if not 0 < scale <= 1:
+        raise ConfigError(f"schedule scale {scale} must lie in (0, 1]")
     new_epochs = max(1, math.floor(epochs * scale))
     scaled = []
     prev = 0
@@ -96,31 +96,38 @@ def lr_at_epoch(cfg: OptimConfig, epoch: int) -> float:
                                              if d <= epoch)
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
-    """Heavy-ball update in place: v <- momentum*v + g; p <- p - lr*v."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ContractError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
-        v = velocity[name]
-        v *= momentum
-        v += g
-        p -= lr * v
-
-
 class SgdMomentum:
-    """Stateful wrapper keeping one velocity buffer per parameter."""
+    """Heavy-ball SGD over one flat buffer: v <- momentum*v + g; p <- p - lr*v.
+
+    The parameters are concatenated once into `flat` and each `params[name]`
+    is rebound to its view of it, so a step is three vector operations
+    however many parameters the model has.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], momentum: float = 0.9):
         self.params = params
         self.momentum = momentum
-        self.velocity = {n: np.zeros_like(p) for n, p in params.items()}
+        self.flat = np.concatenate([p.ravel() for p in params.values()],
+                                   dtype=np.float64)
+        self.velocity = np.zeros_like(self.flat)
+        offset = 0
+        for name, p in params.items():
+            params[name] = self.flat[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        sgd_step(self.params, grads, self.velocity, lr, self.momentum)
+        """One update in place; a wrongly shaped or non-finite gradient
+        raises naming its parameter and leaves every parameter as it was."""
+        for name, p in self.params.items():
+            if grads[name].shape != p.shape:
+                raise ContractError(f"gradient shape mismatch for {name}")
+        g = np.concatenate([grads[name].ravel() for name in self.params])
+        if not np.isfinite(g).all():
+            bad = next(n for n in self.params if not np.isfinite(grads[n]).all())
+            raise DivergenceError(f"non-finite gradient in {bad}")
+        self.velocity *= self.momentum
+        self.velocity += g
+        self.flat -= lr * self.velocity
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -154,20 +161,24 @@ def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
-            shuffle_rng: np.random.Generator, step):
-    """The one training loop.
+def _train_loop(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
+                shuffle_rng: np.random.Generator, step, score=None,
+                ) -> tuple[list[TrainLogRecord], int]:
+    """The one training loop; returns the epoch log and the kept epoch,
+    whose values `params` (rebound to views of one flat buffer) then hold.
 
     `step(params, batch)` returns one batch's `(loss, terms, grads)`: the
-    loss to minimize, a dict of scalar terms to log and the loss gradient of
-    every parameter. The first non-finite loss raises `DivergenceError`
-    naming its epoch and batch (both 1-based); a non-finite gradient raises
-    in `sgd_step`. Yields `(epoch, lr, t0, means)` per epoch, `means`
-    holding the batch mean of `loss` and of each term.
+    loss to minimize, scalar terms logged as `mean_<term>` and every
+    parameter's gradient. The first non-finite loss raises `DivergenceError`
+    naming its epoch and batch (both 1-based). `score(means)` returns an
+    epoch's `(value, val_acc)`; the highest value is kept (ties: earliest),
+    and without `score` the final epoch.
     """
+    optim.validate()
     if n < 1:
         raise ContractError("training needs at least one sample")
     opt = SgdMomentum(params, optim.momentum)
+    records, best, kept_epoch, kept = [], -np.inf, optim.epochs, None
     for epoch in range(1, optim.epochs + 1):
         t0 = time.perf_counter()
         lr = lr_at_epoch(optim, epoch)
@@ -181,7 +192,16 @@ def _epochs(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
             for key, value in {"loss": loss, **terms}.items():
                 logged.setdefault(key, []).append(value)
             opt.step(grads, lr)
-        yield epoch, lr, t0, {key: float(np.mean(v)) for key, v in logged.items()}
+        means = {key: float(np.mean(v)) for key, v in logged.items()}
+        value, val_acc = score(means) if score else (-np.inf, None)
+        if value > best:
+            best, kept_epoch, kept = value, epoch, opt.flat.copy()
+        extras = {f"mean_{key}": v for key, v in means.items() if key != "loss"}
+        records.append(TrainLogRecord(epoch, means["loss"], lr, val_acc,
+                                      time.perf_counter() - t0, extras))
+    if kept is not None:
+        opt.flat[:] = kept
+    return records, kept_epoch
 
 
 def _margin_step(prefix: str, slope: float, inputs: np.ndarray,
@@ -207,27 +227,19 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
                   ) -> tuple[TeacherModel, list[TrainLogRecord]]:
     """Train one teacher on its subset; keep the epoch checkpoint with the
     best own-group validation verification accuracy (ties: earliest)."""
-    optim.validate()
-    class_ids = np.unique(subset.identities)
-    local_labels = np.searchsorted(class_ids, subset.identities)
+    class_ids, local_labels = np.unique(subset.identities, return_inverse=True)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
     own_pairs = val_pairs.of_group(group.index)
 
+    def score(means):
+        acc, _ = verification_accuracy(model.embed(val_pool.values), own_pairs)
+        return acc, {group.name: acc}
+
     step = _margin_step("backbone", backbone_cfg.slope, subset.values,
                         local_labels, eaf_cfg, margin_rng)
-    best_acc, best_epoch, best_params = -np.inf, 0, None
-    records = []
-    for epoch, lr, t0, means in _epochs(model.params, optim, subset.n,
-                                        shuffle_rng, step):
-        acc, _ = verification_accuracy(model.embed(val_pool.values), own_pairs)
-        if acc > best_acc:
-            best_acc, best_epoch = acc, epoch
-            best_params = {n: p.copy() for n, p in model.params.items()}
-        records.append(TrainLogRecord(epoch, means["loss"], lr, {group.name: acc},
-                                      time.perf_counter() - t0))
-    model.params = best_params
-    model.best_epoch = best_epoch
+    records, model.best_epoch = _train_loop(model.params, optim, subset.n,
+                                            shuffle_rng, step, score)
     return model, records
 
 
@@ -252,33 +264,24 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     header trained alongside is discarded; the returned adaptor is the
     epoch checkpoint with the lowest epoch-mean training loss.
     """
-    optim.validate()
     fused = models.fuse_inputs(embedding_sets, fusion_order)
-    identities = embedding_sets[0].identities
-    class_ids = np.unique(identities)
-    local_labels = np.searchsorted(class_ids, identities)
+    class_ids, local_labels = np.unique(embedding_sets[0].identities,
+                                        return_inverse=True)
     emb_dim = embedding_sets[0].dim
     model = models.new_adaptor(kind, len(embedding_sets), emb_dim, init_seed)
     header_rng = np.random.default_rng(np.random.SeedSequence(init_seed).spawn(1)[0])
-    header = {"header.W": models.init_header(header_rng, len(class_ids), emb_dim)}
+    params = {**model.params,
+              "header.W": models.init_header(header_rng, len(class_ids), emb_dim)}
     shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
 
     # DLDPO drops before the activation; the other kinds never drop
     dropout_p = model.dropout_p if kind == "DLDPO" else 0.0
     step = _margin_step("adaptor", model.slope, fused, local_labels, eaf_cfg,
                         margin_rng, dropout_p, dropout_rng)
-    best_loss, best_epoch, best_params = np.inf, 0, None
-    records = []
-    for epoch, lr, t0, means in _epochs({**model.params, **header}, optim,
-                                        fused.shape[0], shuffle_rng, step):
-        mean_loss = means["loss"]
-        if mean_loss < best_loss:
-            best_loss, best_epoch = mean_loss, epoch
-            best_params = {n: model.params[n].copy() for n in model.params}
-        records.append(TrainLogRecord(epoch, mean_loss, lr, None,
-                                      time.perf_counter() - t0))
-    model.params = best_params
-    model.best_epoch = best_epoch
+    records, model.best_epoch = _train_loop(
+        params, optim, fused.shape[0], shuffle_rng, step,
+        lambda means: (-means["loss"], None))
+    model.params = {name: params[name] for name in model.params}
     return model, records
 
 
@@ -303,7 +306,6 @@ def train_student(mode: str, adaptor: AdaptorModel,
     with it (the extract stage's output). The target of every sample is
     computed once, before the first epoch; the adaptor stays frozen
     (verified)."""
-    optim.validate()
     if not lam > 0:
         raise ContractError(f"lambda must be > 0, got {lam}")
     frozen_before = _param_bytes(adaptor)
@@ -311,18 +313,15 @@ def train_student(mode: str, adaptor: AdaptorModel,
     if targets.shape[0] != dataset.n:
         raise ContractError(f"{targets.shape[0]} target rows for "
                             f"{dataset.n} training samples")
+    class_ids = local_labels = None
     if mode == "eaf_kd":
-        class_ids = np.unique(dataset.identities)
-        local_labels = np.searchsorted(class_ids, dataset.identities)
-        model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
-    else:
-        model = models.new_student(backbone_cfg, mode, None, init_seed)
+        class_ids, local_labels = np.unique(dataset.identities, return_inverse=True)
+    model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
 
-    slope = backbone_cfg.slope
-
     def step(params, batch):
-        emb, saved = forward(params, "backbone", slope, dataset.values[batch], True)
+        emb, saved = forward(params, "backbone", backbone_cfg.slope,
+                             dataset.values[batch], True)
         kd = losses.kd_mse(targets[batch], emb, lam)
         terms, grads, eaf = {"kd": kd[0]}, {}, None
         if mode == "eaf_kd":
@@ -334,12 +333,7 @@ def train_student(mode: str, adaptor: AdaptorModel,
         grads.update(backward(params, "backbone", saved, g_emb))
         return loss, terms, grads
 
-    records = []
-    for epoch, lr, t0, means in _epochs(model.params, optim, dataset.n,
-                                        shuffle_rng, step):
-        extras = {f"mean_{key}": v for key, v in means.items() if key != "loss"}
-        records.append(TrainLogRecord(epoch, means["loss"], lr, None,
-                                      time.perf_counter() - t0, extras))
+    records, _ = _train_loop(model.params, optim, dataset.n, shuffle_rng, step)
     if _param_bytes(adaptor) != frozen_before:
         raise ContractError("frozen adaptor parameters changed "
                             "during student training")

@@ -198,18 +198,18 @@ def record_steps(monkeypatch, train):
     """The first `STEPS` steps of `train()`: the parameters before each
     step, its batch, and the step's (loss, terms, grads)."""
     steps = []
-    real_epochs = training._epochs
+    real_loop = training._train_loop
 
-    def epochs(params, optim, n, shuffle_rng, step):
+    def train_loop(params, optim, n, shuffle_rng, step, score=None):
         def recorded(params, batch):
             before = {name: p.copy() for name, p in params.items()}
             steps.append((before, batch.copy(), step(params, batch)))
             if len(steps) == STEPS:
                 raise _Recorded
             return steps[-1][2]
-        return real_epochs(params, optim, n, shuffle_rng, recorded)
+        return real_loop(params, optim, n, shuffle_rng, recorded, score)
 
-    monkeypatch.setattr(training, "_epochs", epochs)
+    monkeypatch.setattr(training, "_train_loop", train_loop)
     with pytest.raises(_Recorded):
         train()
     return steps

@@ -143,7 +143,13 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"backbone": {"slope": 1.5}}, "backbone slope must lie in [0, 1), got 1.5"),
     ({"teacher_backbone": {"slope": -0.5}},
      "backbone slope must lie in [0, 1), got -0.5"),
-    ({"schedule_scale": 1e307}, "schedule scale 1e+307 overflows the epoch count"),
+    ({"schedule_scale": 1e307}, "schedule scale 1e+307 must lie in (0, 1]"),
+    ({"schedule_scale": 1e300}, "schedule scale 1e+300 must lie in (0, 1]"),
+    ({"schedule_scale": 1.5}, "schedule scale 1.5 must lie in (0, 1]"),
+    ({"pairs_per_group": 0}, "at least one genuine and one impostor pair"),
+    ({"pairs_per_group": 1}, "at least one genuine and one impostor pair"),
+    ({"genuine_fraction": 1.5}, "at least one genuine and one impostor pair"),
+    ({"genuine_fraction": 0.0}, "at least one genuine and one impostor pair"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):

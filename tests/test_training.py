@@ -31,12 +31,10 @@ def teacher_optim(epochs=6):
 
 def test_sgd_step_plain_and_fixed_point():
     params = {"p": np.array([0.0])}
-    vel = {"p": np.zeros(1)}
-    tr.sgd_step(params, {"p": np.array([2.0])}, vel, lr=1.0, momentum=0.0)
+    tr.SgdMomentum(params, momentum=0.0).step({"p": np.array([2.0])}, lr=1.0)
     assert params["p"][0] == -2.0
     params = {"p": np.array([1.5])}
-    vel = {"p": np.zeros(1)}
-    tr.sgd_step(params, {"p": np.zeros(1)}, vel, lr=1.0, momentum=0.9)
+    tr.SgdMomentum(params, momentum=0.9).step({"p": np.zeros(1)}, lr=1.0)
     assert params["p"][0] == 1.5
 
 
@@ -46,7 +44,7 @@ def test_sgd_first_step_equals_plain_sgd():
     g = rng.normal(size=(3, 2))
     params = {"p": p0.copy()}
     opt = tr.SgdMomentum(params, momentum=0.9)
-    assert np.all(opt.velocity["p"] == 0.0)
+    assert np.all(opt.velocity == 0.0)
     opt.step({"p": g}, lr=0.3)
     assert np.allclose(params["p"], p0 - 0.3 * g)
 
@@ -57,6 +55,41 @@ def test_sgd_converges_on_quadratic_bowl():
     for _ in range(200):
         opt.step({"p": 2.0 * params["p"]}, lr=0.1)
     assert abs(params["p"][0]) < 1e-3
+
+
+def test_sgd_flat_buffer_equals_per_array_heavy_ball():
+    rng = np.random.default_rng(1)
+    shapes = {"a.W": (4, 3), "a.b": (3,), "h.W": (2, 5)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    params = {n: p.copy() for n, p in start.items()}
+    opt = tr.SgdMomentum(params, momentum=0.9)
+    for name in shapes:
+        assert np.shares_memory(params[name], opt.flat)
+    ref = {n: p.copy() for n, p in start.items()}
+    vel = {n: np.zeros(s) for n, s in shapes.items()}
+    for lr in (0.3, 0.3, 0.03, 0.003, 0.003):
+        grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+        opt.step(grads, lr)
+        for n in shapes:
+            vel[n] = 0.9 * vel[n] + grads[n]
+            ref[n] = ref[n] - lr * vel[n]
+    for name in shapes:
+        assert params[name].shape == shapes[name]
+        assert np.array_equal(params[name], ref[name])
+
+    before = {n: p.copy() for n, p in params.items()}
+    grads = {n: np.ones(s) for n, s in shapes.items()}
+    grads["a.b"][1] = np.nan
+    with pytest.raises(DivergenceError, match=r"in a\.b$"):
+        opt.step(grads, 0.1)
+    for name in shapes:
+        assert np.array_equal(params[name], before[name])
+    grads = {n: np.ones(s) for n, s in shapes.items()}
+    grads["h.W"] = np.ones((5, 2))
+    with pytest.raises(ContractError, match="h.W"):
+        opt.step(grads, 0.1)
+    for name in shapes:
+        assert np.array_equal(params[name], before[name])
 
 
 def test_sgd_rejects_non_finite_gradient():
