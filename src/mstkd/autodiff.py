@@ -88,16 +88,19 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
 
 
 def backward(params: dict[str, np.ndarray], prefix: str, saved: Saved,
-             g: np.ndarray) -> dict[str, np.ndarray]:
+             g: np.ndarray, out: Optional[dict[str, np.ndarray]] = None,
+             ) -> dict[str, np.ndarray]:
     """The gradient of every `prefix.{i}` parameter, given `g`, the loss
-    gradient at the unit output of the training forward that kept `saved`."""
+    gradient at the unit output of the training forward that kept `saved`,
+    each written into its array of `out` when given; returns `out` or a dict."""
     # d(x/r)/dx applied to g: (g - y * <g, y>_row) / r
     inner = np.sum(g * saved.unit, axis=1, keepdims=True)
     g = (g - saved.unit * inner) / saved.norms
-    grads = {}
+    grads = {} if out is None else out
     for i in range(len(saved.inputs) - 1, -1, -1):
-        grads[f"{prefix}.{i}.b"] = g.sum(axis=0)
-        grads[f"{prefix}.{i}.W"] = saved.inputs[i].T @ g
+        b, w = f"{prefix}.{i}.b", f"{prefix}.{i}.W"
+        grads[b] = np.sum(g, axis=0, out=grads.get(b))
+        grads[w] = np.matmul(saved.inputs[i].T, g, out=grads.get(w))
         if i:
             g = g @ params[f"{prefix}.{i}.W"].T
             g *= saved.factors[i - 1]

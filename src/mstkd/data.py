@@ -204,6 +204,12 @@ def split_balanced(train: SampleSet, seed: int) -> DataSplit:
     return DataSplit("balanced", [np.sort(np.array(s)) for s in subsets])
 
 
+def pair_capacity(samples: int, sum_sq: int) -> tuple[int, int]:
+    """(genuine, impostor) distinct pairs of a group of `samples` samples
+    whose per-identity sample counts have squares summing to `sum_sq`."""
+    return (sum_sq - samples) // 2, (samples * samples - sum_sq) // 2
+
+
 def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
                 seed: int) -> PairList:
     """Per group: `pairs_per_group` pairs, a fixed fraction genuine.
@@ -223,16 +229,14 @@ def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
         ids = pool.identities[rows]
         by_identity = {i: rows[ids == i] for i in np.unique(ids)}
         multi = [i for i, r in by_identity.items() if r.size >= 2]
-        if not multi:
-            raise DataError(f"group {g} has no identity with >= 2 samples")
         n_gen = round(pairs_per_group * genuine_fraction)
         n_imp = pairs_per_group - n_gen
-        capacity = sum(r.size * (r.size - 1) // 2 for r in by_identity.values())
-        if n_gen > capacity:
-            raise DataError(
-                f"group {g}: {n_gen} genuine pairs requested, only {capacity} exist")
-        if n_imp > 0 and len(by_identity) < 2:
-            raise DataError(f"group {g} needs >= 2 identities for impostor pairs")
+        capacity = pair_capacity(rows.size,
+                                 sum(r.size ** 2 for r in by_identity.values()))
+        for n, cap, kind in zip((n_gen, n_imp), capacity, ("genuine", "impostor")):
+            if n > cap:   # checked first: drawing more than exist never ends
+                raise DataError(
+                    f"group {g}: {n} {kind} pairs requested, only {cap} exist")
 
         seen: set[tuple[int, int]] = set()
 

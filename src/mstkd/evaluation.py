@@ -100,10 +100,8 @@ def fairness_metrics(acc) -> tuple[float, float, float | None]:
         raise ContractError("accuracies must lie in [0, 100]")
     global_acc = float(acc.mean())
     std = float(acc.std(ddof=1))
-    if acc.max() == 100.0:
-        ser = None
-    else:
-        ser = float((100.0 - acc.min()) / (100.0 - acc.max()))
+    ser = (None if acc.max() == 100.0
+           else float((100.0 - acc.min()) / (100.0 - acc.max())))
     return global_acc, std, ser
 
 
@@ -146,28 +144,17 @@ def render_table(rows: list[tuple[str, FairnessReport]],
             raise ContractError("reports cover different group structures")
     header = ["", *names, "Global Acc", "STD", "SER"]
     cells = [[label, *report_row(rep)] for label, rep in rows]
-    blocks = blocks or [len(rows)]
-    n_groups = len(names)
     start = 0
-    for size in blocks:
-        chunk = cells[start:start + size]
-        reports = [rep for _, rep in rows[start:start + size]]
-        for col in range(1, len(header)):
-            metric_idx = col - 1
-            if metric_idx < n_groups:
-                vals = [r.per_group_acc[metric_idx] for r in reports]
-                best = max(vals)
-            elif metric_idx == n_groups:
-                vals = [r.global_acc for r in reports]
-                best = max(vals)
-            else:
-                vals = [(np.inf if v is None else v) for v in
-                        ([r.std for r in reports] if metric_idx == n_groups + 1
-                         else [r.ser for r in reports])]
-                best = min(vals)
-            for row_i, v in enumerate(vals):
-                if v == best and len(chunk) > 1:
-                    chunk[row_i][col] = "*" + chunk[row_i][col]
+    for size in blocks or [len(rows)]:
+        # each row's metrics in column order, signed so that higher is better
+        # (an undefined SER is the worst)
+        signed = [[*r.per_group_acc, r.global_acc, -r.std,
+                   -np.inf if r.ser is None else -r.ser]
+                  for _, r in rows[start:start + size]]
+        for col, best in enumerate(np.max(signed, axis=0) if len(signed) > 1 else (), 1):
+            for i, row in enumerate(signed):
+                if row[col - 1] == best:
+                    cells[start + i][col] = "*" + cells[start + i][col]
         start += size
     widths = [max(len(r[c]) for r in [header, *cells]) for c in range(len(header))]
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]

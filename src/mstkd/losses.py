@@ -58,6 +58,7 @@ def _check_labels(labels: np.ndarray, n_classes: int, batch: int) -> np.ndarray:
 def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
                     labels: np.ndarray, cfg: EafConfig,
                     rng: Optional[np.random.Generator] = None,
+                    out: Optional[np.ndarray] = None,
                     ) -> tuple[float, np.ndarray, np.ndarray]:
     """Angular-margin cross-entropy with a per-sample Gaussian margin.
 
@@ -66,7 +67,8 @@ def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
     mapped back; the shifted angle is clipped to [0, pi] so a larger margin
     can never make the target logit more favorable. All logits are scaled
     by s before the cross-entropy. Returns the loss and its gradients with
-    respect to the embeddings and the class weights.
+    respect to the embeddings and the class weights; the latter is written
+    into `out` when given.
     """
     cfg.validate()
     w = class_weights
@@ -128,7 +130,7 @@ def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
     g_wn = (emb.T @ g_raw).T.copy()
     inner = np.sum(g_wn * wn, axis=1, keepdims=True)
     return (float(per_row.mean()), g_raw @ wn_t.T,
-            (g_wn - wn * inner) / w_norms)
+            np.divide(g_wn - wn * inner, w_norms, out=out))
 
 
 def kd_mse(target: np.ndarray, student_emb: np.ndarray,

@@ -101,6 +101,15 @@ class ExperimentConfig:
         if not 1 <= n_genuine < self.pairs_per_group:
             raise ConfigError("pairs_per_group and genuine_fraction must give "
                               "each group at least one genuine and one impostor pair")
+        s = self.dataset.samples_per_identity
+        for pool in ("validation", "test"):
+            k = getattr(self.dataset, f"{pool}_identities_per_group")
+            for n, cap, kind in zip((n_genuine, self.pairs_per_group - n_genuine),
+                                    data.pair_capacity(k * s, k * s * s),
+                                    ("genuine", "impostor")):
+                if n > cap:
+                    raise ConfigError(f"{n} {kind} pairs per group requested, the "
+                                      f"{pool} pool has only {cap}")
         if self.fusion_order is not None and (
                 sorted(self.fusion_order) != list(range(self.dataset.groups))):
             raise ConfigError("fusion_order must be a permutation of the teachers")

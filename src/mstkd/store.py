@@ -11,6 +11,8 @@ per pair.
 Checkpoints reuse the container preamble, then a text manifest (one line of
 JSON metadata, then `name dims offset` per parameter) followed by the raw
 f64 parameter data, which the parameters tile exactly, in manifest order.
+That data block is the training layout too (`lay_out`); loaded parameters
+are views of the file's bytes, so they are read-only.
 
 Every file is written through `write_atomic`; the loaders reject malformed
 files with `FormatError` and check sizes against the file before allocating.
@@ -126,21 +128,16 @@ def load_pairs(path) -> PairList:
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
     """Checkpoint: container preamble + text manifest + raw f64 data."""
-    lines = ["meta " + json.dumps(meta, sort_keys=True)]
-    offset = 0
-    blobs = []
+    lines, offset = ["meta " + json.dumps(meta, sort_keys=True)], 0
     for name, arr in params.items():
         if " " in name:
             raise FormatError(f"parameter name {name!r} contains a space")
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        dims = "x".join(str(d) for d in arr.shape)
-        lines.append(f"{name} {dims} {offset}")
-        offset += arr.size
-        blobs.append(arr)
+        lines.append(f"{name} {'x'.join(map(str, np.shape(arr)))} {offset}")
+        offset += np.size(arr)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
     write_atomic(path, [MAGIC, np.uint32(VERSION).tobytes(), np.uint8(1).tobytes(),
                         np.uint64(len(manifest)).tobytes(), manifest]
-                 + [blob.data for blob in blobs])
+                 + [np.ascontiguousarray(a, dtype="<f8").data for a in params.values()])
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -175,7 +172,7 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     if len(data) % 8:
         raise FormatError(f"{path}: data block of {len(data)} bytes is not whole f64 values")
     flat = np.frombuffer(data, "<f8")
-    params: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     end = 0   # the parameters tile the data block, in manifest order
     for ln in lines[1:]:
         try:
@@ -186,18 +183,27 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"{path}: bad manifest line {ln!r}") from exc
         if any(d < 0 for d in shape):
             raise FormatError(f"{path}: parameter {name} has a negative dimension")
-        if name in params:
+        if name in shapes:
             raise FormatError(f"{path}: parameter {name} is listed twice")
         if offset != end:
             raise FormatError(f"{path}: parameter {name} starts at {offset}, not "
                               f"where the previous one ends ({end})")
         end = offset + math.prod(shape)
-        if end > flat.size:
-            raise FormatError(f"{path}: parameter {name} exceeds data block")
-        params[name] = flat[offset:end].reshape(shape).copy()
-    if end != flat.size:
-        raise FormatError(f"{path}: {flat.size - end} values after the last parameter")
-    return params, meta
+        shapes[name] = shape
+    if end != flat.size:   # checked before any view is made
+        raise FormatError(f"{path}: the parameters take {end} values, the data "
+                          f"block holds {flat.size}")
+    return lay_out(flat, shapes), meta
+
+
+def lay_out(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Views of `flat` with the named shapes, end to end in order: the one
+    parameter layout of checkpoints and of training."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        views[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return views
 
 
 def sha256_file(path) -> str:

@@ -9,14 +9,16 @@ and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
 (optionally plus classification), and keep the final epoch. One loop logs
 and keeps epochs for all three; a trainer gives it its step and its score.
-Each model's parameters live in one flat buffer, so an SGD step is three
-vector operations and a kept epoch one copy. Each step runs its network's
-`autodiff.forward` keeping what the hand-written `autodiff.backward` needs;
-frozen networks run the same forward keeping nothing. The loop has one
-divergence rule: the first non-finite loss or gradient stops training with
-`DivergenceError` (exit 4); no batch is ever skipped. All shuffling,
-margins, and dropout draw from generators derived from the configured
-seeds, so a full run is bit-reproducible.
+Each model's parameters and gradients live in two flat buffers with a
+checkpoint's data layout (`store.lay_out`), so an SGD step is three vector
+operations and a kept epoch one copy. A step runs its network's
+`autodiff.forward`, keeping what `autodiff.backward` needs to write each
+gradient into its view; frozen networks, read-only once loaded, run the
+same forward keeping nothing. The loop has one divergence rule: the first
+non-finite loss or gradient stops training with `DivergenceError` (exit 4);
+no batch is ever skipped. All shuffling, margins, and dropout draw from
+generators derived from the configured seeds, so a full run is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -99,34 +101,30 @@ def lr_at_epoch(cfg: OptimConfig, epoch: int) -> float:
 class SgdMomentum:
     """Heavy-ball SGD over one flat buffer: v <- momentum*v + g; p <- p - lr*v.
 
-    The parameters are concatenated once into `flat` and each `params[name]`
-    is rebound to its view of it, so a step is three vector operations
-    however many parameters the model has.
+    The parameters are copied once into `flat`, and `params[name]` is
+    rebound to its view of it; `grads[name]` is the view of `grad` that a
+    training step writes the same parameter's gradient into. A step is then
+    three vector operations however many parameters the model has.
     """
 
     def __init__(self, params: dict[str, np.ndarray], momentum: float = 0.9):
-        self.params = params
-        self.momentum = momentum
+        shapes = {name: p.shape for name, p in params.items()}
+        self.params, self.momentum = params, momentum
         self.flat = np.concatenate([p.ravel() for p in params.values()],
                                    dtype=np.float64)
+        self.grad = np.zeros_like(self.flat)
         self.velocity = np.zeros_like(self.flat)
-        offset = 0
-        for name, p in params.items():
-            params[name] = self.flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        params.update(store.lay_out(self.flat, shapes))
+        self.grads = store.lay_out(self.grad, shapes)
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        """One update in place; a wrongly shaped or non-finite gradient
-        raises naming its parameter and leaves every parameter as it was."""
-        for name, p in self.params.items():
-            if grads[name].shape != p.shape:
-                raise ContractError(f"gradient shape mismatch for {name}")
-        g = np.concatenate([grads[name].ravel() for name in self.params])
-        if not np.isfinite(g).all():
-            bad = next(n for n in self.params if not np.isfinite(grads[n]).all())
+    def step(self, lr: float) -> None:
+        """One update in place from `grad`; a non-finite gradient raises
+        naming its parameter and leaves every parameter as it was."""
+        if not np.isfinite(self.grad).all():
+            bad = next(n for n, g in self.grads.items() if not np.isfinite(g).all())
             raise DivergenceError(f"non-finite gradient in {bad}")
         self.velocity *= self.momentum
-        self.velocity += g
+        self.velocity += self.grad
         self.flat -= lr * self.velocity
 
 
@@ -161,23 +159,22 @@ def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _train_loop(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
+def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
                 shuffle_rng: np.random.Generator, step, score=None,
                 ) -> tuple[list[TrainLogRecord], int]:
     """The one training loop; returns the epoch log and the kept epoch,
-    whose values `params` (rebound to views of one flat buffer) then hold.
+    whose values `opt.params` then hold.
 
-    `step(params, batch)` returns one batch's `(loss, terms, grads)`: the
-    loss to minimize, scalar terms logged as `mean_<term>` and every
-    parameter's gradient. The first non-finite loss raises `DivergenceError`
-    naming its epoch and batch (both 1-based). `score(means)` returns an
-    epoch's `(value, val_acc)`; the highest value is kept (ties: earliest),
-    and without `score` the final epoch.
+    `step(params, batch)` writes every gradient into `opt.grads` and returns
+    one batch's `(loss, terms, opt.grads)`: the loss to minimize and scalar
+    terms logged as `mean_<term>`. The first non-finite loss raises
+    `DivergenceError` naming its epoch and batch (both 1-based).
+    `score(means)` returns an epoch's `(value, val_acc)`; the highest value
+    is kept (ties: earliest), and without `score` the final epoch.
     """
     optim.validate()
     if n < 1:
         raise ContractError("training needs at least one sample")
-    opt = SgdMomentum(params, optim.momentum)
     records, best, kept_epoch, kept = [], -np.inf, optim.epochs, None
     for epoch in range(1, optim.epochs + 1):
         t0 = time.perf_counter()
@@ -185,13 +182,13 @@ def _train_loop(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
         logged: dict[str, list[float]] = {}
         batches = epoch_batches(n, optim.batch_size, shuffle_rng)
         for i, batch in enumerate(batches, 1):
-            loss, terms, grads = step(params, batch)
+            loss, terms, _ = step(opt.params, batch)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss ({loss}) at epoch {epoch}, batch {i}")
             for key, value in {"loss": loss, **terms}.items():
                 logged.setdefault(key, []).append(value)
-            opt.step(grads, lr)
+            opt.step(lr)
         means = {key: float(np.mean(v)) for key, v in logged.items()}
         value, val_acc = score(means) if score else (-np.inf, None)
         if value > best:
@@ -206,18 +203,18 @@ def _train_loop(params: dict[str, np.ndarray], optim: OptimConfig, n: int,
 
 def _margin_step(prefix: str, slope: float, inputs: np.ndarray,
                  labels: np.ndarray, eaf_cfg: EafConfig,
-                 margin_rng: np.random.Generator, dropout_p: float = 0.0,
+                 margin_rng: np.random.Generator, grads: dict[str, np.ndarray],
+                 dropout_p: float = 0.0,
                  dropout_rng: Optional[np.random.Generator] = None):
     """The training step of a `prefix` stack under the angular-margin loss
-    against the classification header `header.W`."""
+    against the classification header `header.W`, writing into `grads`."""
     def step(params, batch):
         emb, saved = forward(params, prefix, slope, inputs[batch], True,
                              dropout_p, dropout_rng)
-        loss, g_emb, g_header = losses.elastic_arcface(
-            emb, params["header.W"], labels[batch], eaf_cfg, rng=margin_rng)
-        grads = backward(params, prefix, saved, g_emb)
-        grads["header.W"] = g_header
-        return loss, {}, grads
+        loss, g_emb, _ = losses.elastic_arcface(
+            emb, params["header.W"], labels[batch], eaf_cfg, rng=margin_rng,
+            out=grads["header.W"])
+        return loss, {}, backward(params, prefix, saved, g_emb, grads)
     return step
 
 
@@ -229,6 +226,7 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     best own-group validation verification accuracy (ties: earliest)."""
     class_ids, local_labels = np.unique(subset.identities, return_inverse=True)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
+    opt = SgdMomentum(model.params, optim.momentum)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
     own_pairs = val_pairs.of_group(group.index)
 
@@ -237,8 +235,8 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
         return acc, {group.name: acc}
 
     step = _margin_step("backbone", backbone_cfg.slope, subset.values,
-                        local_labels, eaf_cfg, margin_rng)
-    records, model.best_epoch = _train_loop(model.params, optim, subset.n,
+                        local_labels, eaf_cfg, margin_rng, opt.grads)
+    records, model.best_epoch = _train_loop(opt, optim, subset.n,
                                             shuffle_rng, step, score)
     return model, records
 
@@ -246,12 +244,8 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
 def extract_embeddings(teachers: list[TeacherModel],
                        dataset: SampleSet) -> list[SampleSet]:
     """Every teacher embeds every sample; outputs stay row-aligned."""
-    out = []
-    for t in teachers:
-        emb = t.embed(dataset.values)
-        out.append(SampleSet(emb, dataset.identities.copy(),
-                             dataset.groups.copy(), dataset.group_tags))
-    return out
+    return [SampleSet(t.embed(dataset.values), dataset.identities.copy(),
+                      dataset.groups.copy(), dataset.group_tags) for t in teachers]
 
 
 def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig,
@@ -261,8 +255,9 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     """Train a fusion adaptor on concatenated teacher embeddings.
 
     Uses identity labels only (no group information). The classification
-    header trained alongside is discarded; the returned adaptor is the
-    epoch checkpoint with the lowest epoch-mean training loss.
+    header trained alongside, laid last in the same buffer, is discarded;
+    the returned adaptor is the epoch checkpoint with the lowest epoch-mean
+    training loss, whose parameters are views of the buffer's leading part.
     """
     fused = models.fuse_inputs(embedding_sets, fusion_order)
     class_ids, local_labels = np.unique(embedding_sets[0].identities,
@@ -270,18 +265,19 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     emb_dim = embedding_sets[0].dim
     model = models.new_adaptor(kind, len(embedding_sets), emb_dim, init_seed)
     header_rng = np.random.default_rng(np.random.SeedSequence(init_seed).spawn(1)[0])
-    params = {**model.params,
-              "header.W": models.init_header(header_rng, len(class_ids), emb_dim)}
+    model.params["header.W"] = models.init_header(header_rng, len(class_ids),
+                                                  emb_dim)
+    opt = SgdMomentum(model.params, optim.momentum)
     shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
 
     # DLDPO drops before the activation; the other kinds never drop
     dropout_p = model.dropout_p if kind == "DLDPO" else 0.0
     step = _margin_step("adaptor", model.slope, fused, local_labels, eaf_cfg,
-                        margin_rng, dropout_p, dropout_rng)
+                        margin_rng, opt.grads, dropout_p, dropout_rng)
     records, model.best_epoch = _train_loop(
-        params, optim, fused.shape[0], shuffle_rng, step,
+        opt, optim, fused.shape[0], shuffle_rng, step,
         lambda means: (-means["loss"], None))
-    model.params = {name: params[name] for name in model.params}
+    del model.params["header.W"]
     return model, records
 
 
@@ -304,11 +300,10 @@ def train_student(mode: str, adaptor: AdaptorModel,
 
     `embedding_sets` are the teachers' embeddings of `dataset`, row-aligned
     with it (the extract stage's output). The target of every sample is
-    computed once, before the first epoch; the adaptor stays frozen
-    (verified)."""
+    computed once, before the first epoch, and the frozen adaptor is not
+    read again; a loaded adaptor is read-only."""
     if not lam > 0:
         raise ContractError(f"lambda must be > 0, got {lam}")
-    frozen_before = _param_bytes(adaptor)
     targets = fused_target(adaptor, embedding_sets, fusion_order)
     if targets.shape[0] != dataset.n:
         raise ContractError(f"{targets.shape[0]} target rows for "
@@ -317,28 +312,21 @@ def train_student(mode: str, adaptor: AdaptorModel,
     if mode == "eaf_kd":
         class_ids, local_labels = np.unique(dataset.identities, return_inverse=True)
     model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
+    opt = SgdMomentum(model.params, optim.momentum)
     shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
 
     def step(params, batch):
         emb, saved = forward(params, "backbone", backbone_cfg.slope,
                              dataset.values[batch], True)
         kd = losses.kd_mse(targets[batch], emb, lam)
-        terms, grads, eaf = {"kd": kd[0]}, {}, None
+        terms, eaf = {"kd": kd[0]}, None
         if mode == "eaf_kd":
-            value, g_emb, grads["header.W"] = losses.elastic_arcface(
+            value, g_emb, _ = losses.elastic_arcface(
                 emb, params["header.W"], local_labels[batch], eaf_cfg,
-                rng=margin_rng)
+                rng=margin_rng, out=opt.grads["header.W"])
             terms["eaf"], eaf = value, (value, g_emb)
         loss, g_emb = losses.student_loss(eaf, kd, lam)
-        grads.update(backward(params, "backbone", saved, g_emb))
-        return loss, terms, grads
+        return loss, terms, backward(params, "backbone", saved, g_emb, opt.grads)
 
-    records, _ = _train_loop(model.params, optim, dataset.n, shuffle_rng, step)
-    if _param_bytes(adaptor) != frozen_before:
-        raise ContractError("frozen adaptor parameters changed "
-                            "during student training")
+    records, _ = _train_loop(opt, optim, dataset.n, shuffle_rng, step)
     return model, records
-
-
-def _param_bytes(adaptor: AdaptorModel) -> bytes:
-    return b"".join(adaptor.params[n].tobytes() for n in sorted(adaptor.params))

@@ -514,5 +514,5 @@ def test_criterion_9_frozen_network_guarantee(sweep):
         for n in before_a:
             assert adaptor.params[n].tobytes() == before_a[n]
     _report(9, True, "teacher and adaptor parameter bytes unchanged by "
-                     "EAF-KD and a-KD training (also enforced inside the "
-                     "training loop)")
+                     "EAF-KD and a-KD training (loaded parameters are "
+                     "read-only, so a write would raise at once)")

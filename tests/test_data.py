@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,29 @@ def test_build_pairs_insufficient_samples():
                                         identities_per_group=2))
     with pytest.raises(DataError):
         d.build_pairs(train, pairs_per_group=1000, genuine_fraction=0.9, seed=0)
+
+
+def test_build_pairs_rejects_more_impostor_pairs_than_exist():
+    """Two identities of two samples hold 4 impostor pairs per group; asking
+    for 98 raises before drawing instead of searching for ever."""
+    _, val, _ = d.generate(small_spec(validation_identities_per_group=2,
+                                      samples_per_identity=2))
+
+    def hung(signum, frame):
+        raise TimeoutError("build_pairs did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(DataError, match="98 impostor pairs requested, only 4 exist"):
+            d.build_pairs(val, 100, 0.02, seed=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_pair_capacity_counts_every_distinct_pair():
+    sizes = [3, 1, 4, 2]
+    genuine = sum(s * (s - 1) // 2 for s in sizes)
+    impostor = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
+    assert d.pair_capacity(sum(sizes), sum(s * s for s in sizes)) == (genuine, impostor)

@@ -203,7 +203,9 @@ def record_steps(monkeypatch, train):
     def train_loop(params, optim, n, shuffle_rng, step, score=None):
         def recorded(params, batch):
             before = {name: p.copy() for name, p in params.items()}
-            steps.append((before, batch.copy(), step(params, batch)))
+            loss, terms, grads = step(params, batch)
+            grads = {name: g.copy() for name, g in grads.items()}
+            steps.append((before, batch.copy(), (loss, terms, grads)))
             if len(steps) == STEPS:
                 raise _Recorded
             return steps[-1][2]

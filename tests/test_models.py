@@ -299,6 +299,27 @@ def test_checkpoint_round_trips(tmp_path):
         assert np.array_equal(s2.params[n], s.params[n])
 
 
+def test_loaded_parameters_are_read_only_views_of_the_data_block(tmp_path):
+    """A loaded model's parameters tile the checkpoint's data block as views
+    of one read-only buffer, so an in-place write raises at once."""
+    saved = [(models.save_teacher, models.load_teacher, make_teacher(seed=16)),
+             (models.save_adaptor, models.load_adaptor,
+              models.new_adaptor("DuL", 4, 8, seed=17)),
+             (models.save_student, models.load_student,
+              models.new_student(CFG, "eaf_kd", np.arange(20), seed=18))]
+    for save, load, model in saved:
+        save(model, tmp_path / "m.ckpt")
+        params = load(tmp_path / "m.ckpt").params
+        base = next(iter(params.values())).base
+        for name, p in params.items():
+            assert p.base is base and not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                p += 1.0
+            assert np.array_equal(p, model.params[name])
+
+
 def _without(key):
     return lambda meta: meta.pop(key)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -150,6 +151,12 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"pairs_per_group": 1}, "at least one genuine and one impostor pair"),
     ({"genuine_fraction": 1.5}, "at least one genuine and one impostor pair"),
     ({"genuine_fraction": 0.0}, "at least one genuine and one impostor pair"),
+    ({"pairs_per_group": 100000},
+     "50000 genuine pairs per group requested, the validation pool has only 2280"),
+    ({"pairs_per_group": 30000, "genuine_fraction": 0.01},
+     "29700 impostor pairs per group requested, the validation pool has only 26400"),
+    ({"dataset": {"validation_identities_per_group": 40}, "pairs_per_group": 9000},
+     "4500 genuine pairs per group requested, the test pool has only 2280"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -255,6 +262,49 @@ def test_rerun_after_delete_is_byte_identical(tmp_path):
     pipeline.cmd_evaluate(cfg, force=True)
     assert ckpt.read_bytes() == before_ckpt
     assert report.read_bytes() == before_report
+
+
+def _deterministic_files(out):
+    """Every file of a run directory but the logs, the manifest and the
+    config copy, which hold wall times and paths: {relative path: bytes}."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and not p.name.endswith(".log.jsonl")
+            and p.name not in ("manifest.json", "config.json")}
+
+
+def test_full_disk_at_a_write_then_rerun_equals_a_clean_run(tmp_path, capsys,
+                                                            monkeypatch):
+    """`run-all` stopped by a full disk at a sampled write of its artifacts
+    exits 1 with one line; running it again exits 0 and leaves every
+    deterministic file as a clean run does."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(pipeline.config_to_dict(tiny_config(tmp_path))))
+    real, calls, fail_at = store.write_atomic, [], [0]
+
+    def write_atomic(target, chunks):
+        calls.append(target)
+        if len(calls) == fail_at[0]:
+            raise OSError(errno.ENOSPC, "No space left on device", str(target))
+        real(target, chunks)
+
+    def run_all(out):
+        calls.clear()
+        return cli.main(["run-all", "--config", str(path), "--out", str(out)])
+
+    monkeypatch.setattr(store, "write_atomic", write_atomic)
+    assert run_all(tmp_path / "clean") == 0
+    clean = _deterministic_files(tmp_path / "clean")
+    writes = len(calls)
+    for k in sorted({*range(1, writes + 1, 5), writes}):
+        out = tmp_path / f"full_at_{k}"
+        fail_at[0] = k
+        capsys.readouterr()
+        assert run_all(out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No space left on device" in err
+        fail_at[0] = 0
+        assert run_all(out) == 0
+        assert _deterministic_files(out) == clean
 
 
 def test_config_hash_mismatch_rejected(tmp_path):

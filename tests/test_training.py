@@ -29,12 +29,20 @@ def teacher_optim(epochs=6):
     return tr.OptimConfig(0.1, epochs, (2, 4), **FAST)
 
 
+def sgd_step(opt, grads, lr):
+    """Write `grads` into the optimizer's gradient views, as a training step
+    does, then take one step."""
+    for name, g in grads.items():
+        opt.grads[name][...] = g
+    opt.step(lr)
+
+
 def test_sgd_step_plain_and_fixed_point():
     params = {"p": np.array([0.0])}
-    tr.SgdMomentum(params, momentum=0.0).step({"p": np.array([2.0])}, lr=1.0)
+    sgd_step(tr.SgdMomentum(params, momentum=0.0), {"p": np.array([2.0])}, lr=1.0)
     assert params["p"][0] == -2.0
     params = {"p": np.array([1.5])}
-    tr.SgdMomentum(params, momentum=0.9).step({"p": np.zeros(1)}, lr=1.0)
+    sgd_step(tr.SgdMomentum(params, momentum=0.9), {"p": np.zeros(1)}, lr=1.0)
     assert params["p"][0] == 1.5
 
 
@@ -45,7 +53,7 @@ def test_sgd_first_step_equals_plain_sgd():
     params = {"p": p0.copy()}
     opt = tr.SgdMomentum(params, momentum=0.9)
     assert np.all(opt.velocity == 0.0)
-    opt.step({"p": g}, lr=0.3)
+    sgd_step(opt, {"p": g}, lr=0.3)
     assert np.allclose(params["p"], p0 - 0.3 * g)
 
 
@@ -53,7 +61,7 @@ def test_sgd_converges_on_quadratic_bowl():
     params = {"p": np.array([1.0])}
     opt = tr.SgdMomentum(params, momentum=0.9)
     for _ in range(200):
-        opt.step({"p": 2.0 * params["p"]}, lr=0.1)
+        sgd_step(opt, {"p": 2.0 * params["p"]}, lr=0.1)
     assert abs(params["p"][0]) < 1e-3
 
 
@@ -69,7 +77,7 @@ def test_sgd_flat_buffer_equals_per_array_heavy_ball():
     vel = {n: np.zeros(s) for n, s in shapes.items()}
     for lr in (0.3, 0.3, 0.03, 0.003, 0.003):
         grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-        opt.step(grads, lr)
+        sgd_step(opt, grads, lr)
         for n in shapes:
             vel[n] = 0.9 * vel[n] + grads[n]
             ref[n] = ref[n] - lr * vel[n]
@@ -81,13 +89,14 @@ def test_sgd_flat_buffer_equals_per_array_heavy_ball():
     grads = {n: np.ones(s) for n, s in shapes.items()}
     grads["a.b"][1] = np.nan
     with pytest.raises(DivergenceError, match=r"in a\.b$"):
-        opt.step(grads, 0.1)
+        sgd_step(opt, grads, 0.1)
     for name in shapes:
         assert np.array_equal(params[name], before[name])
     grads = {n: np.ones(s) for n, s in shapes.items()}
     grads["h.W"] = np.ones((5, 2))
-    with pytest.raises(ContractError, match="h.W"):
-        opt.step(grads, 0.1)
+    # a wrongly shaped gradient cannot be written into its view
+    with pytest.raises(ValueError, match=r"\(5,2\) into shape \(2,5\)"):
+        sgd_step(opt, grads, 0.1)
     for name in shapes:
         assert np.array_equal(params[name], before[name])
 
@@ -96,7 +105,59 @@ def test_sgd_rejects_non_finite_gradient():
     params = {"p": np.zeros(2)}
     opt = tr.SgdMomentum(params)
     with pytest.raises(DivergenceError):
-        opt.step({"p": np.array([1.0, np.nan])}, lr=0.1)
+        sgd_step(opt, {"p": np.array([1.0, np.nan])}, lr=0.1)
+
+
+@pytest.mark.parametrize("trainer", ["teacher", "adaptor", "student"])
+def test_trained_parameters_and_gradients_live_in_the_optimizer_buffers(
+        monkeypatch, trainer):
+    """Every trainer's steps write their gradients into views of the
+    optimizer's gradient buffer, and the model it returns holds views of the
+    optimizer's parameter buffer (an adaptor: of its leading part, before
+    the discarded header)."""
+    opts, step_grads = [], []
+
+    class Recording(tr.SgdMomentum):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    real_loop = tr._train_loop
+
+    def loop(opt, optim, n, shuffle_rng, step, score=None):
+        def recorded(params, batch):
+            out = step(params, batch)
+            step_grads.append(out[2])
+            return out
+        return real_loop(opt, optim, n, shuffle_rng, recorded, score)
+
+    monkeypatch.setattr(tr, "SgdMomentum", Recording)
+    monkeypatch.setattr(tr, "_train_loop", loop)
+    train, val, _, val_pairs, _ = desk_data()
+    optim = tr.OptimConfig(0.1, 1, (), **FAST)
+    teachers = [models.new_teacher(CFG, np.arange(1), train.group_tags[g], seed=g)
+                for g in range(4)]
+    sets = tr.extract_embeddings(teachers, train)
+    if trainer == "teacher":
+        model, _ = tr.train_teacher(train.select(train.rows_of_group(0)),
+                                    train.group_tags[0], CFG, EafConfig(), optim,
+                                    val, val_pairs, init_seed=3)
+    elif trainer == "adaptor":
+        model, _ = tr.train_adaptor("DuL", sets, EafConfig(), optim, init_seed=4)
+    else:
+        model, _ = tr.train_student("eaf_kd", models.new_adaptor("SL", 4, 16, 5),
+                                    sets, train, 10000.0, EafConfig(), CFG, optim,
+                                    init_seed=6)
+    opt, = opts
+    assert len(step_grads) >= 2
+    for grads in step_grads:
+        assert grads is opt.grads
+    for g in opt.grads.values():
+        assert np.shares_memory(g, opt.grad)
+    lead = opt.flat.size - (opt.grads["header.W"].size if trainer == "adaptor" else 0)
+    assert sum(p.size for p in model.params.values()) == lead
+    for p in model.params.values():
+        assert np.shares_memory(p, opt.flat[:lead])
 
 
 def test_lr_schedule_matches_presets():
