@@ -362,6 +362,8 @@ def _train_teachers(cfg: ExperimentConfig, out: Path) -> str:
     except ValueError:
         raise ConfigError("MSTKD_WORKERS must be an integer, got "
                           f"{os.environ['MSTKD_WORKERS']!r}") from None
+    if workers < 1:
+        raise ConfigError(f"MSTKD_WORKERS must be at least 1, got {workers}")
     doc = config_to_dict(cfg)
     groups = range(cfg.dataset.groups)
     if workers > 1:

@@ -18,13 +18,19 @@ same forward keeping nothing. The loop has one divergence rule: the first
 non-finite loss or gradient stops training with `DivergenceError` (exit 4);
 no batch is ever skipped. All shuffling, margins, and dropout draw from
 generators derived from the configured seeds, so a full run is
-bit-reproducible.
+bit-reproducible. Each trainer runs at one BLAS thread: its GEMMs are too
+small for OpenBLAS to split usefully, so a second thread only spins on
+another core, and teacher worker processes cannot oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -155,6 +161,57 @@ def write_log(records: list[TrainLogRecord], path) -> None:
     store.write_text_atomic(path, "".join(rec.to_json() + "\n" for rec in records))
 
 
+# getter/setter name patterns of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "scipy_openblas_{}_num_threads64_")
+
+
+@functools.cache
+def _openblas_threads():
+    """The `(get, set)` thread-count functions of the OpenBLAS mapped into
+    this process, or None when none is found; looked up on first use."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields
+                          if len(f) == 6 and "openblas" in os.path.basename(f[5]))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_THREADS:
+            get = getattr(lib, pattern.format("get"), None)
+            set_ = getattr(lib, pattern.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread, then restore the caller's count
+    (also when the body raises); without a known OpenBLAS, do nothing. The
+    count is process-wide, so the body must not share the process with
+    another thread's BLAS calls."""
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -218,6 +275,7 @@ def _margin_step(prefix: str, slope: float, inputs: np.ndarray,
     return step
 
 
+@_one_blas_thread()
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
                   eaf_cfg: EafConfig, optim: OptimConfig, val_pool: SampleSet,
                   val_pairs: PairList, init_seed: int,
@@ -248,6 +306,7 @@ def extract_embeddings(teachers: list[TeacherModel],
                       dataset.groups.copy(), dataset.group_tags) for t in teachers]
 
 
+@_one_blas_thread()
 def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
@@ -289,6 +348,7 @@ def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
         adaptor, models.fuse_inputs(embedding_sets, fusion_order))
 
 
+@_one_blas_thread()
 def train_student(mode: str, adaptor: AdaptorModel,
                   embedding_sets: list[SampleSet], dataset: SampleSet,
                   lam: float, eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,

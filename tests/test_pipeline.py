@@ -272,6 +272,21 @@ def _deterministic_files(out):
             and p.name not in ("manifest.json", "config.json")}
 
 
+def test_run_all_is_byte_identical_at_one_and_two_inference_threads(
+        tmp_path, set_blas_threads):
+    """Training always runs at one BLAS thread; inference uses the
+    process's count, which must not change a deterministic byte."""
+    files = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        out = tmp_path / f"threads_{threads}"
+        pipeline.run_all(tiny_config(out))
+        files.append(_deterministic_files(out))
+    assert {name.split("/")[0] for name in files[0]} == {
+        "dataset", "teachers", "embeddings", "adaptors", "students", "reports"}
+    assert files[0] == files[1]
+
+
 def test_full_disk_at_a_write_then_rerun_equals_a_clean_run(tmp_path, capsys,
                                                             monkeypatch):
     """`run-all` stopped by a full disk at a sampled write of its artifacts
@@ -466,6 +481,42 @@ def test_cli_rejects_non_integer_workers(tmp_path, monkeypatch, capsys):
     assert cli.main(["train-teachers", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MSTKD_WORKERS" in err and "'two'" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_non_positive_workers(tmp_path, monkeypatch, capsys, workers):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    monkeypatch.setenv("MSTKD_WORKERS", workers)
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MSTKD_WORKERS" in err and workers in err
+    assert not list((tmp_path / "run").rglob("*.ckpt"))
+
+
+def _without_wall_time(log):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+            for line in log.read_text().splitlines()]
+
+
+def test_teacher_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
+    """Two teacher workers write the serial stage's checkpoints byte for
+    byte, and the same logs but for `wall_time`."""
+    cfg_path = _cli_config(tmp_path)
+    ckpts, logs = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers_{workers}"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        monkeypatch.setenv("MSTKD_WORKERS", workers)
+        assert cli.main(["train-teachers", "--config", cfg_path,
+                         "--out", str(out)]) == 0
+        teachers = out / "teachers"
+        ckpts.append({p.name: p.read_bytes() for p in teachers.glob("*.ckpt")})
+        logs.append({p.name: _without_wall_time(p)
+                     for p in teachers.glob("*.log.jsonl")})
+    assert len(ckpts[0]) == len(logs[0]) == 4
+    assert ckpts[0] == ckpts[1] and logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("damage", [

@@ -160,6 +160,78 @@ def test_trained_parameters_and_gradients_live_in_the_optimizer_buffers(
         assert np.shares_memory(p, opt.flat[:lead])
 
 
+def _blas_threads():
+    return tr._openblas_threads()[0]()
+
+
+@pytest.mark.parametrize("caller", [1, 2])
+@pytest.mark.parametrize("diverge", [False, True])
+@pytest.mark.parametrize("trainer", ["teacher", "adaptor", "student"])
+def test_trainers_run_at_one_blas_thread_and_restore_the_callers(
+        monkeypatch, set_blas_threads, trainer, diverge, caller):
+    """A trainer's steps, its validation embed and the student's fused
+    target run at one BLAS thread; the caller's count is back when the
+    trainer returns and when it raises `DivergenceError`."""
+    seen = []
+    real_loop, real_target = tr._train_loop, tr.fused_target
+
+    def loop(opt, optim, n, shuffle_rng, step, score=None):
+        def noted_step(params, batch):
+            seen.append(("step", _blas_threads()))
+            loss, terms, grads = step(params, batch)
+            return (np.nan if diverge else loss), terms, grads
+
+        def noted_score(means):
+            seen.append(("score", _blas_threads()))
+            return score(means)
+        return real_loop(opt, optim, n, shuffle_rng, noted_step,
+                         score and noted_score)
+
+    def target(*args, **kwargs):
+        seen.append(("target", _blas_threads()))
+        return real_target(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "_train_loop", loop)
+    monkeypatch.setattr(tr, "fused_target", target)
+    train, val, _, val_pairs, _ = desk_data()
+    optim = tr.OptimConfig(0.1, 1, (), **FAST)
+    sets = tr.extract_embeddings(
+        [models.new_teacher(CFG, np.arange(1), train.group_tags[g], seed=g)
+         for g in range(4)], train)
+    trainers = {
+        "teacher": lambda: tr.train_teacher(
+            train.select(train.rows_of_group(0)), train.group_tags[0], CFG,
+            EafConfig(), optim, val, val_pairs, init_seed=3),
+        "adaptor": lambda: tr.train_adaptor("DuL", sets, EafConfig(), optim,
+                                            init_seed=4),
+        "student": lambda: tr.train_student(
+            "a_kd", models.new_adaptor("SL", 4, 16, 5), sets, train, 10000.0,
+            EafConfig(), CFG, optim, init_seed=6),
+    }
+    set_blas_threads(caller)
+    if diverge:
+        with pytest.raises(DivergenceError, match="at epoch 1, batch 1$"):
+            trainers[trainer]()
+    else:
+        trainers[trainer]()
+    assert _blas_threads() == caller
+    events = {"student": {"target", "step"}, "teacher": {"step", "score"},
+              "adaptor": {"step", "score"}}[trainer]
+    if diverge:
+        events.discard("score")  # the first batch raised
+    assert {event for event, _ in seen} == events
+    assert {threads for _, threads in seen} == {1}
+
+
+def test_an_openblas_numpy_finds_its_thread_count_functions():
+    """Without the getter/setter pair, training would silently go back to
+    every BLAS thread after a numpy upgrade."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"].lower():
+        pytest.skip(f"numpy is built against {blas['name']}, not OpenBLAS")
+    assert tr._openblas_threads() is not None
+
+
 def test_lr_schedule_matches_presets():
     lr0, epochs, decays = tr.TEACHER_PHASE
     cfg = tr.OptimConfig(lr0, epochs, decays)
