@@ -8,18 +8,23 @@ stage the same way: it checks that the upstream artifacts exist on disk
 with the hashes recorded in the manifest, skips the stage when its own
 artifacts are already current (unless forced), and records the digests of
 what the body wrote. Within one `run_all` call the manifest is opened once
-and each artifact is hashed once. All artifacts are pure functions of
-(config, seeds), so re-runs are byte-identical.
+and each artifact is hashed once. The three training stages are lists of
+per-model jobs, run in one pool of forked workers per command; the command
+writes every result in job order. All artifacts are pure functions of
+(config, seeds), so re-runs are byte-identical at any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -320,7 +325,7 @@ def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSe
             for g in range(cfg.dataset.groups)]
 
 
-def _gen_data(cfg: ExperimentConfig, out: Path) -> str:
+def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train, val, test = data.generate(cfg.dataset)
     pair_lists = [data.build_pairs(pool, cfg.pairs_per_group,
                                    cfg.genuine_fraction, seed=cfg.seeds.data + k)
@@ -339,8 +344,12 @@ def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
     return data.split_balanced(train, cfg.seeds.data)
 
 
-def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int) -> None:
-    """Worker body for one teacher; safe to run in a separate process."""
+# Each training stage is a list of per-model jobs. A job is a pure function
+# of (config dict, run directory, index): it loads its inputs from the run
+# directory and returns (model, epoch log), which the stage body saves in
+# job order, so every write happens in the command's own process.
+
+def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int):
     cfg = config_from_dict(cfg_doc)
     out = Path(out_dir)
     train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
@@ -348,37 +357,48 @@ def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int) -> None:
     split = _split_of(cfg, train)
     subset = train.select(train.rows_of_identities(split.subsets[g]))
     optim = cfg.optim("teacher", cfg.seeds.train + g)
-    teacher, records = training.train_teacher(
+    return training.train_teacher(
         subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
         val, val_pairs, init_seed=cfg.seeds.init + g)
-    ckpt, log = _teacher(g)
-    models.save_teacher(teacher, out / ckpt)
+
+
+def _train_one_adaptor(cfg_doc: dict, out_dir: str, i: int):
+    cfg = config_from_dict(cfg_doc)
+    optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
+    return training.train_adaptor(
+        cfg.adaptors[i], _load_embedding_sets(cfg, Path(out_dir)), cfg.eaf, optim,
+        init_seed=cfg.seeds.init + 100 + i, fusion_order=cfg.resolved_fusion_order())
+
+
+def _train_one_student(cfg_doc: dict, out_dir: str, k: int):
+    """Job `k` is the student of adaptor i and mode j, k = i * modes + j."""
+    cfg = config_from_dict(cfg_doc)
+    out = Path(out_dir)
+    i, j = divmod(k, len(cfg.student_modes))
+    adaptor = models.load_adaptor(out / _adaptor(cfg.adaptors[i])[0])
+    optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
+    return training.train_student(
+        cfg.student_modes[j], adaptor, _load_embedding_sets(cfg, out),
+        _load_pool(cfg, out, "train"), cfg.lam, cfg.eaf, cfg.backbone, optim,
+        init_seed=cfg.seeds.init + 200 + 10 * i + j,
+        fusion_order=cfg.resolved_fusion_order())
+
+
+def _save_trained(save, trained, out: Path, paths: tuple[str, str]) -> None:
+    (model, records), (ckpt, log) = trained, paths
+    save(model, out / ckpt)
     training.write_log(records, out / log)
 
 
-def _train_teachers(cfg: ExperimentConfig, out: Path) -> str:
-    try:
-        workers = int(os.environ.get("MSTKD_WORKERS", "1"))
-    except ValueError:
-        raise ConfigError("MSTKD_WORKERS must be an integer, got "
-                          f"{os.environ['MSTKD_WORKERS']!r}") from None
-    if workers < 1:
-        raise ConfigError(f"MSTKD_WORKERS must be at least 1, got {workers}")
-    doc = config_to_dict(cfg)
+def _train_teachers(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     groups = range(cfg.dataset.groups)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as ex:
-            for fut in [ex.submit(_train_one_teacher, doc, str(out), g)
-                        for g in groups]:
-                fut.result()
-    else:
-        for g in groups:
-            _train_one_teacher(doc, str(out), g)
+    for g, trained in zip(groups, run.map(_train_one_teacher, cfg, groups)):
+        _save_trained(models.save_teacher, trained, out, _teacher(g))
     return (f"{len(groups)} {cfg.split} teachers -> "
             f"{(out / _teacher(0)[0]).parent}")
 
 
-def _extract(cfg: ExperimentConfig, out: Path) -> str:
+def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
     teachers = [models.load_teacher(out / _teacher(g)[0])
                 for g in range(cfg.dataset.groups)]
@@ -389,38 +409,23 @@ def _extract(cfg: ExperimentConfig, out: Path) -> str:
             f"{(out / _embeddings(0)).parent}")
 
 
-def _train_adaptor(cfg: ExperimentConfig, out: Path) -> str:
-    sets = _load_embedding_sets(cfg, out)
-    for i, kind in enumerate(cfg.adaptors):
-        optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
-        adaptor, records = training.train_adaptor(
-            kind, sets, cfg.eaf, optim, init_seed=cfg.seeds.init + 100 + i,
-            fusion_order=cfg.resolved_fusion_order())
-        ckpt, log = _adaptor(kind)
-        models.save_adaptor(adaptor, out / ckpt)
-        training.write_log(records, out / log)
-    return f"{list(cfg.adaptors)} -> {(out / ckpt).parent}"
+def _train_adaptor(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
+    kinds = cfg.adaptors
+    for kind, trained in zip(kinds, run.map(_train_one_adaptor, cfg,
+                                            range(len(kinds)))):
+        _save_trained(models.save_adaptor, trained, out, _adaptor(kind))
+    return f"{list(kinds)} -> {(out / _adaptor(kinds[0])[0]).parent}"
 
 
-def _train_student(cfg: ExperimentConfig, out: Path) -> str:
-    train = _load_pool(cfg, out, "train")
-    sets = _load_embedding_sets(cfg, out)
-    for i, kind in enumerate(cfg.adaptors):
-        adaptor = models.load_adaptor(out / _adaptor(kind)[0])
-        for j, mode in enumerate(cfg.student_modes):
-            optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
-            student, records = training.train_student(
-                mode, adaptor, sets, train,
-                cfg.lam, cfg.eaf, cfg.backbone, optim,
-                init_seed=cfg.seeds.init + 200 + 10 * i + j,
-                fusion_order=cfg.resolved_fusion_order())
-            ckpt, log = _student(kind, mode)
-            models.save_student(student, out / ckpt)
-            training.write_log(records, out / log)
-    return f"{len(_students(cfg))} students -> {(out / ckpt).parent}"
+def _train_student(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
+    students = _students(cfg)
+    for km, trained in zip(students, run.map(_train_one_student, cfg,
+                                             range(len(students)))):
+        _save_trained(models.save_student, trained, out, _student(*km))
+    return f"{len(students)} students -> {(out / _student(*students[0])[0]).parent}"
 
 
-def _evaluate(cfg: ExperimentConfig, out: Path) -> str:
+def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test = _load_pool(cfg, out, "test")
     test_pairs = store.load_pairs(out / _pairs("test"))
     for kind, mode in _students(cfg):
@@ -438,13 +443,14 @@ def _evaluate(cfg: ExperimentConfig, out: Path) -> str:
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage. `artifacts(cfg)` lists the run-relative paths
-    the stage writes, logs included; `body(cfg, out)` writes them and
-    returns the text of the stage's summary line."""
+    the stage writes, logs included; `body(cfg, out, run)` writes them and
+    returns the text of the stage's summary line. A training body runs its
+    per-model jobs through `run.map`."""
 
     name: str
     upstream: tuple[str, ...]
     artifacts: Callable[[ExperimentConfig], list[str]]
-    body: Callable[[ExperimentConfig, Path], str]
+    body: Callable[[ExperimentConfig, Path, _Run], str]
 
 
 # in run order; every stage's upstream comes before it
@@ -470,15 +476,67 @@ STAGES = {stage.name: stage for stage in (
 )}
 
 
+def _worker_limit() -> int:
+    """The most worker processes one job list may use: the usable cores,
+    capped by MSTKD_WORKERS when it is set."""
+    cores = len(os.sched_getaffinity(0))
+    raw = os.environ.get("MSTKD_WORKERS")
+    if raw is None:
+        return cores
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"MSTKD_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"MSTKD_WORKERS must be at least 1, got {workers}")
+    return min(workers, cores)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """`workers` forked processes, which start without re-importing numpy
+    and mstkd. A fork-context pool forks every worker when it takes its
+    first job, before it starts threads of its own. The workers ignore
+    SIGINT: an interrupt reaches the command's own process, which shuts
+    the pool down."""
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
+
+
 @dataclass
 class _Run:
     """A run directory as the stages of one command see it: the manifest,
-    opened by the first stage, and each artifact's digest, hashed at most
-    once per command."""
+    opened by the first stage, each artifact's digest, hashed at most once
+    per command, and the worker pool of the command's training jobs. The
+    worker limit is read when the command starts, before any write; the
+    pool is made on the first job list that can use two workers, and
+    leaving the `with` block shuts it down."""
 
     out: Path
     manifest: Optional[dict] = None
     digests: dict[str, str] = field(default_factory=dict)
+    workers: int = field(default_factory=_worker_limit)
+    pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+            self.pool = None
+
+    def map(self, job, cfg: ExperimentConfig, indices: range):
+        """`job(config dict, run directory, i)` for each i in `indices`,
+        results in that order; in this process when one worker is all the
+        list can use."""
+        fn = functools.partial(job, config_to_dict(cfg), str(self.out))
+        workers = min(self.workers, len(indices))
+        if workers < 2:
+            return map(fn, indices)
+        if self.pool is None:
+            self.pool = _new_pool(workers)
+        return self.pool.map(fn, indices)
 
     def digest(self, rel: str) -> Optional[str]:
         """sha256 of the artifact `rel` (None if absent)."""
@@ -490,15 +548,13 @@ class _Run:
         return self.digests[rel]
 
 
-def _drive(stage: Stage, cfg: ExperimentConfig, force: bool,
-           run: Optional[_Run]) -> Path:
+def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
     """Run `stage` in `cfg.out_dir`, or skip it when its artifacts are current.
 
     Fails when an upstream stage has not run or its artifacts are missing or
     modified. A run records the digest of every declared artifact in the
     manifest; a declared artifact the body did not write is a ContractError.
     """
-    run = run or _Run(Path(cfg.out_dir))
     out = run.out
     if run.manifest is None:
         out.mkdir(parents=True, exist_ok=True)
@@ -527,7 +583,7 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool,
     artifacts = stage.artifacts(cfg)
     for directory in sorted({(out / rel).parent for rel in artifacts}):
         store.ensure_dir(directory)
-    summary = stage.body(cfg, out)
+    summary = stage.body(cfg, out, run)
     missing = [rel for rel in artifacts if not (out / rel).exists()]
     if missing:
         raise ContractError(f"stage {stage.name!r} did not write {missing}")
@@ -542,17 +598,21 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool,
 def _command(name: str):
     def cmd(cfg: ExperimentConfig, force: bool = False,
             run: Optional[_Run] = None) -> Path:
-        return _drive(STAGES[name], cfg, force, run)
+        # a stage run alone is a command of its own, with its own pool
+        own = _Run(Path(cfg.out_dir)) if run is None else contextlib.nullcontext(run)
+        with own as run:
+            return _drive(STAGES[name], cfg, force, run)
 
     cmd.__name__ = cmd.__qualname__ = "cmd_" + name.replace("-", "_")
     return cmd
 
 
 def run_all(cfg: ExperimentConfig, force: bool = False) -> Path:
-    """Every stage in order, sharing one manifest and one digest cache."""
-    run = _Run(Path(cfg.out_dir))
-    for name in STAGES:
-        COMMANDS[name](cfg, force, run)
+    """Every stage in order, sharing one manifest, one digest cache and
+    one worker pool."""
+    with _Run(Path(cfg.out_dir)) as run:
+        for name in STAGES:
+            COMMANDS[name](cfg, force, run)
     return run.out
 
 

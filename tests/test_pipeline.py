@@ -2,14 +2,30 @@ import dataclasses
 import errno
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
 
-from mstkd import cli, pipeline, store
+from mstkd import cli, losses, pipeline, store
 from mstkd.errors import ConfigError, ContractError, MissingArtifactError
+
+
+# a test that needs the training jobs to run in worker processes
+needs_two_cores = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one usable core: every job list runs in this process")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_command():
+    """Every command shuts its worker pool down, whether it succeeded or
+    failed, so no test leaves a child process behind."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def tiny_config(out_dir, split="specialized", **overrides):
@@ -501,22 +517,121 @@ def _without_wall_time(log):
 
 
 def test_teacher_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
-    """Two teacher workers write the serial stage's checkpoints byte for
-    byte, and the same logs but for `wall_time`."""
+    """A whole `run-all` at one worker, two workers and the default count
+    writes every dataset, checkpoint, embedding and report byte for byte
+    alike, and the same logs but for `wall_time`."""
     cfg_path = _cli_config(tmp_path)
-    ckpts, logs = [], []
-    for workers in ("1", "2"):
+    files, logs = [], []
+    for workers in ("1", "2", None):
         out = tmp_path / f"workers_{workers}"
-        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        if workers is None:
+            monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MSTKD_WORKERS", workers)
+        assert cli.main(["run-all", "--config", cfg_path, "--out", str(out)]) == 0
+        files.append(_deterministic_files(out))
+        logs.append({str(p.relative_to(out)): _without_wall_time(p)
+                     for p in sorted(out.rglob("*.log.jsonl"))})
+    assert {name.split("/")[0] for name in files[0]} == {
+        "dataset", "teachers", "embeddings", "adaptors", "students", "reports"}
+    assert len(logs[0]) == 4 + 3 + 6
+    assert files[0] == files[1] == files[2] and logs[0] == logs[1] == logs[2]
+
+
+def test_bad_workers_value_exits_2_before_any_write(tmp_path, monkeypatch, capsys):
+    cfg_path = _cli_config(tmp_path)
+    monkeypatch.setenv("MSTKD_WORKERS", "two")
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MSTKD_WORKERS" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("workers", [None, "64"])
+def test_workers_never_exceed_the_usable_cores(tmp_path, monkeypatch, workers):
+    if workers is None:
+        monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    else:
         monkeypatch.setenv("MSTKD_WORKERS", workers)
-        assert cli.main(["train-teachers", "--config", cfg_path,
-                         "--out", str(out)]) == 0
-        teachers = out / "teachers"
-        ckpts.append({p.name: p.read_bytes() for p in teachers.glob("*.ckpt")})
-        logs.append({p.name: _without_wall_time(p)
-                     for p in teachers.glob("*.log.jsonl")})
-    assert len(ckpts[0]) == len(logs[0]) == 4
-    assert ckpts[0] == ckpts[1] and logs[0] == logs[1]
+    assert pipeline._Run(tmp_path).workers == len(os.sched_getaffinity(0))
+
+
+def _kill_own_worker(cfg_doc, out_dir, i):
+    """A training job whose worker process is killed by a signal."""
+    assert multiprocessing.parent_process() is not None, "ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_two_cores
+def test_killed_worker_is_one_internal_error_line(tmp_path, monkeypatch, capsys):
+    cfg_path = _cli_config(tmp_path)
+    monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "_train_one_adaptor", _kill_own_worker)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("[mstkd] internal error: BrokenProcessPool: ")
+    stages = pipeline.load_manifest(tmp_path / "run")["stages"]
+    assert set(stages) == {"gen-data", "train-teachers", "extract"}
+
+
+@needs_two_cores
+def test_divergence_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):
+    real = losses.elastic_arcface
+
+    def nan_in_a_worker(*args, **kwargs):
+        value, *grads = real(*args, **kwargs)
+        if multiprocessing.parent_process() is not None:
+            value = math.nan
+        return (value, *grads)
+
+    cfg_path = _cli_config(tmp_path)
+    monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    monkeypatch.setattr(losses, "elastic_arcface", nan_in_a_worker)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith("non-finite loss (nan) at epoch 1, batch 1")
+    assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}
+
+
+def test_resume_and_reembed_make_no_worker_pool(tmp_path, monkeypatch, capsys):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+
+    def no_pool(workers):
+        raise AssertionError("a worker pool was made")
+
+    monkeypatch.setattr(pipeline, "_new_pool", no_pool)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.count("skipping") == 6
+    for command in ("extract", "evaluate"):
+        assert cli.main([command, "--config", cfg_path, "--force"]) == 0
+    assert "skipping" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (KeyboardInterrupt(), 130, "[mstkd] interrupted"),
+    (ValueError("bad\nvalue"), 1, "[mstkd] internal error: ValueError: bad value"),
+], ids=["interrupt", "bug"])
+def test_cli_reports_an_unexpected_exception_in_one_line(monkeypatch, capsys,
+                                                        exc, code, line):
+    def command(cfg, force):
+        raise exc
+
+    monkeypatch.setattr(pipeline, "load_config", lambda path, seed, out: None)
+    monkeypatch.setitem(pipeline.COMMANDS, "gen-data", command)
+    capsys.readouterr()
+    try:
+        rc = cli.main(["gen-data", "--config", "a.json"])
+    except KeyboardInterrupt:  # escaping, it would stop the test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert rc == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("damage", [
@@ -567,8 +682,8 @@ def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypa
     cfg = tiny_config(out)
     stage = pipeline.STAGES["gen-data"]
 
-    def body(cfg, out):
-        summary = stage.body(cfg, out)
+    def body(cfg, out, run):
+        summary = stage.body(cfg, out, run)
         (out / "dataset" / "pairs_test.txt").unlink()
         return summary
 
