@@ -7,21 +7,24 @@ train-student, evaluate, report (takes evaluated run directories as
 positional arguments), run-all, and init-config (writes the default
 config).
 
-The training stages are lists of independent per-model jobs: 4 teachers,
-one adaptor per kind and one student per (adaptor, mode), 13 at the
-default config. Each command runs them in one pool of forked worker
-processes, made on its first job list that can use two workers and shut
-down when the command ends, also when it fails. By default a job list uses
-min(usable cores, jobs) workers; MSTKD_WORKERS=N lowers that cap (it is
-never raised above the usable cores), and MSTKD_WORKERS=1 trains in this
-process. gen-data, extract and evaluate, and a run-all that skips every
-stage, make no pool. Workers return each model and its epoch log, and
-this process writes every file, in job order, so the output is
-byte-identical at any worker count. Training always runs at one BLAS
-thread and inference at the process's count.
+The training stages are lists of independent per-model jobs, one per
+entry of each kind's model list: 4 teachers, one adaptor per kind and one
+student per (adaptor, mode), 13 at the default config. A job takes the
+validated config, the run directory and its index. Each command runs the
+jobs in one pool of forked worker processes, made on its first job list
+that can use two workers and shut down when the command ends, also when
+it fails. By default a job list uses min(usable cores, jobs) workers;
+MSTKD_WORKERS=N lowers that cap (it is never raised above the usable
+cores), and MSTKD_WORKERS=1 trains in this process. gen-data, extract and
+evaluate, and a run-all that skips every stage, make no pool. Workers
+return each model and its epoch log, and this process writes every file,
+in job order, so the output is byte-identical at any worker count.
+Training runs at one BLAS thread of numpy's own OpenBLAS, inference at
+the process's count.
 
 Exit codes: 0 success, 2 config error (MSTKD_WORKERS is read before any
-write), 3 data/format error, 4 divergence (the first non-finite loss or
+write; a repeated adaptor kind or student mode), 3 data/format error (a
+malformed artifact or report), 4 divergence (the first non-finite loss or
 gradient in training), 5 missing upstream artifact, 130 interrupted,
 1 anything else: an OS error, or an internal error (a bug, or a worker
 killed by a signal) reported as one `[mstkd] internal error: ...` line.

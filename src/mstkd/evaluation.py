@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairList, SampleSet
-from .errors import ContractError, ProtocolError
+from .errors import ContractError, FormatError, ProtocolError
 
 PROTOCOL = "per-group best cosine threshold"
 
@@ -188,8 +188,23 @@ def report_to_json(report: FairnessReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _numbers(values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
 def report_from_json(text: str) -> FairnessReport:
+    """The report `report_to_json` wrote; FormatError when a key is missing
+    or holds a value of another type or length."""
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("groups"), list)
+            and all(isinstance(name, str) for name in doc["groups"])
+            and all(isinstance(doc.get(key), list) and _numbers(doc[key])
+                    and len(doc[key]) == len(doc["groups"])
+                    for key in ("per_group_acc", "thresholds"))
+            and _numbers([doc.get("global_acc"), doc.get("std")])
+            and (doc.get("ser") == "undefined" or _numbers([doc.get("ser")]))
+            and isinstance(doc.get("protocol"), str)):
+        raise FormatError("a key is missing or holds a value of the wrong type")
     ser = doc["ser"]
     return FairnessReport(doc["groups"], doc["per_group_acc"], doc["thresholds"],
                           doc["global_acc"], doc["std"],

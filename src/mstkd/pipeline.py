@@ -8,9 +8,10 @@ stage the same way: it checks that the upstream artifacts exist on disk
 with the hashes recorded in the manifest, skips the stage when its own
 artifacts are already current (unless forced), and records the digests of
 what the body wrote. Within one `run_all` call the manifest is opened once
-and each artifact is hashed once. The three training stages are lists of
-per-model jobs, run in one pool of forked workers per command; the command
-writes every result in job order. All artifacts are pure functions of
+and each artifact is hashed once. Each kind of trained model has one list
+of stems, and its training stage runs one job per stem, in one pool of
+forked workers per command; the command writes every result in job order,
+under the job's stem. All artifacts are pure functions of
 (config, seeds), so re-runs are byte-identical at any worker count.
 """
 
@@ -95,6 +96,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown student mode {mode!r}")
         if not self.adaptors or not self.student_modes:
             raise ConfigError("need at least one adaptor kind and one student mode")
+        for key in ("adaptors", "student_modes"):  # else two models share a stem
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat an entry, got {list(values)}")
         try:
             self.eaf.validate()
         except ContractError as exc:
@@ -246,35 +251,36 @@ def _pairs(name: str) -> str:
     return f"dataset/pairs_{name}.txt"
 
 
+# The trained models of each kind, as stems in job order: training job i
+# writes stem i's checkpoint and log.
+
+def _teachers(cfg: ExperimentConfig) -> list[str]:
+    return [f"teachers/teacher_{g}" for g in range(cfg.dataset.groups)]
+
+
+def _adaptors(cfg: ExperimentConfig) -> list[str]:
+    return [f"adaptors/{kind}" for kind in cfg.adaptors]
+
+
+def _students(cfg: ExperimentConfig) -> list[str]:
+    """Student k distills adaptor k // modes in mode k % modes."""
+    return [f"students/{kind}_{mode}"
+            for kind in cfg.adaptors for mode in cfg.student_modes]
+
+
 def _trained(stem: str) -> tuple[str, str]:
     """(checkpoint, training log) of one trained model."""
     return f"{stem}.ckpt", f"{stem}.log.jsonl"
 
 
-def _teacher(g: int) -> tuple[str, str]:
-    return _trained(f"teachers/teacher_{g}")
+def _embeddings(teacher: str) -> str:
+    return teacher.replace("teachers/", "embeddings/", 1) + ".mste"
 
 
-def _embeddings(g: int) -> str:
-    return f"embeddings/teacher_{g}.mste"
-
-
-def _adaptor(kind: str) -> tuple[str, str]:
-    return _trained(f"adaptors/{kind}")
-
-
-def _student(kind: str, mode: str) -> tuple[str, str]:
-    return _trained(f"students/{kind}_{mode}")
-
-
-def _report(kind: str, mode: str) -> tuple[str, str]:
+def _report(student: str) -> tuple[str, str]:
     """(JSON report, text table) of one student."""
-    stem = f"reports/{kind}_{mode}"
+    stem = student.replace("students/", "reports/", 1)
     return f"{stem}.json", f"{stem}.txt"
-
-
-def _students(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    return [(kind, mode) for kind in cfg.adaptors for mode in cfg.student_modes]
 
 
 # --- manifest ----------------------------------------------------------------
@@ -321,8 +327,7 @@ def _load_pool(cfg: ExperimentConfig, out: Path, name: str) -> data.SampleSet:
 
 def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSet]:
     tags = cfg.dataset.tags()
-    return [store.load_sample_set(out / _embeddings(g), tags)
-            for g in range(cfg.dataset.groups)]
+    return [store.load_sample_set(out / _embeddings(t), tags) for t in _teachers(cfg)]
 
 
 def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
@@ -344,14 +349,13 @@ def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
     return data.split_balanced(train, cfg.seeds.data)
 
 
-# Each training stage is a list of per-model jobs. A job is a pure function
-# of (config dict, run directory, index): it loads its inputs from the run
-# directory and returns (model, epoch log), which the stage body saves in
+# Each training stage is one per-model job for each stem of its kind's
+# model list. A job is a pure function of (validated config, run directory,
+# index): it loads its inputs from the run directory and returns (model,
+# epoch log), which the stage body saves under the stem of that index, in
 # job order, so every write happens in the command's own process.
 
-def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int):
-    cfg = config_from_dict(cfg_doc)
-    out = Path(out_dir)
+def _train_one_teacher(cfg: ExperimentConfig, out: Path, g: int):
     train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
     val_pairs = store.load_pairs(out / _pairs("validation"))
     split = _split_of(cfg, train)
@@ -362,20 +366,16 @@ def _train_one_teacher(cfg_doc: dict, out_dir: str, g: int):
         val, val_pairs, init_seed=cfg.seeds.init + g)
 
 
-def _train_one_adaptor(cfg_doc: dict, out_dir: str, i: int):
-    cfg = config_from_dict(cfg_doc)
+def _train_one_adaptor(cfg: ExperimentConfig, out: Path, i: int):
     optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
     return training.train_adaptor(
-        cfg.adaptors[i], _load_embedding_sets(cfg, Path(out_dir)), cfg.eaf, optim,
+        cfg.adaptors[i], _load_embedding_sets(cfg, out), cfg.eaf, optim,
         init_seed=cfg.seeds.init + 100 + i, fusion_order=cfg.resolved_fusion_order())
 
 
-def _train_one_student(cfg_doc: dict, out_dir: str, k: int):
-    """Job `k` is the student of adaptor i and mode j, k = i * modes + j."""
-    cfg = config_from_dict(cfg_doc)
-    out = Path(out_dir)
+def _train_one_student(cfg: ExperimentConfig, out: Path, k: int):
     i, j = divmod(k, len(cfg.student_modes))
-    adaptor = models.load_adaptor(out / _adaptor(cfg.adaptors[i])[0])
+    adaptor = models.load_adaptor(out / _trained(_adaptors(cfg)[i])[0])
     optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
     return training.train_student(
         cfg.student_modes[j], adaptor, _load_embedding_sets(cfg, out),
@@ -384,54 +384,41 @@ def _train_one_student(cfg_doc: dict, out_dir: str, k: int):
         fusion_order=cfg.resolved_fusion_order())
 
 
-def _save_trained(save, trained, out: Path, paths: tuple[str, str]) -> None:
-    (model, records), (ckpt, log) = trained, paths
-    save(model, out / ckpt)
-    training.write_log(records, out / log)
+def _training_stage(stems_of, job, save):
+    """(artifacts, body) of the stage that trains the models `stems_of(cfg)`:
+    job i's model and log are saved under stem i."""
+    def artifacts(cfg: ExperimentConfig) -> list[str]:
+        return [p for stem in stems_of(cfg) for p in _trained(stem)]
 
-
-def _train_teachers(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
-    groups = range(cfg.dataset.groups)
-    for g, trained in zip(groups, run.map(_train_one_teacher, cfg, groups)):
-        _save_trained(models.save_teacher, trained, out, _teacher(g))
-    return (f"{len(groups)} {cfg.split} teachers -> "
-            f"{(out / _teacher(0)[0]).parent}")
+    def body(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
+        stems = stems_of(cfg)
+        for stem, (model, records) in zip(stems, run.map(job, cfg, range(len(stems)))):
+            ckpt, log = _trained(stem)
+            save(model, out / ckpt)
+            training.write_log(records, out / log)
+        return f"{len(stems)} models -> {(out / stems[0]).parent}"
+    return artifacts, body
 
 
 def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
-    teachers = [models.load_teacher(out / _teacher(g)[0])
-                for g in range(cfg.dataset.groups)]
+    stems = _teachers(cfg)
+    teachers = [models.load_teacher(out / _trained(t)[0]) for t in stems]
     sets = training.extract_embeddings(teachers, train)
-    for g, s in enumerate(sets):
-        store.save_sample_set(s, out / _embeddings(g))
+    for t, s in zip(stems, sets):
+        store.save_sample_set(s, out / _embeddings(t))
     return (f"{len(sets)} x {sets[0].n} embeddings -> "
-            f"{(out / _embeddings(0)).parent}")
-
-
-def _train_adaptor(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
-    kinds = cfg.adaptors
-    for kind, trained in zip(kinds, run.map(_train_one_adaptor, cfg,
-                                            range(len(kinds)))):
-        _save_trained(models.save_adaptor, trained, out, _adaptor(kind))
-    return f"{list(kinds)} -> {(out / _adaptor(kinds[0])[0]).parent}"
-
-
-def _train_student(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
-    students = _students(cfg)
-    for km, trained in zip(students, run.map(_train_one_student, cfg,
-                                             range(len(students)))):
-        _save_trained(models.save_student, trained, out, _student(*km))
-    return f"{len(students)} students -> {(out / _student(*students[0])[0]).parent}"
+            f"{(out / _embeddings(stems[0])).parent}")
 
 
 def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test = _load_pool(cfg, out, "test")
     test_pairs = store.load_pairs(out / _pairs("test"))
-    for kind, mode in _students(cfg):
-        student = models.load_student(out / _student(kind, mode)[0])
+    for stem in _students(cfg):
+        student = models.load_student(out / _trained(stem)[0])
         report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
-        jpath, tpath = _report(kind, mode)
+        jpath, tpath = _report(stem)
+        kind, mode = Path(stem).name.split("_", 1)  # no adaptor kind holds "_"
         store.write_text_atomic(out / jpath, report_to_json(report))
         store.write_text_atomic(out / tpath,
                                 render_table([(f"{kind} ({mode})", report)]))
@@ -459,19 +446,16 @@ STAGES = {stage.name: stage for stage in (
           lambda cfg: [_pool(p) for p in POOLS] + [_pairs(p) for p in PAIR_LISTS],
           _gen_data),
     Stage("train-teachers", ("gen-data",),
-          lambda cfg: [p for g in range(cfg.dataset.groups) for p in _teacher(g)],
-          _train_teachers),
+          *_training_stage(_teachers, _train_one_teacher, models.save_teacher)),
     Stage("extract", ("gen-data", "train-teachers"),
-          lambda cfg: [_embeddings(g) for g in range(cfg.dataset.groups)],
+          lambda cfg: [_embeddings(t) for t in _teachers(cfg)],
           _extract),
     Stage("train-adaptor", ("extract",),
-          lambda cfg: [p for kind in cfg.adaptors for p in _adaptor(kind)],
-          _train_adaptor),
+          *_training_stage(_adaptors, _train_one_adaptor, models.save_adaptor)),
     Stage("train-student", ("gen-data", "extract", "train-adaptor"),
-          lambda cfg: [p for km in _students(cfg) for p in _student(*km)],
-          _train_student),
+          *_training_stage(_students, _train_one_student, models.save_student)),
     Stage("evaluate", ("gen-data", "train-student"),
-          lambda cfg: [p for km in _students(cfg) for p in _report(*km)],
+          lambda cfg: [p for s in _students(cfg) for p in _report(s)],
           _evaluate),
 )}
 
@@ -527,10 +511,9 @@ class _Run:
             self.pool = None
 
     def map(self, job, cfg: ExperimentConfig, indices: range):
-        """`job(config dict, run directory, i)` for each i in `indices`,
-        results in that order; in this process when one worker is all the
-        list can use."""
-        fn = functools.partial(job, config_to_dict(cfg), str(self.out))
+        """`job(cfg, run directory, i)` for each i in `indices`, results in
+        that order; in this process when one worker is all the list can use."""
+        fn = functools.partial(job, cfg, self.out)
         workers = min(self.workers, len(indices))
         if workers < 2:
             return map(fn, indices)
@@ -630,6 +613,13 @@ cmd_evaluate = COMMANDS["evaluate"]
 
 # --- cross-run report --------------------------------------------------------
 
+def load_report(path: Path) -> FairnessReport:
+    try:
+        return report_from_json(path.read_text(encoding="utf-8"))
+    except (ValueError, FormatError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not a fairness report ({exc})") from exc
+
+
 def _run_label(run_dir: Path) -> str:
     path = run_dir / CONFIG_COPY
     if not path.exists():
@@ -657,16 +647,16 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
     labels = [_run_label(run) for run in runs]
     out = Path(out_override) if out_override else Path(cfg.out_dir) / "comparison"
     store.ensure_dir(out)
-    for mode in cfg.student_modes:
+    modes = len(cfg.student_modes)
+    for j, mode in enumerate(cfg.student_modes):
         rows: list[tuple[str, FairnessReport]] = []
         for run, label in zip(runs, labels):
-            for kind in cfg.adaptors:
-                path = run / _report(kind, mode)[0]
+            for kind, student in zip(cfg.adaptors, _students(cfg)[j::modes]):
+                path = run / _report(student)[0]
                 if not path.exists():
                     raise MissingArtifactError(
                         f"missing report {path}; run evaluate on {run} first")
-                rows.append((f"{label}-{kind}",
-                             report_from_json(path.read_text(encoding="utf-8"))))
+                rows.append((f"{label}-{kind}", load_report(path)))
         table = render_table(rows, blocks=[len(cfg.adaptors)] * len(runs))
         store.write_text_atomic(out / f"students_{mode}.txt", table)
         # per-adaptor deltas between the first specialized and first balanced

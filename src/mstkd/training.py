@@ -30,7 +30,6 @@ import ctypes
 import functools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -161,7 +160,7 @@ def write_log(records: list[TrainLogRecord], path) -> None:
     store.write_text_atomic(path, "".join(rec.to_json() + "\n" for rec in records))
 
 
-# getter/setter name patterns of the OpenBLAS builds numpy and scipy ship
+# getter/setter name patterns of the OpenBLAS builds numpy wheels link
 _OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads",
                      "scipy_openblas_{}_num_threads64_")
@@ -169,27 +168,18 @@ _OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
 
 @functools.cache
 def _openblas_threads():
-    """The `(get, set)` thread-count functions of the OpenBLAS mapped into
-    this process, or None when none is found; looked up on first use."""
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields
-                          if len(f) == 6 and "openblas" in os.path.basename(f[5]))
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for pattern in _OPENBLAS_THREADS:
-            get = getattr(lib, pattern.format("get"), None)
-            set_ = getattr(lib, pattern.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    """The `(get, set)` thread-count functions of the OpenBLAS numpy links,
+    or None when numpy links another BLAS; looked up on first use. The
+    lookup goes through numpy's own linalg extension, which finds the
+    library it links even when scipy has loaded an OpenBLAS of its own."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for pattern in _OPENBLAS_THREADS:
+        get = getattr(lib, pattern.format("get"), None)
+        set_ = getattr(lib, pattern.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

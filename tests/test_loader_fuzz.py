@@ -2,8 +2,8 @@
 FormatError, never anything else.
 
 The originals are real files of a tiny run: the gen-data stage's sample set,
-pair list and manifest, and a saved teacher checkpoint. Each example flips a
-few bytes, truncates the file or inserts bytes into it.
+pair list and manifest, a saved teacher checkpoint and a fairness report.
+Each example flips a few bytes, truncates the file or inserts bytes into it.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mstkd import models, pipeline, store
 from mstkd.data import GroupTag
 from mstkd.errors import FormatError
+from mstkd.evaluation import FairnessReport, report_to_json
 from mstkd.models import BackboneConfig
 
 LOADERS = {
@@ -21,6 +22,7 @@ LOADERS = {
     "pair-list": ("dataset/pairs_test.txt", store.load_pairs),
     "checkpoint": ("teacher.ckpt", models.load_teacher),
     "manifest": (pipeline.MANIFEST, lambda path: pipeline.load_manifest(path.parent)),
+    "report": ("reports/SL_a_kd.json", pipeline.load_report),
 }
 
 
@@ -39,6 +41,9 @@ def run_dir(tmp_path_factory):
                                                 embedding_dim=3),
                                  np.arange(3), GroupTag(0, "g0"), seed=0)
     models.save_teacher(teacher, out / "teacher.ckpt")
+    (out / "reports").mkdir()
+    report = FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4], 85.0, 7.1, None)
+    (out / "reports" / "SL_a_kd.json").write_text(report_to_json(report))
     for rel, load in LOADERS.values():
         load(out / rel)   # each file as written loads
     return out

@@ -10,8 +10,9 @@ import signal
 import numpy as np
 import pytest
 
-from mstkd import cli, losses, pipeline, store
+from mstkd import cli, losses, models, pipeline, store, training
 from mstkd.errors import ConfigError, ContractError, MissingArtifactError
+from mstkd.evaluation import FairnessReport, report_to_json
 
 
 # a test that needs the training jobs to run in worker processes
@@ -173,6 +174,8 @@ def test_config_contract_is_pinned(tmp_path, capsys):
      "29700 impostor pairs per group requested, the validation pool has only 26400"),
     ({"dataset": {"validation_identities_per_group": 40}, "pairs_per_group": 9000},
      "4500 genuine pairs per group requested, the test pool has only 2280"),
+    ({"adaptors": ["SL", "SL"]}, "adaptors must not repeat an entry"),
+    ({"student_modes": ["a_kd", "a_kd"]}, "student_modes must not repeat an entry"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -557,8 +560,8 @@ def test_workers_never_exceed_the_usable_cores(tmp_path, monkeypatch, workers):
     assert pipeline._Run(tmp_path).workers == len(os.sched_getaffinity(0))
 
 
-def _kill_own_worker(cfg_doc, out_dir, i):
-    """A training job whose worker process is killed by a signal."""
+def _kill_own_worker(*args, **kwargs):
+    """A trainer whose worker process is killed by a signal."""
     assert multiprocessing.parent_process() is not None, "ran in the test process"
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -567,7 +570,7 @@ def _kill_own_worker(cfg_doc, out_dir, i):
 def test_killed_worker_is_one_internal_error_line(tmp_path, monkeypatch, capsys):
     cfg_path = _cli_config(tmp_path)
     monkeypatch.delenv("MSTKD_WORKERS", raising=False)
-    monkeypatch.setattr(pipeline, "_train_one_adaptor", _kill_own_worker)
+    monkeypatch.setattr(training, "train_adaptor", _kill_own_worker)
     capsys.readouterr()
     assert cli.main(["run-all", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
@@ -675,6 +678,24 @@ def test_report_on_a_bad_config_copy_is_a_format_error(tmp_path, capsys, content
     assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(run / "config.json") in err
+
+
+@pytest.mark.parametrize("content", ['{"groups": ["g0"]}', "not json"])
+def test_report_on_a_malformed_report_is_a_format_error(tmp_path, capsys, content):
+    cfg_path = _cli_config(tmp_path)
+    run = tmp_path / "evaluated"
+    (run / "reports").mkdir(parents=True)
+    (run / "config.json").write_text('{"split": "specialized"}')
+    report = FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4], 85.0, 7.1, 2.0)
+    for kind in models.ADAPTOR_KINDS:
+        for mode in ("eaf_kd", "a_kd"):
+            (run / "reports" / f"{kind}_{mode}.json").write_text(report_to_json(report))
+    bad = run / "reports" / "SL_a_kd.json"
+    bad.write_text(content)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err
 
 
 def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypatch):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,6 +236,37 @@ def test_an_openblas_numpy_finds_its_thread_count_functions():
     if "openblas" not in blas["name"].lower():
         pytest.skip(f"numpy is built against {blas['name']}, not OpenBLAS")
     assert tr._openblas_threads() is not None
+
+
+def test_the_blas_pin_reaches_numpys_openblas_when_scipy_loaded_its_own():
+    """scipy ships an OpenBLAS of its own. Loaded first, it must not take
+    the pin: the setter must change the count of the library numpy calls.
+    Run in a fresh process, as the lookup is made once per process."""
+    pytest.importorskip("scipy")
+    script = textwrap.dedent("""
+        import ctypes
+        import scipy.linalg  # maps scipy's OpenBLAS before numpy's is looked up
+        import numpy as np
+        from mstkd import training as tr
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        names = [(p.format("get"), p.format("set")) for p in tr._OPENBLAS_THREADS]
+        found = [(getattr(lib, g), getattr(lib, s)) for g, s in names
+                 if hasattr(lib, g) and hasattr(lib, s)]
+        if not found or tr._openblas_threads() is None:
+            print("none")
+        else:
+            get, set_ = found[0]
+            set_(2)
+            before = get()
+            tr._openblas_threads()[1](1)
+            print(before, get())
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(tr.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    if result.stdout.split() == ["none"]:
+        pytest.skip("numpy does not link an OpenBLAS")
+    assert result.stdout.split() == ["2", "1"]
 
 
 def test_lr_schedule_matches_presets():
