@@ -39,6 +39,6 @@ b = FairnessReport(names, [91.43, 92.68, 95.10, 93.53], [0.0] * 4,
                    *fairness_metrics([91.43, 92.68, 95.10, 93.53]))
 print("\ntwo runs side by side (best per column starred):")
 print(render_table([("run A", a), ("run B", b)], blocks=[1, 1]))
-deltas = compare_reports(a, b)["deltas"]
+deltas = compare_reports(a, b)
 print(f"A minus B: global {deltas['global_acc']:+.2f}, "
       f"STD {deltas['std']:+.2f}, SER {deltas['ser']:+.2f}")

@@ -164,17 +164,15 @@ def render_table(rows: list[tuple[str, FairnessReport]],
 
 
 def compare_reports(a: FairnessReport, b: FairnessReport) -> dict:
-    """Per-metric deltas (a minus b) plus a rendered two-row table."""
+    """Per-metric deltas, a minus b."""
     if a.group_names != b.group_names:
         raise ContractError("reports cover different group structures")
-    deltas = {
+    return {
         "per_group_acc": [x - y for x, y in zip(a.per_group_acc, b.per_group_acc)],
         "global_acc": a.global_acc - b.global_acc,
         "std": a.std - b.std,
         "ser": (None if a.ser is None or b.ser is None else a.ser - b.ser),
     }
-    table = render_table([("a", a), ("b", b)], blocks=[1, 1])
-    return {"deltas": deltas, "table": table}
 
 
 def report_to_json(report: FairnessReport) -> str:

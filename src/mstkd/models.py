@@ -70,10 +70,6 @@ class AdaptorModel:
     dropout_p: float = DROPOUT_P
     best_epoch: int = 0
 
-    @property
-    def input_dim(self) -> int:
-        return self.n_teachers * self.emb_dim
-
 
 @dataclass
 class StudentModel:

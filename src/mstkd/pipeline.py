@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import __version__, data, models, store, training
+from . import data, models, store, training
 from .errors import ConfigError, ContractError, FormatError, MissingArtifactError
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
@@ -88,6 +88,13 @@ class ExperimentConfig:
             raise ConfigError(f"split must be specialized|balanced, got {self.split!r}")
         self.backbone.validate()
         self.teacher_cfg().validate()
+        # the student mimics the adaptor, whose output has the teachers' width
+        if self.teacher_cfg().embedding_dim != self.backbone.embedding_dim:
+            raise ConfigError(
+                f"teacher_backbone.embedding_dim {self.teacher_cfg().embedding_dim} "
+                f"must equal backbone.embedding_dim {self.backbone.embedding_dim}")
+        if min(dataclasses.astuple(self.seeds)) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         for kind in self.adaptors:
             if kind not in models.ADAPTOR_KINDS:
                 raise ConfigError(f"unknown adaptor kind {kind!r}")
@@ -309,8 +316,8 @@ def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool) -> dict:
     h = config_hash(cfg)
     manifest = None if reset else load_manifest(out)
     if manifest is None:
-        return {"config_hash": h, "tool_version": __version__,
-                "fusion_order": cfg.resolved_fusion_order(), "stages": {}}
+        return {"config_hash": h, "fusion_order": cfg.resolved_fusion_order(),
+                "stages": {}}
     if manifest["config_hash"] != h:
         raise ConfigError(
             f"config hash mismatch for {out}: manifest has "
@@ -645,11 +652,11 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
     if not runs:
         raise ConfigError("report needs at least one evaluated run directory")
     labels = [_run_label(run) for run in runs]
-    out = Path(out_override) if out_override else Path(cfg.out_dir) / "comparison"
-    store.ensure_dir(out)
+    # every report is read before anything is written
     modes = len(cfg.student_modes)
+    rows_of_mode: dict[str, list[tuple[str, FairnessReport]]] = {}
     for j, mode in enumerate(cfg.student_modes):
-        rows: list[tuple[str, FairnessReport]] = []
+        rows = rows_of_mode[mode] = []
         for run, label in zip(runs, labels):
             for kind, student in zip(cfg.adaptors, _students(cfg)[j::modes]):
                 path = run / _report(student)[0]
@@ -657,6 +664,9 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
                     raise MissingArtifactError(
                         f"missing report {path}; run evaluate on {run} first")
                 rows.append((f"{label}-{kind}", load_report(path)))
+    out = Path(out_override) if out_override else Path(cfg.out_dir) / "comparison"
+    store.ensure_dir(out)
+    for mode, rows in rows_of_mode.items():
         table = render_table(rows, blocks=[len(cfg.adaptors)] * len(runs))
         store.write_text_atomic(out / f"students_{mode}.txt", table)
         # per-adaptor deltas between the first specialized and first balanced
@@ -666,7 +676,7 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
         for kind in cfg.adaptors:
             ours, base = by_label.get(f"Ours-{kind}"), by_label.get(f"Baseline-{kind}")
             if ours is not None and base is not None:
-                deltas[kind] = compare_reports(ours, base)["deltas"]
+                deltas[kind] = compare_reports(ours, base)
         store.write_json_atomic(out / f"students_{mode}.json", {
             "mode": mode,
             "rows": [{"label": label, "report": json.loads(report_to_json(r))}

@@ -7,20 +7,22 @@ pairs (ties go to the earliest epoch). Adaptors train on concatenated
 frozen-teacher embeddings with their own disposable classification header
 and keep the epoch with the lowest mean training loss. Students mimic the
 fused target space, computed once from the same teacher embeddings
-(optionally plus classification), and keep the final epoch. One loop logs
-and keeps epochs for all three; a trainer gives it its step and its score.
+(optionally plus classification), and keep the final epoch. All three
+train through one `_fit`, which makes the optimizer and the seeded streams
+and runs one loop, logging and keeping epochs by the trainer's score, with
+one step for every model: `autodiff.forward`, the sum of the loss terms the
+model has, and `autodiff.backward` writing each gradient into its view.
 Each model's parameters and gradients live in two flat buffers with a
 checkpoint's data layout (`store.lay_out`), so an SGD step is three vector
-operations and a kept epoch one copy. A step runs its network's
-`autodiff.forward`, keeping what `autodiff.backward` needs to write each
-gradient into its view; frozen networks, read-only once loaded, run the
-same forward keeping nothing. The loop has one divergence rule: the first
-non-finite loss or gradient stops training with `DivergenceError` (exit 4);
-no batch is ever skipped. All shuffling, margins, and dropout draw from
-generators derived from the configured seeds, so a full run is
-bit-reproducible. Each trainer runs at one BLAS thread: its GEMMs are too
-small for OpenBLAS to split usefully, so a second thread only spins on
-another core, and teacher worker processes cannot oversubscribe the cores.
+operations and a kept epoch one copy; frozen networks, read-only once
+loaded, run the same forward keeping nothing. The loop has one divergence
+rule: the first non-finite loss or gradient stops training with
+`DivergenceError` (exit 4); no batch is ever skipped. All shuffling,
+margins, and dropout draw from generators derived from the configured
+seeds, so a full run is bit-reproducible. Each trainer runs at one BLAS
+thread: its GEMMs are too small for OpenBLAS to split usefully, so a second
+thread only spins on another core, and teacher worker processes cannot
+oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -212,9 +214,9 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
     """The one training loop; returns the epoch log and the kept epoch,
     whose values `opt.params` then hold.
 
-    `step(params, batch)` writes every gradient into `opt.grads` and returns
-    one batch's `(loss, terms, opt.grads)`: the loss to minimize and scalar
-    terms logged as `mean_<term>`. The first non-finite loss raises
+    `step(batch)` writes every gradient into `opt.grads` and returns one
+    batch's `(loss, terms)`: the loss to minimize and scalar terms logged
+    as `mean_<term>`. The first non-finite loss raises
     `DivergenceError` naming its epoch and batch (both 1-based).
     `score(means)` returns an epoch's `(value, val_acc)`; the highest value
     is kept (ties: earliest), and without `score` the final epoch.
@@ -229,7 +231,7 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
         logged: dict[str, list[float]] = {}
         batches = epoch_batches(n, optim.batch_size, shuffle_rng)
         for i, batch in enumerate(batches, 1):
-            loss, terms, _ = step(opt.params, batch)
+            loss, terms = step(batch)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss ({loss}) at epoch {epoch}, batch {i}")
@@ -248,21 +250,37 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
     return records, kept_epoch
 
 
-def _margin_step(prefix: str, slope: float, inputs: np.ndarray,
-                 labels: np.ndarray, eaf_cfg: EafConfig,
-                 margin_rng: np.random.Generator, grads: dict[str, np.ndarray],
-                 dropout_p: float = 0.0,
-                 dropout_rng: Optional[np.random.Generator] = None):
-    """The training step of a `prefix` stack under the angular-margin loss
-    against the classification header `header.W`, writing into `grads`."""
-    def step(params, batch):
+def _fit(model, prefix: str, slope: float, inputs: np.ndarray,
+         optim: OptimConfig, eaf_cfg: EafConfig, labels=None, targets=None,
+         lam: float = 1.0, dropout_p: float = 0.0, score=None):
+    """Train the `prefix` stack of `model.params` on the rows of `inputs`
+    and return `_train_loop`'s log and kept epoch. A step sums the loss
+    terms the model has: the mimicry of `targets` at weight `lam` when they
+    are given, then the angular margin against `labels` when the parameters
+    hold the classification header `header.W`. A student, the model with
+    targets, logs its terms; the other models log none."""
+    opt = SgdMomentum(model.params, optim.momentum)
+    shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
+    params, grads = opt.params, opt.grads
+
+    def step(batch):
         emb, saved = forward(params, prefix, slope, inputs[batch], True,
                              dropout_p, dropout_rng)
-        loss, g_emb, _ = losses.elastic_arcface(
-            emb, params["header.W"], labels[batch], eaf_cfg, rng=margin_rng,
-            out=grads["header.W"])
-        return loss, {}, backward(params, prefix, saved, g_emb, grads)
-    return step
+        terms, kd, eaf = {}, None, None
+        if targets is not None:
+            kd = losses.kd_mse(targets[batch], emb, lam)
+            terms["kd"] = kd[0]
+        if "header.W" in params:
+            eaf = losses.elastic_arcface(emb, params["header.W"], labels[batch],
+                                         eaf_cfg, rng=margin_rng,
+                                         out=grads["header.W"])[:2]
+            if kd is not None:
+                terms["eaf"] = eaf[0]
+        loss, g_emb = eaf if kd is None else losses.student_loss(eaf, kd, lam)
+        backward(params, prefix, saved, g_emb, grads)
+        return loss, terms
+
+    return _train_loop(opt, optim, len(inputs), shuffle_rng, step, score)
 
 
 @_one_blas_thread()
@@ -274,18 +292,15 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     best own-group validation verification accuracy (ties: earliest)."""
     class_ids, local_labels = np.unique(subset.identities, return_inverse=True)
     model = models.new_teacher(backbone_cfg, class_ids, group, init_seed)
-    opt = SgdMomentum(model.params, optim.momentum)
-    shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
     own_pairs = val_pairs.of_group(group.index)
 
     def score(means):
         acc, _ = verification_accuracy(model.embed(val_pool.values), own_pairs)
         return acc, {group.name: acc}
 
-    step = _margin_step("backbone", backbone_cfg.slope, subset.values,
-                        local_labels, eaf_cfg, margin_rng, opt.grads)
-    records, model.best_epoch = _train_loop(opt, optim, subset.n,
-                                            shuffle_rng, step, score)
+    records, model.best_epoch = _fit(model, "backbone", backbone_cfg.slope,
+                                     subset.values, optim, eaf_cfg,
+                                     labels=local_labels, score=score)
     return model, records
 
 
@@ -313,19 +328,13 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
                                         return_inverse=True)
     emb_dim = embedding_sets[0].dim
     model = models.new_adaptor(kind, len(embedding_sets), emb_dim, init_seed)
-    header_rng = np.random.default_rng(np.random.SeedSequence(init_seed).spawn(1)[0])
-    model.params["header.W"] = models.init_header(header_rng, len(class_ids),
-                                                  emb_dim)
-    opt = SgdMomentum(model.params, optim.momentum)
-    shuffle_rng, margin_rng, dropout_rng = _rng_streams(optim.seed, 3)
-
+    (header_rng,) = _rng_streams(init_seed, 1)
+    model.params["header.W"] = models.init_header(header_rng, len(class_ids), emb_dim)
     # DLDPO drops before the activation; the other kinds never drop
-    dropout_p = model.dropout_p if kind == "DLDPO" else 0.0
-    step = _margin_step("adaptor", model.slope, fused, local_labels, eaf_cfg,
-                        margin_rng, opt.grads, dropout_p, dropout_rng)
-    records, model.best_epoch = _train_loop(
-        opt, optim, fused.shape[0], shuffle_rng, step,
-        lambda means: (-means["loss"], None))
+    records, model.best_epoch = _fit(
+        model, "adaptor", model.slope, fused, optim, eaf_cfg, labels=local_labels,
+        dropout_p=model.dropout_p if kind == "DLDPO" else 0.0,
+        score=lambda means: (-means["loss"], None))
     del model.params["header.W"]
     return model, records
 
@@ -362,21 +371,6 @@ def train_student(mode: str, adaptor: AdaptorModel,
     if mode == "eaf_kd":
         class_ids, local_labels = np.unique(dataset.identities, return_inverse=True)
     model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
-    opt = SgdMomentum(model.params, optim.momentum)
-    shuffle_rng, margin_rng = _rng_streams(optim.seed, 2)
-
-    def step(params, batch):
-        emb, saved = forward(params, "backbone", backbone_cfg.slope,
-                             dataset.values[batch], True)
-        kd = losses.kd_mse(targets[batch], emb, lam)
-        terms, eaf = {"kd": kd[0]}, None
-        if mode == "eaf_kd":
-            value, g_emb, _ = losses.elastic_arcface(
-                emb, params["header.W"], local_labels[batch], eaf_cfg,
-                rng=margin_rng, out=opt.grads["header.W"])
-            terms["eaf"], eaf = value, (value, g_emb)
-        loss, g_emb = losses.student_loss(eaf, kd, lam)
-        return loss, terms, backward(params, "backbone", saved, g_emb, opt.grads)
-
-    records, _ = _train_loop(opt, optim, dataset.n, shuffle_rng, step)
+    records, _ = _fit(model, "backbone", backbone_cfg.slope, dataset.values,
+                      optim, eaf_cfg, labels=local_labels, targets=targets, lam=lam)
     return model, records

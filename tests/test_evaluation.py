@@ -186,12 +186,12 @@ def test_compare_reports_deltas():
     base = ev.FairnessReport(["a", "b", "c", "d"], [91.43, 92.68, 95.10, 93.53],
                              [0.0] * 4, *ev.fairness_metrics(
                                  (91.43, 92.68, 95.10, 93.53)))
-    cmp = ev.compare_reports(ours, base)
-    assert cmp["deltas"]["global_acc"] == pytest.approx(0.42, abs=0.01)
-    assert cmp["deltas"]["std"] == pytest.approx(1.36 - 1.54, abs=0.01)
+    deltas = ev.compare_reports(ours, base)
+    assert deltas["global_acc"] == pytest.approx(0.42, abs=0.01)
+    assert deltas["std"] == pytest.approx(1.36 - 1.54, abs=0.01)
     same = ev.compare_reports(ours, ours)
-    assert same["deltas"]["global_acc"] == 0.0
-    assert all(x == 0.0 for x in same["deltas"]["per_group_acc"])
+    assert same["global_acc"] == 0.0
+    assert all(x == 0.0 for x in same["per_group_acc"])
 
 
 def test_compare_reports_group_mismatch():

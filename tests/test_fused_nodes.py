@@ -196,20 +196,21 @@ class _Recorded(Exception):
 
 def record_steps(monkeypatch, train):
     """The first `STEPS` steps of `train()`: the parameters before each
-    step, its batch, and the step's (loss, terms, grads)."""
+    step, its batch, and the step's (loss, terms) with the gradients it
+    wrote into the optimizer's buffer."""
     steps = []
     real_loop = training._train_loop
 
-    def train_loop(params, optim, n, shuffle_rng, step, score=None):
-        def recorded(params, batch):
-            before = {name: p.copy() for name, p in params.items()}
-            loss, terms, grads = step(params, batch)
-            grads = {name: g.copy() for name, g in grads.items()}
+    def train_loop(opt, optim, n, shuffle_rng, step, score=None):
+        def recorded(batch):
+            before = {name: p.copy() for name, p in opt.params.items()}
+            loss, terms = step(batch)
+            grads = {name: g.copy() for name, g in opt.grads.items()}
             steps.append((before, batch.copy(), (loss, terms, grads)))
             if len(steps) == STEPS:
                 raise _Recorded
-            return steps[-1][2]
-        return real_loop(params, optim, n, shuffle_rng, recorded, score)
+            return loss, terms
+        return real_loop(opt, optim, n, shuffle_rng, recorded, score)
 
     monkeypatch.setattr(training, "_train_loop", train_loop)
     with pytest.raises(_Recorded):

@@ -176,6 +176,9 @@ def test_config_contract_is_pinned(tmp_path, capsys):
      "4500 genuine pairs per group requested, the test pool has only 2280"),
     ({"adaptors": ["SL", "SL"]}, "adaptors must not repeat an entry"),
     ({"student_modes": ["a_kd", "a_kd"]}, "student_modes must not repeat an entry"),
+    ({"seeds": {"init": -3}}, "seeds must be non-negative"),
+    ({"teacher_backbone": {"hidden": [16], "embedding_dim": 12}},
+     "teacher_backbone.embedding_dim 12 must equal backbone.embedding_dim 32"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -185,6 +188,15 @@ def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
     assert cli.main(["gen-data", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_negative_seed_override_exits_2_before_any_write(tmp_path, capsys):
+    cfg_path = _cli_config(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path, "--seed-override", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seeds must be non-negative" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -680,9 +692,8 @@ def test_report_on_a_bad_config_copy_is_a_format_error(tmp_path, capsys, content
     assert err.count("\n") == 1 and str(run / "config.json") in err
 
 
-@pytest.mark.parametrize("content", ['{"groups": ["g0"]}', "not json"])
-def test_report_on_a_malformed_report_is_a_format_error(tmp_path, capsys, content):
-    cfg_path = _cli_config(tmp_path)
+def _run_with_reports(tmp_path):
+    """A run directory that holds every report of the default config."""
     run = tmp_path / "evaluated"
     (run / "reports").mkdir(parents=True)
     (run / "config.json").write_text('{"split": "specialized"}')
@@ -690,12 +701,31 @@ def test_report_on_a_malformed_report_is_a_format_error(tmp_path, capsys, conten
     for kind in models.ADAPTOR_KINDS:
         for mode in ("eaf_kd", "a_kd"):
             (run / "reports" / f"{kind}_{mode}.json").write_text(report_to_json(report))
+    return run
+
+
+@pytest.mark.parametrize("content", ['{"groups": ["g0"]}', "not json"])
+def test_report_on_a_malformed_report_is_a_format_error(tmp_path, capsys, content):
+    cfg_path = _cli_config(tmp_path)
+    run = _run_with_reports(tmp_path)
     bad = run / "reports" / "SL_a_kd.json"
     bad.write_text(content)
     capsys.readouterr()
     assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(bad) in err
+
+
+def test_report_reads_every_report_before_it_writes(tmp_path, capsys):
+    """A malformed report of the later mode leaves no comparison file of
+    the earlier one behind."""
+    cfg_path = _cli_config(tmp_path)
+    run = _run_with_reports(tmp_path)
+    (run / "reports" / "SL_a_kd.json").write_text("not json")
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.glob("**/students_*"))
 
 
 def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypatch):
@@ -715,6 +745,19 @@ def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypa
     assert pipeline.load_manifest(out)["stages"] == {}
     with pytest.raises(MissingArtifactError):
         pipeline.cmd_train_teachers(cfg)
+
+
+def test_a_manifest_with_a_tool_version_still_loads(tmp_path, capsys):
+    """Manifests once recorded a `tool_version` key, which nothing read."""
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.cmd_gen_data(cfg)
+    manifest = pipeline.load_manifest(out)
+    assert "tool_version" not in manifest
+    store.write_json_atomic(out / "manifest.json", {**manifest, "tool_version": "0.1.0"})
+    capsys.readouterr()
+    pipeline.cmd_gen_data(cfg)
+    assert "gen-data: up to date" in capsys.readouterr().out
 
 
 def test_manifest_records_exactly_the_declared_artifacts(tmp_path):

@@ -117,11 +117,11 @@ def test_sgd_rejects_non_finite_gradient():
 @pytest.mark.parametrize("trainer", ["teacher", "adaptor", "student"])
 def test_trained_parameters_and_gradients_live_in_the_optimizer_buffers(
         monkeypatch, trainer):
-    """Every trainer's steps write their gradients into views of the
-    optimizer's gradient buffer, and the model it returns holds views of the
-    optimizer's parameter buffer (an adaptor: of its leading part, before
-    the discarded header)."""
-    opts, step_grads = [], []
+    """Every trainer's steps write every gradient element into the
+    optimizer's gradient buffer, whose views are the gradients, and the
+    model it returns holds views of the optimizer's parameter buffer (an
+    adaptor: of its leading part, before the discarded header)."""
+    opts, filled = [], []
 
     class Recording(tr.SgdMomentum):
         def __init__(self, *args, **kwargs):
@@ -131,9 +131,10 @@ def test_trained_parameters_and_gradients_live_in_the_optimizer_buffers(
     real_loop = tr._train_loop
 
     def loop(opt, optim, n, shuffle_rng, step, score=None):
-        def recorded(params, batch):
-            out = step(params, batch)
-            step_grads.append(out[2])
+        def recorded(batch):
+            opt.grad.fill(np.nan)
+            out = step(batch)
+            filled.append(bool(np.isfinite(opt.grad).all()))
             return out
         return real_loop(opt, optim, n, shuffle_rng, recorded, score)
 
@@ -155,9 +156,7 @@ def test_trained_parameters_and_gradients_live_in_the_optimizer_buffers(
                                     sets, train, 10000.0, EafConfig(), CFG, optim,
                                     init_seed=6)
     opt, = opts
-    assert len(step_grads) >= 2
-    for grads in step_grads:
-        assert grads is opt.grads
+    assert len(filled) >= 2 and all(filled)
     for g in opt.grads.values():
         assert np.shares_memory(g, opt.grad)
     lead = opt.flat.size - (opt.grads["header.W"].size if trainer == "adaptor" else 0)
@@ -182,10 +181,10 @@ def test_trainers_run_at_one_blas_thread_and_restore_the_callers(
     real_loop, real_target = tr._train_loop, tr.fused_target
 
     def loop(opt, optim, n, shuffle_rng, step, score=None):
-        def noted_step(params, batch):
+        def noted_step(batch):
             seen.append(("step", _blas_threads()))
-            loss, terms, grads = step(params, batch)
-            return (np.nan if diverge else loss), terms, grads
+            loss, terms = step(batch)
+            return (np.nan if diverge else loss), terms
 
         def noted_score(means):
             seen.append(("score", _blas_threads()))
@@ -513,3 +512,35 @@ def test_train_log_records_serialize(tmp_path):
     doc = json.loads(lines[0])
     assert doc["epoch"] == 1 and doc["val_acc"] == {"g0": 88.0}
     assert json.loads(lines[1])["mean_kd"] == 0.5
+
+
+@pytest.mark.parametrize("kind, terms", [
+    ("teacher", set()), ("SL", set()), ("DuL", set()), ("DLDPO", set()),
+    ("a_kd", {"mean_kd"}), ("eaf_kd", {"mean_eaf", "mean_kd"})])
+def test_each_model_kind_logs_exactly_its_loss_terms(tmp_path, kind, terms):
+    """Every epoch record holds the epoch, mean loss, lr, validation
+    accuracy and wall time; a student adds the mean of each loss term it
+    sums, a teacher or an adaptor none."""
+    import json
+    train, val, _, val_pairs, _ = desk_data()
+    optim = tr.OptimConfig(0.1, 2, (1,), **FAST)
+    sets = tr.extract_embeddings(
+        [models.new_teacher(CFG, np.arange(1), train.group_tags[g], seed=g)
+         for g in range(4)], train)
+    if kind == "teacher":
+        _, recs = tr.train_teacher(train.select(train.rows_of_group(0)),
+                                   train.group_tags[0], CFG, EafConfig(), optim,
+                                   val, val_pairs, init_seed=3)
+    elif kind in models.ADAPTOR_KINDS:
+        _, recs = tr.train_adaptor(kind, sets, EafConfig(), optim, init_seed=4)
+    else:
+        _, recs = tr.train_student(kind, models.new_adaptor("SL", 4, 16, 5), sets,
+                                   train, 10000.0, EafConfig(), CFG, optim,
+                                   init_seed=6)
+    path = tmp_path / "log.jsonl"
+    tr.write_log(recs, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == optim.epochs
+    for line in lines:
+        assert json.loads(line).keys() == {"epoch", "mean_loss", "lr", "val_acc",
+                                           "wall_time"} | terms
