@@ -25,6 +25,7 @@ from .errors import ContractError, DegenerateEmbeddingError, DimensionError
 EPS_NORM = 1e-12     # row norms at or below this are degenerate
 EPS_COS = 1e-7       # cosine clamp margin before arccos
 PI = math.pi
+_BLOCK_ROWS = 256    # rows per inference activation block
 
 
 class Saved(NamedTuple):
@@ -39,6 +40,16 @@ class Saved(NamedTuple):
     norms: np.ndarray   # its row norms before scaling
 
 
+def _leaky_relu_rows(h: np.ndarray, slope: float) -> None:
+    """Multiply `h` in place by the training path's factor, a block of
+    `_BLOCK_ROWS` rows at a time: the same floats without a full-size factor
+    array. A masked multiply (`where=h < 0.0`) gives them too, about 6x
+    slower at 128 to 5,920 rows of width 128."""
+    for start in range(0, len(h), _BLOCK_ROWS):
+        block = h[start:start + _BLOCK_ROWS]
+        block *= np.maximum(block >= 0.0, slope)
+
+
 def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
             x: np.ndarray, train: bool = False, dropout_p: float = 0.0,
             rng: Optional[np.random.Generator] = None):
@@ -46,8 +57,9 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
 
     A training call returns `(unit, saved)` and, when `dropout_p` > 0, draws
     a mask `(rng.random(shape) >= p) / (1 - p)` before each activation;
-    inference returns the unit rows alone and never drops. Each layer works
-    in place on its one output array."""
+    inference returns the unit rows alone, never drops, and keeps no factor:
+    it activates a block of rows at a time (`_leaky_relu_rows`). Each layer
+    works in place on its one output array."""
     x = np.asarray(x, dtype=np.float64)
     width = params[f"{prefix}.0.W"].shape[0]
     if x.ndim != 2 or x.shape[1] != width:
@@ -74,8 +86,8 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
             inputs.append(h)
             factors.append(factor)
             keep.append(mask)
-        else:   # the same floats, without a full-size factor array
-            np.multiply(h, slope, out=h, where=h < 0.0)
+        else:
+            _leaky_relu_rows(h, slope)
         h = h @ params[f"{prefix}.{i}.W"]
         h += params[f"{prefix}.{i}.b"]
         i += 1

@@ -17,6 +17,10 @@ reverse-mode primitives in the same order and on the same array layouts,
 so values and gradients are bit-identical to that chain. The chain, with
 the softmax cross-entropy it ends in, is the test oracle
 (`tests/tape_oracle.py`).
+
+The angular-margin loss allocates one batch x classes array: the cosines,
+the logits, the softmax and the logit gradient each overwrite it in place,
+with the same floats in the same order as separate arrays would hold.
 """
 
 from __future__ import annotations
@@ -97,39 +101,43 @@ def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
     wn = w / w_norms
     wn_t = wn.T.copy()
     lo, hi = -1.0 + EPS_COS, 1.0 - EPS_COS
+    # the one batch x classes buffer: cosines, logits, softmax, gradient
     raw = emb @ wn_t
     cos_inside = (raw > lo) & (raw < hi)
-    cosines = np.clip(raw, lo, hi)
+    np.clip(raw, lo, hi, out=raw)
     # the target logit: cos(clip(arccos(cosine) + margin, 0, pi))
     rows = np.arange(batch)
-    target_cos = cosines[rows, labels]
+    target_cos = raw[rows, labels]
     shifted = np.arccos(target_cos) + margins
     angle_inside = (shifted > 0.0) & (shifted < PI)
     shifted = np.clip(shifted, 0.0, PI)
-    logits = cosines.copy()
-    logits[rows, labels] = np.cos(shifted)
-    logits *= float(cfg.s)
+    raw[rows, labels] = np.cos(shifted)
+    raw *= float(cfg.s)
     # softmax cross-entropy
-    top = logits.max(axis=1, keepdims=True)
-    expx = np.exp(logits - top)
-    sums = expx.sum(axis=1, keepdims=True)
-    per_row = (top + np.log(sums)).reshape(-1) - logits[rows, labels]
-    softmax = expx / sums
+    top = raw.max(axis=1, keepdims=True)
+    target_logit = raw[rows, labels]
+    raw -= top
+    np.exp(raw, out=raw)
+    sums = raw.sum(axis=1, keepdims=True)
+    per_row = (top + np.log(sums)).reshape(-1) - target_logit
+    raw /= sums
 
-    # the backward pass
+    # the backward pass, in the same buffer; at a target, softmax * g_row
+    # - g_row is the float the one-hot's -g_row + softmax * g_row gives
     g_row = 1.0 / batch
-    g_logits = np.zeros_like(logits)
-    g_logits[rows, labels] = -g_row
-    g_logits += softmax * g_row
-    g_logits *= float(cfg.s)
-    g_cos = -g_logits[rows, labels] * np.sin(shifted) * angle_inside
+    raw *= g_row
+    raw[rows, labels] -= g_row
+    raw *= float(cfg.s)
+    g_cos = -raw[rows, labels] * np.sin(shifted) * angle_inside
     g_target = -g_cos / np.sqrt(1.0 - target_cos * target_cos)
-    g_logits[rows, labels] = 0.0
-    g_logits[rows, labels] += g_target
-    g_raw = g_logits * cos_inside
+    # 0.0 + g stores a -0.0 target gradient as +0.0, as the tape does
+    raw[rows, labels] = 0.0 + g_target
+    g_raw = np.multiply(raw, cos_inside, out=raw)
+    g_emb = g_raw @ wn_t.T
     g_wn = (emb.T @ g_raw).T.copy()
+    del raw, g_raw, cos_inside   # before the header gradient's temporaries
     inner = np.sum(g_wn * wn, axis=1, keepdims=True)
-    return (float(per_row.mean()), g_raw @ wn_t.T,
+    return (float(per_row.mean()), g_emb,
             np.divide(g_wn - wn * inner, w_norms, out=out))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,28 @@ def test_eaf_gradient_matches_finite_differences():
     nr, nw = numeric_grad(f, [raw0.copy(), w0.copy()])
     assert_grads_close(g_raw, nr)
     assert_grads_close(g_w, nw)
+
+
+def test_eaf_works_in_one_batch_by_class_buffer():
+    """One call at 128 x 200 holds under three batch x classes arrays at
+    its peak, leaves its inputs alone and returns a fresh gradient."""
+    batch, classes = 128, 200
+    rng = np.random.default_rng(21)
+    emb, w = unit_rows(rng, batch, 32), rng.normal(size=(classes, 32))
+    labels = rng.integers(0, classes, size=batch)
+    emb0, w0 = emb.copy(), w.copy()
+    margin_rng = np.random.default_rng(22)
+    tracemalloc.start()
+    try:
+        _, g_emb, _ = losses.elastic_arcface(emb, w, labels, EafConfig(),
+                                             margin_rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * batch * classes * 8
+    assert emb.tobytes() == emb0.tobytes() and w.tobytes() == w0.tobytes()
+    assert not np.shares_memory(g_emb, emb)
+    assert not np.shares_memory(g_emb, w)
 
 
 def test_kd_mse_zero_and_hand_case():

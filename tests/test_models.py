@@ -60,6 +60,39 @@ def test_forward_equals_backbone_graph_bitwise():
     assert trained.tobytes() == graph.values.tobytes()
 
 
+@pytest.mark.parametrize("slope", [0.1, 0.0])
+@pytest.mark.parametrize("rows", [0, 1, ad._BLOCK_ROWS, 3 * ad._BLOCK_ROWS + 7])
+def test_inference_forward_by_row_blocks_bitwise(rows, slope):
+    """Inference activates a block of rows at a time: at no row, one row,
+    one full block and several with a ragged tail, at slope 0 too, it gives
+    the floats of the training forward and the tape, with some
+    pre-activations exactly 0.0."""
+    cfg = BackboneConfig(input_dim=16, hidden=(32, 24), embedding_dim=8,
+                         slope=slope)
+    params = dict(make_teacher(seed=3, cfg=cfg).params)
+    params["backbone.0.W"] = params["backbone.0.W"].copy()
+    params["backbone.0.W"][:, :3] = 0.0   # biases start at zero
+    x = np.random.default_rng(12).normal(size=(rows, 16))
+    out = ad.forward(params, "backbone", slope, x)
+    assert out.shape == (rows, 8)
+    trained, _ = ad.forward(params, "backbone", slope, x, train=True)
+    tape = oracle.Tape()
+    graph = oracle.backbone_graph(tape, param_tensors(tape, params), cfg, x)
+    assert out.tobytes() == trained.tobytes() == graph.values.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.0])
+def test_inference_activation_is_the_training_factor_at_signed_zeros(slope):
+    """The affine sums never yield -0.0 here, so the activation is fed
+    exact 0.0 and -0.0 directly, across two blocks and a ragged tail."""
+    h = np.random.default_rng(15).normal(size=(2 * ad._BLOCK_ROWS + 5, 6))
+    h[::2, 0], h[1::2, 1] = 0.0, -0.0
+    got = h.copy()
+    ad._leaky_relu_rows(got, slope)
+    assert got.tobytes() == (h * np.maximum(h >= 0.0, slope)).tobytes()
+    assert np.signbit(got[1::2, 1]).all()
+
+
 @pytest.mark.parametrize("kind", models.ADAPTOR_KINDS)
 def test_forward_equals_adaptor_graph_bitwise(kind):
     a = models.new_adaptor(kind, 4, 6, seed=4, slope=0.05)
