@@ -239,6 +239,7 @@ def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
                     f"group {g}: {n} {kind} pairs requested, only {cap} exist")
 
         seen: set[tuple[int, int]] = set()
+        keys = list(by_identity)
 
         def draw(n, genuine):
             got = 0
@@ -247,10 +248,11 @@ def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
                     i = multi[rng.integers(len(multi))]
                     x, y = rng.choice(by_identity[i], size=2, replace=False)
                 else:
-                    ia, ib = rng.choice(len(by_identity), size=2, replace=False)
-                    keys = list(by_identity)
-                    x = rng.choice(by_identity[keys[ia]])
-                    y = rng.choice(by_identity[keys[ib]])
+                    ia, ib = rng.choice(len(keys), size=2, replace=False)
+                    # the draw of rng.choice(arr), without its argument checks
+                    ra, rb = by_identity[keys[ia]], by_identity[keys[ib]]
+                    x = ra[rng.integers(len(ra))]
+                    y = rb[rng.integers(len(rb))]
                 key = (min(x, y), max(x, y))
                 if key in seen:
                     continue

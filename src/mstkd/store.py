@@ -14,8 +14,10 @@ f64 parameter data, which the parameters tile exactly, in manifest order.
 That data block is the training layout too (`lay_out`); loaded parameters
 are views of the file's bytes, so they are read-only.
 
-Every file is written through `write_atomic`; the loaders reject malformed
-files with `FormatError` and check sizes against the file before allocating.
+Every file is written through `write_atomic`, which renames a complete
+temporary file into place and leaves a file that already holds the same
+bytes untouched; the loaders reject malformed files with `FormatError` and
+check sizes against the file before allocating.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ MAGIC = b"MSTE"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _PREAMBLE = 25   # magic, version, dtype, row count, dimension
+_BLOCK = 1 << 20   # bytes read per step when hashing or comparing a file
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -98,32 +101,47 @@ def save_pairs(pairs: PairList, path) -> None:
 
 
 def load_pairs(path) -> PairList:
+    """The pair list at `path`. The text is split into lines once and its
+    integers are parsed in one numpy call; a malformed file raises
+    `FormatError` naming its first bad line, as a line-by-line reader
+    would."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: pair list is not UTF-8 ({exc})") from exc
-    a, b, genuine, group = [], [], [], []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields")
-        try:
-            a.append(int(parts[0]))
-            b.append(int(parts[1]))
-            flag = int(parts[2])
-            group.append(int(parts[3]))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if flag not in (0, 1):
-            raise FormatError(f"{path}:{lineno}: genuine flag must be 0 or 1")
-        genuine.append(bool(flag))
+    fields = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
+    wrong = np.flatnonzero((fields != 0) & (fields != 4))
+    errors = []
+    if wrong.size:   # parse the lines before the first with a wrong count
+        end = int(wrong[0])
+        errors.append((end + 1, "expected 4 fields"))
+        text, fields = "\n".join(text.split("\n", end)[:end]), fields[:end]
+    tokens = text.split()
+    linenos = np.flatnonzero(fields) + 1   # the line of each row
     try:
-        return PairList(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                        np.array(genuine, dtype=bool), np.array(group, dtype=np.int64))
+        values = np.array(tokens, dtype=np.int64)   # int() on each token
+    except (ValueError, OverflowError):   # find int()'s first error, if any
+        values = []
+        for token in tokens:
+            try:
+                values.append(int(token))
+            except ValueError as exc:
+                errors.append((linenos[len(values) // 4], str(exc)))
+                break
+        values = np.array(values[:len(values) // 4 * 4], dtype=object)
+    values = values.reshape(-1, 4)
+    flag = values[:, 2]
+    bad_flag = np.flatnonzero((flag != 0) & (flag != 1))
+    if bad_flag.size:
+        errors.append((linenos[bad_flag[0]], "genuine flag must be 0 or 1"))
+    if errors:
+        lineno, message = min(errors)
+        raise FormatError(f"{path}:{lineno}: {message}")
+    try:
+        a, b, flag, group = np.ascontiguousarray(values.T, dtype=np.int64)
     except OverflowError as exc:
         raise FormatError(f"{path}: an index does not fit 64 bits") from exc
+    return PairList(a, b, flag == 1, group)
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
@@ -211,7 +229,7 @@ def sha256_file(path) -> str:
 
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(_BLOCK), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -225,16 +243,43 @@ def ensure_dir(path) -> Path:
 def write_atomic(path, chunks) -> None:
     """Write the byte chunks to a temporary file beside `path`, then rename
     it over `path`: a killed or failed writer leaves the old file or the new
-    one, never a truncated one. Every artifact is written through here."""
+    one, never a truncated one. Every artifact is written through here.
+
+    A file that already holds exactly these bytes is left in place, inode
+    and mtime included, so a re-run that reproduces an artifact writes
+    nothing."""
     path = Path(path)
+    views = [np.frombuffer(chunk, np.uint8) for chunk in chunks]
+    if _holds(path, views):
+        return
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            for view in views:
+                fh.write(view)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _holds(path: Path, views: list[np.ndarray]) -> bool:
+    """Whether the file at `path` holds exactly the bytes of `views` (flat
+    u8 views). Sizes are compared first, then bytes in blocks of at most
+    1 MiB, up to the first block that differs; `bytes ==` is a memcmp,
+    where `memoryview ==` compares item by item. A file that is missing or
+    cannot be read holds nothing."""
+    try:
+        if os.stat(path).st_size != sum(v.size for v in views):
+            return False
+        with open(path, "rb") as fh:
+            for view in views:
+                for at in range(0, view.size, _BLOCK):
+                    block = view[at:at + _BLOCK]
+                    if fh.read(block.size) != block.tobytes():
+                        return False
+    except OSError:
+        return False
+    return True
 
 
 def write_text_atomic(path, text: str) -> None:

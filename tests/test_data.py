@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from mstkd import data as d
+from mstkd import pipeline
 from mstkd.errors import ConfigError, DataError
+
+import pairs_oracle
 
 
 def small_spec(**overrides):
@@ -184,3 +187,23 @@ def test_pair_capacity_counts_every_distinct_pair():
     genuine = sum(s * (s - 1) // 2 for s in sizes)
     impostor = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
     assert d.pair_capacity(sum(sizes), sum(s * s for s in sizes)) == (genuine, impostor)
+
+
+@pytest.mark.parametrize("genuine_fraction", [0.5, 0.2])
+def test_build_pairs_draws_what_the_frozen_oracle_draws(genuine_fraction):
+    """The validation and test pools of the tiny pipeline config, over 20
+    data seeds: the same pairs, in the same order, as `rng.choice(arr)`
+    gave."""
+    spec = pipeline.config_from_dict({
+        "dataset": {"identities_per_group": 8, "samples_per_identity": 6,
+                    "validation_identities_per_group": 4,
+                    "test_identities_per_group": 4},
+        "pairs_per_group": 80}).dataset
+    for seed in range(20):
+        spec.seed = seed
+        _, val, test = d.generate(spec)
+        for k, pool in enumerate((val, test)):
+            got = d.build_pairs(pool, 80, genuine_fraction, seed=seed + k)
+            want = pairs_oracle.build_pairs(pool, 80, genuine_fraction, seed=seed + k)
+            for field in ("a", "b", "genuine", "group"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -277,6 +277,42 @@ def test_run_all_on_current_run_leaves_config_copy_untouched(tmp_path, capsys):
     assert copy.read_bytes() == before
 
 
+def _stats(out):
+    """{relative path: (inode, mtime in ns)} of every file of a run directory."""
+    return {str(p.relative_to(out)): (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_forced_reembed_that_reproduces_every_artifact_renames_nothing(
+        tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.run_all(cfg)
+    before = _stats(out)
+    replaced = []
+    monkeypatch.setattr(store.os, "replace", lambda src, dst: replaced.append(dst))
+    pipeline.cmd_extract(cfg, force=True)
+    pipeline.cmd_evaluate(cfg, force=True)
+    assert replaced == []
+    assert _stats(out) == before
+
+
+def test_forced_extract_restores_a_modified_embedding(tmp_path):
+    out = tmp_path / "run"
+    cfg = tiny_config(out)
+    pipeline.run_all(cfg)
+    rel = "embeddings/teacher_0.mste"
+    path = out / rel
+    original = path.read_bytes()
+    path.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))  # same size
+    inode = path.stat().st_ino
+    pipeline.cmd_extract(cfg, force=True)
+    assert path.read_bytes() == original
+    assert path.stat().st_ino != inode   # renamed into place, not patched
+    digest = pipeline.load_manifest(out)["stages"]["extract"]["artifacts"][rel]
+    assert digest == store.sha256_file(path)
+
+
 def test_rerun_after_delete_is_byte_identical(tmp_path):
     out = tmp_path / "run"
     cfg = tiny_config(out)

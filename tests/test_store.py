@@ -1,5 +1,6 @@
 import errno
 import io
+import os
 
 import numpy as np
 import pytest
@@ -253,3 +254,29 @@ def test_atomic_write_failure_keeps_the_old_file(tmp_path):
         store.write_text_atomic(path, "partial \ud800 text")  # fails mid-write
     assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_write_atomic_leaves_a_file_with_the_same_bytes_in_place(tmp_path, monkeypatch):
+    path = tmp_path / "s.mste"
+    store.save_sample_set(make_set(), path)
+    os.utime(path, ns=(10**9, 10**9))   # any rewrite moves the mtime to now
+    inode = path.stat().st_ino
+    monkeypatch.setattr(store.os, "replace", lambda *_: pytest.fail("renamed"))
+    store.save_sample_set(make_set(), path)
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (inode, 10**9)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.mste"]
+
+
+@pytest.mark.parametrize("at", [0, 3 + (1 << 20), 4 + (1 << 20), -1])
+def test_write_atomic_replaces_a_file_of_the_same_size_with_other_bytes(tmp_path, at):
+    """Each chunk is compared in 1 MiB blocks; a differing byte in the first
+    chunk, at either side of a block boundary or at the end of the file
+    makes a rewrite."""
+    new = np.arange(3 << 17, dtype="<f8")   # 3 MiB in one chunk
+    path = tmp_path / "blob"
+    blob = bytearray(b"head" + new.tobytes())
+    blob[at] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    store.write_atomic(path, [b"head", new.data])
+    assert path.read_bytes() == b"head" + new.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["blob"]
