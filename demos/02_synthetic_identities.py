@@ -39,12 +39,12 @@ for g in range(spec.groups):
     print(f"  block of group {g}: {nearest_prototype_acc(0, block(g)):.2f}{marker}")
 
 print("\nspecialized split (one group per subset):")
-for g, subset in enumerate(split_specialized(train).subsets):
+for g, subset in enumerate(split_specialized(train)):
     groups = np.unique(train.groups[train.rows_of_identities(subset)])
     print(f"  subset {g}: {len(subset)} identities, groups present: {groups}")
 
 print("\nbalanced split (every subset mixes all groups equally):")
-for j, subset in enumerate(split_balanced(train, seed=1).subsets):
+for j, subset in enumerate(split_balanced(train, seed=1)):
     rows = train.rows_of_identities(subset)
     hist = [int(np.unique(train.identities[rows][train.groups[rows] == g]).size)
             for g in range(spec.groups)]

@@ -24,13 +24,13 @@ print(f"schedule: lr {lr0}, {epochs} epochs, decays at {decays}\n")
 
 teachers = []
 for g in range(spec.groups):
-    subset = train.select(train.rows_of_identities(split.subsets[g]))
+    subset = train.select(train.rows_of_identities(split[g]))
     optim = OptimConfig(lr0, epochs, decays, batch_size=128, seed=10 + g)
     teacher, records = train_teacher(subset, train.group_tags[g], backbone,
                                      EafConfig(), optim, val, val_pairs,
                                      init_seed=100 + g)
     print(f"teacher {g}: {subset.n} samples, best epoch {teacher.best_epoch}, "
-          f"final train loss {records[-1].mean_loss:.2f}")
+          f"final train loss {records[-1]['mean_loss']:.2f}")
     teachers.append(teacher)
 
 print("\ntest verification accuracy (rows: teachers, columns: groups):")

@@ -25,7 +25,7 @@ backbone = BackboneConfig(input_dim=spec.input_dim, hidden=(128,), embedding_dim
 
 teachers = []
 for g in range(spec.groups):
-    subset = train.select(train.rows_of_identities(split.subsets[g]))
+    subset = train.select(train.rows_of_identities(split[g]))
     optim = OptimConfig(*scale_phase(*TEACHER_PHASE, 0.25), batch_size=128,
                         seed=10 + g)
     teacher, _ = train_teacher(subset, train.group_tags[g], backbone, EafConfig(),
@@ -40,7 +40,7 @@ print(f"extracted {len(sets)} aligned embedding sets of shape "
 optim_a = OptimConfig(*scale_phase(*ADAPTOR_PHASE, 0.25), batch_size=128, seed=20)
 adaptor, arecs = train_adaptor("SL", sets, EafConfig(), optim_a, init_seed=200)
 print(f"SL adaptor: best epoch {adaptor.best_epoch} "
-      f"(train loss {min(r.mean_loss for r in arecs):.2f})")
+      f"(train loss {min(r['mean_loss'] for r in arecs):.2f})")
 attribution = trace_teacher_attribution(adaptor)
 print("teacher attribution (share of fusion weight mass): "
       + ", ".join(f"teacher {g}: {a:.3f}" for g, a in enumerate(attribution)))

@@ -14,9 +14,8 @@ command line as `mstkd`.
 __version__ = "0.1.0"
 
 from .autodiff import backward, forward
-from .data import (DataSplit, GroupTag, PairList, SampleSet,
-                   SyntheticDatasetSpec, build_pairs, generate,
-                   split_balanced, split_specialized)
+from .data import (GroupTag, PairList, SampleSet, SyntheticDatasetSpec,
+                   build_pairs, generate, split_balanced, split_specialized)
 from .evaluation import (FairnessReport, best_threshold_accuracy,
                          compare_reports, evaluate_embeddings,
                          fairness_metrics, render_table, verification_accuracy)
@@ -25,8 +24,8 @@ from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
                      TeacherModel, adaptor_forward, fuse_inputs,
                      new_adaptor, new_student, new_teacher,
                      trace_teacher_attribution)
-from .training import (OptimConfig, SgdMomentum, TrainLogRecord,
-                       extract_embeddings, fused_target, lr_at_epoch,
-                       scale_phase, train_adaptor, train_student, train_teacher)
+from .training import (OptimConfig, SgdMomentum, extract_embeddings,
+                       fused_target, lr_at_epoch, scale_phase, train_adaptor,
+                       train_student, train_teacher)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

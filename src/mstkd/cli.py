@@ -49,7 +49,9 @@ EXIT_CODES = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mstkd",
         description="Multi-specialized-teacher distillation pipeline")
@@ -75,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the desk-scale default config")
     init.add_argument("--out", default="mstkd-config.json", metavar="PATH")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -100,12 +100,6 @@ class SyntheticDatasetSpec:
 
 
 @dataclass
-class DataSplit:
-    kind: str                      # "specialized" | "balanced"
-    subsets: list[np.ndarray]      # disjoint identity id arrays, one per teacher
-
-
-@dataclass
 class PairList:
     """Verification pairs referencing rows of one sample pool."""
 
@@ -174,7 +168,7 @@ def generate(spec: SyntheticDatasetSpec) -> tuple[SampleSet, SampleSet, SampleSe
     return train, val, test
 
 
-def split_specialized(train: SampleSet) -> DataSplit:
+def split_specialized(train: SampleSet) -> list[np.ndarray]:
     """One subset per group, containing exactly that group's identities."""
     subsets = []
     for g in range(len(train.group_tags)):
@@ -182,10 +176,10 @@ def split_specialized(train: SampleSet) -> DataSplit:
         if ids.size == 0:
             raise DataError(f"group {g} has no identities")
         subsets.append(ids)
-    return DataSplit("specialized", subsets)
+    return subsets
 
 
-def split_balanced(train: SampleSet, seed: int) -> DataSplit:
+def split_balanced(train: SampleSet, seed: int) -> list[np.ndarray]:
     """G subsets, each holding an equal share of every group's identities.
 
     Identities are dealt round-robin after a seeded shuffle, so remainders
@@ -201,7 +195,7 @@ def split_balanced(train: SampleSet, seed: int) -> DataSplit:
         rng.shuffle(ids)
         for j in range(g_count):
             subsets[j].extend(ids[j::g_count])
-    return DataSplit("balanced", [np.sort(np.array(s)) for s in subsets])
+    return [np.sort(np.array(s)) for s in subsets]
 
 
 def pair_capacity(samples: int, sum_sq: int) -> tuple[int, int]:

@@ -123,11 +123,6 @@ def _fmt(x: float | None) -> str:
     return "undef" if x is None else f"{x:.2f}"
 
 
-def report_row(report: FairnessReport) -> list[str]:
-    return ([_fmt(a) for a in report.per_group_acc]
-            + [_fmt(report.global_acc), _fmt(report.std), _fmt(report.ser)])
-
-
 def render_table(rows: list[tuple[str, FairnessReport]],
                  blocks: list[int] | None = None) -> str:
     """Aligned text table; best value per column is starred within each block.
@@ -143,7 +138,8 @@ def render_table(rows: list[tuple[str, FairnessReport]],
         if r.group_names != names:
             raise ContractError("reports cover different group structures")
     header = ["", *names, "Global Acc", "STD", "SER"]
-    cells = [[label, *report_row(rep)] for label, rep in rows]
+    cells = [[label, *map(_fmt, [*r.per_group_acc, r.global_acc, r.std, r.ser])]
+             for label, r in rows]
     start = 0
     for size in blocks or [len(rows)]:
         # each row's metrics in column order, signed so that higher is better

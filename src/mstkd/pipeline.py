@@ -236,10 +236,16 @@ def load_config(path, seed_override: Optional[int] = None,
     return config_from_dict(doc)
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
+def _run_config(cfg: ExperimentConfig) -> dict:
+    """The config without `out_dir`, which a run's hash and its config copy
+    hold: runs are relocatable."""
     doc = config_to_dict(cfg)
-    doc.pop("out_dir")  # runs are relocatable
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc.pop("out_dir")
+    return doc
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    blob = json.dumps(_run_config(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -316,8 +322,7 @@ def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool) -> dict:
     h = config_hash(cfg)
     manifest = None if reset else load_manifest(out)
     if manifest is None:
-        return {"config_hash": h, "fusion_order": cfg.resolved_fusion_order(),
-                "stages": {}}
+        return {"config_hash": h, "stages": {}}
     if manifest["config_hash"] != h:
         raise ConfigError(
             f"config hash mismatch for {out}: manifest has "
@@ -350,12 +355,6 @@ def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
             f"samples to {(out / _pool('train')).parent}")
 
 
-def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
-    if cfg.split == "specialized":
-        return data.split_specialized(train)
-    return data.split_balanced(train, cfg.seeds.data)
-
-
 # Each training stage is one per-model job for each stem of its kind's
 # model list. A job is a pure function of (validated config, run directory,
 # index): it loads its inputs from the run directory and returns (model,
@@ -365,8 +364,9 @@ def _split_of(cfg: ExperimentConfig, train: data.SampleSet) -> data.DataSplit:
 def _train_one_teacher(cfg: ExperimentConfig, out: Path, g: int):
     train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
     val_pairs = store.load_pairs(out / _pairs("validation"))
-    split = _split_of(cfg, train)
-    subset = train.select(train.rows_of_identities(split.subsets[g]))
+    split = (data.split_specialized(train) if cfg.split == "specialized"
+             else data.split_balanced(train, cfg.seeds.data))
+    subset = train.select(train.rows_of_identities(split[g]))
     optim = cfg.optim("teacher", cfg.seeds.train + g)
     return training.train_teacher(
         subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
@@ -529,10 +529,10 @@ class _Run:
         return self.pool.map(fn, indices)
 
     def digest(self, rel: str) -> Optional[str]:
-        """sha256 of the artifact `rel` (None if absent)."""
+        """sha256 of the artifact `rel` (None if it is not a file)."""
         if rel not in self.digests:
             path = self.out / rel
-            if not path.exists():
+            if not path.is_file():
                 return None
             self.digests[rel] = store.sha256_file(path)
         return self.digests[rel]
@@ -568,11 +568,11 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
         print(f"[mstkd] {stage.name}: up to date in {out}, skipping "
               "(use --force to redo)")
         return out
-    store.write_json_atomic(out / CONFIG_COPY, config_to_dict(cfg))
+    store.write_json_atomic(out / CONFIG_COPY, _run_config(cfg))
     store.write_json_atomic(out / MANIFEST, run.manifest)
     artifacts = stage.artifacts(cfg)
     for directory in sorted({(out / rel).parent for rel in artifacts}):
-        store.ensure_dir(directory)
+        directory.mkdir(parents=True, exist_ok=True)
     summary = stage.body(cfg, out, run)
     missing = [rel for rel in artifacts if not (out / rel).exists()]
     if missing:
@@ -635,8 +635,9 @@ def _run_label(run_dir: Path) -> str:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path} is not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "split" not in doc:
-        raise FormatError(f"{path} is not a run config: it has no split")
+    if not isinstance(doc, dict) or doc.get("split") not in ("specialized", "balanced"):
+        raise FormatError(f"{path} is not a run config: its split is neither "
+                          "specialized nor balanced")
     return "Ours" if doc["split"] == "specialized" else "Baseline"
 
 
@@ -665,7 +666,7 @@ def cmd_report(cfg: ExperimentConfig, run_dirs: list[str],
                         f"missing report {path}; run evaluate on {run} first")
                 rows.append((f"{label}-{kind}", load_report(path)))
     out = Path(out_override) if out_override else Path(cfg.out_dir) / "comparison"
-    store.ensure_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     for mode, rows in rows_of_mode.items():
         table = render_table(rows, blocks=[len(cfg.adaptors)] * len(runs))
         store.write_text_atomic(out / f"students_{mode}.txt", table)

@@ -1,7 +1,7 @@
 """Binary persistence for sample/embedding sets, pair lists, and checkpoints.
 
 Sample container layout (little-endian throughout):
-    magic "MSTE" | format version u32 | dtype u8 (0=f32, 1=f64) |
+    magic "MSTE" | format version u32 | dtype u8 (1=f64, the only one) |
     row count u64 | dimension u64 | row-major values |
     identity label u32 per row | group tag u8 per row
 
@@ -34,7 +34,6 @@ from .errors import FormatError
 
 MAGIC = b"MSTE"
 VERSION = 1
-_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _PREAMBLE = 25   # magic, version, dtype, row count, dimension
 _BLOCK = 1 << 20   # bytes read per step when hashing or comparing a file
 
@@ -46,17 +45,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def save_sample_set(s: SampleSet, path, dtype_code: int = 1) -> None:
-    if dtype_code not in _DTYPES:
-        raise FormatError(f"unknown dtype code {dtype_code}")
+def save_sample_set(s: SampleSet, path) -> None:
     if s.n and (s.identities.min() < 0 or s.identities.max() > 0xFFFFFFFF):
         raise FormatError("identity labels overflow u32")
     if s.n and (s.groups.min() < 0 or s.groups.max() > 0xFF):
         raise FormatError("group tags overflow u8")
     write_atomic(path, [
-        MAGIC, np.uint32(VERSION).tobytes(), np.uint8(dtype_code).tobytes(),
+        MAGIC, np.uint32(VERSION).tobytes(), np.uint8(1).tobytes(),
         np.uint64(s.n).tobytes(), np.uint64(s.dim).tobytes(),
-        np.ascontiguousarray(s.values, dtype=_DTYPES[dtype_code]).data,
+        np.ascontiguousarray(s.values, dtype="<f8").data,
         s.identities.astype("<u4").data, s.groups.astype("<u1").data])
 
 
@@ -68,21 +65,20 @@ def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet
         if version != VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         code = int(np.frombuffer(_read_exact(fh, 1, "dtype"), "<u1")[0])
-        if code not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype code {code}")
+        if code != 1:
+            raise FormatError(f"{path}: unknown dtype code {code}; sample sets are f64")
         rows = int(np.frombuffer(_read_exact(fh, 8, "row count"), "<u8")[0])
         dim = int(np.frombuffer(_read_exact(fh, 8, "dimension"), "<u8")[0])
         # values, u32 labels and u8 groups must fill the file exactly; checked
         # before anything is allocated from the header's counts
-        itemsize = _DTYPES[code].itemsize
-        expected = _PREAMBLE + rows * dim * itemsize + 5 * rows
+        expected = _PREAMBLE + rows * dim * 8 + 5 * rows
         actual = os.fstat(fh.fileno()).st_size
         if expected != actual:
             raise FormatError(f"{path}: header implies {expected} bytes "
                               f"({rows} rows x {dim}), file has {actual}")
-        if dim * itemsize > np.iinfo(np.intp).max:   # only with zero rows
+        if dim * 8 > np.iinfo(np.intp).max:   # only with zero rows
             raise FormatError(f"{path}: dimension {dim} is too large")
-        values = np.empty((rows, dim), _DTYPES[code])
+        values = np.empty((rows, dim), "<f8")
         if fh.readinto(values) != values.nbytes:
             raise FormatError(f"{path}: truncated file while reading values")
         idents = np.frombuffer(_read_exact(fh, rows * 4, "labels"), "<u4")
@@ -90,8 +86,7 @@ def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet
     if group_tags is None:
         n_groups = int(groups.max()) + 1 if rows else 0
         group_tags = [GroupTag(i, f"g{i}") for i in range(n_groups)]
-    return SampleSet(values.astype(np.float64, copy=False), idents.astype(np.int64),
-                     groups.astype(np.int64), group_tags)
+    return SampleSet(values, idents, groups, group_tags)
 
 
 def save_pairs(pairs: PairList, path) -> None:
@@ -232,12 +227,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(_BLOCK), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def write_atomic(path, chunks) -> None:

@@ -33,7 +33,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -142,24 +142,10 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-@dataclass
-class TrainLogRecord:
-    epoch: int
-    mean_loss: float
-    lr: float
-    val_acc: Optional[dict[str, float]] = None
-    wall_time: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        doc = {"epoch": self.epoch, "mean_loss": self.mean_loss, "lr": self.lr,
-               "val_acc": self.val_acc, "wall_time": self.wall_time}
-        doc.update(self.extras)
-        return json.dumps(doc, sort_keys=True)
-
-
-def write_log(records: list[TrainLogRecord], path) -> None:
-    store.write_text_atomic(path, "".join(rec.to_json() + "\n" for rec in records))
+def write_log(records: list[dict], path) -> None:
+    """The epoch records as JSON lines with sorted keys."""
+    store.write_text_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                          for rec in records))
 
 
 # getter/setter name patterns of the OpenBLAS builds numpy wheels link
@@ -210,7 +196,7 @@ def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
                 shuffle_rng: np.random.Generator, step, score=None,
-                ) -> tuple[list[TrainLogRecord], int]:
+                ) -> tuple[list[dict], int]:
     """The one training loop; returns the epoch log and the kept epoch,
     whose values `opt.params` then hold.
 
@@ -242,9 +228,9 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
         value, val_acc = score(means) if score else (-np.inf, None)
         if value > best:
             best, kept_epoch, kept = value, epoch, opt.flat.copy()
-        extras = {f"mean_{key}": v for key, v in means.items() if key != "loss"}
-        records.append(TrainLogRecord(epoch, means["loss"], lr, val_acc,
-                                      time.perf_counter() - t0, extras))
+        records.append({"epoch": epoch, "lr": lr, "val_acc": val_acc,
+                        "wall_time": time.perf_counter() - t0,
+                        **{f"mean_{key}": v for key, v in means.items()}})
     if kept is not None:
         opt.flat[:] = kept
     return records, kept_epoch
@@ -287,7 +273,7 @@ def _fit(model, prefix: str, slope: float, inputs: np.ndarray,
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
                   eaf_cfg: EafConfig, optim: OptimConfig, val_pool: SampleSet,
                   val_pairs: PairList, init_seed: int,
-                  ) -> tuple[TeacherModel, list[TrainLogRecord]]:
+                  ) -> tuple[TeacherModel, list[dict]]:
     """Train one teacher on its subset; keep the epoch checkpoint with the
     best own-group validation verification accuracy (ties: earliest)."""
     class_ids, local_labels = np.unique(subset.identities, return_inverse=True)
@@ -315,7 +301,7 @@ def extract_embeddings(teachers: list[TeacherModel],
 def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
-                  ) -> tuple[AdaptorModel, list[TrainLogRecord]]:
+                  ) -> tuple[AdaptorModel, list[dict]]:
     """Train a fusion adaptor on concatenated teacher embeddings.
 
     Uses identity labels only (no group information). The classification
@@ -353,7 +339,7 @@ def train_student(mode: str, adaptor: AdaptorModel,
                   lam: float, eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
-                  ) -> tuple[StudentModel, list[TrainLogRecord]]:
+                  ) -> tuple[StudentModel, list[dict]]:
     """Distill the fused teacher space into a student; returns the
     final-epoch model.
 

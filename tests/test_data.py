@@ -86,12 +86,12 @@ def test_private_subspace_carries_group_information():
 
 def test_split_specialized_is_group_pure_partition():
     train, _, _ = d.generate(small_spec())
-    split = d.split_specialized(train)
+    subsets = d.split_specialized(train)
     all_ids = np.unique(train.identities)
-    union = np.concatenate(split.subsets)
+    union = np.concatenate(subsets)
     assert np.array_equal(np.sort(union), all_ids)
     assert len(union) == len(set(union))
-    for g, subset in enumerate(split.subsets):
+    for g, subset in enumerate(subsets):
         rows = train.rows_of_identities(subset)
         assert np.all(train.groups[rows] == g)
 
@@ -99,21 +99,20 @@ def test_split_specialized_is_group_pure_partition():
 def test_split_balanced_histograms_uniform():
     spec = small_spec(identities_per_group=52)
     train, _, _ = d.generate(spec)
-    split = d.split_balanced(train, seed=7)
-    for subset in split.subsets:
+    subsets = d.split_balanced(train, seed=7)
+    for subset in subsets:
         rows = train.rows_of_identities(subset)
         per_group = [np.unique(train.identities[rows][train.groups[rows] == g]).size
                      for g in range(4)]
         assert per_group == [13, 13, 13, 13]
-    union = np.concatenate(split.subsets)
+    union = np.concatenate(subsets)
     assert np.array_equal(np.sort(union), np.unique(train.identities))
 
 
 def test_split_balanced_remainder_round_robin():
     spec = small_spec(identities_per_group=10)  # 10 = 4*2 + 2
     train, _, _ = d.generate(spec)
-    split = d.split_balanced(train, seed=0)
-    sizes = sorted(len(s) for s in split.subsets)
+    sizes = sorted(len(s) for s in d.split_balanced(train, seed=0))
     assert sum(sizes) == 40
     assert max(sizes) - min(sizes) <= 4  # at most one extra id per group
 
@@ -123,9 +122,9 @@ def test_split_balanced_seed_changes_assignment_not_histogram():
     train, _, _ = d.generate(spec)
     s1 = d.split_balanced(train, seed=1)
     s2 = d.split_balanced(train, seed=2)
-    assert any(not np.array_equal(a, b) for a, b in zip(s1.subsets, s2.subsets))
+    assert any(not np.array_equal(a, b) for a, b in zip(s1, s2))
     for split in (s1, s2):
-        for subset in split.subsets:
+        for subset in split:
             rows = train.rows_of_identities(subset)
             hist = [np.unique(train.identities[rows][train.groups[rows] == g]).size
                     for g in range(4)]

@@ -256,7 +256,6 @@ def test_full_tiny_pipeline_and_idempotency(tmp_path, capsys):
             assert report["ser"] == "undefined" or report["ser"] >= 1.0
     manifest = pipeline.load_manifest(out)
     assert set(manifest["stages"]) == set(pipeline.STAGES)
-    assert manifest["fusion_order"] == [0, 1, 2, 3]  # recorded run metadata
     # second invocation skips every stage
     capsys.readouterr()
     pipeline.run_all(cfg)
@@ -332,11 +331,12 @@ def test_rerun_after_delete_is_byte_identical(tmp_path):
 
 
 def _deterministic_files(out):
-    """Every file of a run directory but the logs, the manifest and the
-    config copy, which hold wall times and paths: {relative path: bytes}."""
+    """Every file of a run directory but the logs, which hold wall times,
+    and the manifest, which hashes them: {relative path: bytes}. The config
+    copy is kept: it holds no path, so runs in two directories match."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file() and not p.name.endswith(".log.jsonl")
-            and p.name not in ("manifest.json", "config.json")}
+            and p.name != "manifest.json"}
 
 
 def test_run_all_is_byte_identical_at_one_and_two_inference_threads(
@@ -350,7 +350,8 @@ def test_run_all_is_byte_identical_at_one_and_two_inference_threads(
         pipeline.run_all(tiny_config(out))
         files.append(_deterministic_files(out))
     assert {name.split("/")[0] for name in files[0]} == {
-        "dataset", "teachers", "embeddings", "adaptors", "students", "reports"}
+        "dataset", "teachers", "embeddings", "adaptors", "students", "reports",
+        "config.json"}
     assert files[0] == files[1]
 
 
@@ -584,7 +585,8 @@ def test_teacher_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
         logs.append({str(p.relative_to(out)): _without_wall_time(p)
                      for p in sorted(out.rglob("*.log.jsonl"))})
     assert {name.split("/")[0] for name in files[0]} == {
-        "dataset", "teachers", "embeddings", "adaptors", "students", "reports"}
+        "dataset", "teachers", "embeddings", "adaptors", "students", "reports",
+        "config.json"}
     assert len(logs[0]) == 4 + 3 + 6
     assert files[0] == files[1] == files[2] and logs[0] == logs[1] == logs[2]
 
@@ -716,6 +718,7 @@ def test_init_config_into_missing_directory_exits_cleanly(tmp_path, capsys):
     '{"split": "specialized", "out_',   # truncated
     '["specialized"]',                  # not a JSON object
     '{"out_dir": "run"}',               # no split
+    '{"split": 7}',                     # neither specialized nor balanced
 ])
 def test_report_on_a_bad_config_copy_is_a_format_error(tmp_path, capsys, content):
     cfg_path = _cli_config(tmp_path)
@@ -783,17 +786,36 @@ def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypa
         pipeline.cmd_train_teachers(cfg)
 
 
-def test_a_manifest_with_a_tool_version_still_loads(tmp_path, capsys):
-    """Manifests once recorded a `tool_version` key, which nothing read."""
+@pytest.mark.parametrize("key, value", [("tool_version", "0.1.0"),
+                                        ("fusion_order", [0, 1, 2, 3])],
+                         ids=["tool_version", "fusion_order"])
+def test_a_manifest_with_an_unread_key_still_loads(tmp_path, capsys, key, value):
+    """Manifests once recorded `tool_version` and `fusion_order` keys,
+    which nothing read."""
     out = tmp_path / "run"
     cfg = tiny_config(out)
     pipeline.cmd_gen_data(cfg)
     manifest = pipeline.load_manifest(out)
-    assert "tool_version" not in manifest
-    store.write_json_atomic(out / "manifest.json", {**manifest, "tool_version": "0.1.0"})
+    assert manifest.keys() == {"config_hash", "stages"}
+    store.write_json_atomic(out / "manifest.json", {**manifest, key: value})
     capsys.readouterr()
     pipeline.cmd_gen_data(cfg)
     assert "gen-data: up to date" in capsys.readouterr().out
+
+
+def test_a_manifest_entry_that_names_a_directory_is_missing(tmp_path, capsys):
+    """An upstream artifact that is a directory, not a file, is a missing
+    artifact (exit 5, naming it), not an OS error."""
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"]["gen-data"]["artifacts"]["dataset"] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing or modified: ['dataset']" in err
 
 
 def test_manifest_records_exactly_the_declared_artifacts(tmp_path):

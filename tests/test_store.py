@@ -81,13 +81,12 @@ def test_header_counts_beyond_the_file_rejected_before_allocating(tmp_path, n, r
         store.load_sample_set(path)
 
 
-@pytest.mark.parametrize("dtype_code", [0, 1])
-def test_truncated_values_rejected(tmp_path, dtype_code):
+def test_truncated_values_rejected(tmp_path):
     s = make_set(n=6, dim=4)
     path = tmp_path / "s.mste"
-    store.save_sample_set(s, path, dtype_code=dtype_code)
+    store.save_sample_set(s, path)
     raw = path.read_bytes()
-    values_end = 25 + 6 * 4 * (4 if dtype_code == 0 else 8)
+    values_end = 25 + 6 * 4 * 8
     path.write_bytes(raw[:values_end - 5])
     with pytest.raises(FormatError):
         store.load_sample_set(path)
@@ -114,12 +113,16 @@ def test_label_overflow_rejected(tmp_path):
         store.save_sample_set(s, tmp_path / "s.mste")
 
 
-def test_f32_container_supported(tmp_path):
-    s = make_set()
+def test_f32_container_rejected(tmp_path):
+    """Sample sets are f64 (dtype code 1); the f32 code 0 is a format error."""
     path = tmp_path / "s32.mste"
-    store.save_sample_set(s, path, dtype_code=0)
-    loaded = store.load_sample_set(path)
-    assert np.allclose(loaded.values, s.values, atol=1e-6)
+    store.save_sample_set(make_set(), path)
+    raw = bytearray(path.read_bytes())
+    assert raw[8] == 1
+    raw[8] = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="dtype code 0"):
+        store.load_sample_set(path)
 
 
 def test_pair_list_round_trip(tmp_path):
@@ -227,7 +230,7 @@ WRITERS = {
     "save_sample_set": lambda p: store.save_sample_set(make_set(), p),
     "save_pairs": lambda p: store.save_pairs(PAIRS, p),
     "save_params": lambda p: store.save_params(p, {"w": np.ones((2, 3))}, {"k": 1}),
-    "write_log": lambda p: training.write_log([training.TrainLogRecord(0, 1.5, 0.1)], p),
+    "write_log": lambda p: training.write_log([{"epoch": 0, "mean_loss": 1.5}], p),
 }
 
 

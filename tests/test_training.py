@@ -10,7 +10,7 @@ import pytest
 from mstkd import data as d
 from mstkd import losses, models
 from mstkd import training as tr
-from mstkd.errors import ConfigError, ContractError, DivergenceError
+from mstkd.errors import ConfigError, DivergenceError
 from mstkd.evaluation import evaluate_embeddings, verification_accuracy
 from mstkd.losses import EafConfig
 from mstkd.models import BackboneConfig
@@ -308,7 +308,7 @@ def test_epoch_batches_cover_every_sample_once():
 def test_train_teacher_beats_untrained_and_best_epoch_valid():
     train, val, _, val_pairs, _ = desk_data()
     split = d.split_specialized(train)
-    subset = train.select(train.rows_of_identities(split.subsets[1]))
+    subset = train.select(train.rows_of_identities(split[1]))
     optim = teacher_optim()
     teacher, records = tr.train_teacher(subset, train.group_tags[1], CFG,
                                         EafConfig(), optim, val, val_pairs,
@@ -322,15 +322,15 @@ def test_train_teacher_beats_untrained_and_best_epoch_valid():
                                          val_pairs.of_group(1))
     assert trained_acc > fresh_acc
     # selection rule: the kept checkpoint scores the recorded best accuracy
-    best_logged = max(r.val_acc["g1"] for r in records)
+    best_logged = max(r["val_acc"]["g1"] for r in records)
     assert trained_acc == pytest.approx(best_logged)
-    assert records[teacher.best_epoch - 1].val_acc["g1"] == pytest.approx(best_logged)
+    assert records[teacher.best_epoch - 1]["val_acc"]["g1"] == pytest.approx(best_logged)
 
 
 def test_train_teacher_is_deterministic():
     train, val, _, val_pairs, _ = desk_data()
     split = d.split_specialized(train)
-    subset = train.select(train.rows_of_identities(split.subsets[0]))
+    subset = train.select(train.rows_of_identities(split[0]))
 
     def run():
         t, _ = tr.train_teacher(subset, train.group_tags[0], CFG, EafConfig(),
@@ -348,7 +348,7 @@ def test_extract_embeddings_aligned_and_stable():
     split = d.split_specialized(train)
     teachers = []
     for g in range(2):
-        subset = train.select(train.rows_of_identities(split.subsets[g]))
+        subset = train.select(train.rows_of_identities(split[g]))
         optim = tr.OptimConfig(0.1, 2, (1,), **FAST)
         t, _ = tr.train_teacher(subset, train.group_tags[g], CFG, EafConfig(),
                                 optim, val, val_pairs, init_seed=g)
@@ -368,7 +368,7 @@ def pipeline_pieces(mode="a_kd", kind="SL"):
     split = d.split_specialized(train)
     teachers = []
     for g in range(4):
-        subset = train.select(train.rows_of_identities(split.subsets[g]))
+        subset = train.select(train.rows_of_identities(split[g]))
         t, _ = tr.train_teacher(subset, train.group_tags[g], CFG, EafConfig(),
                                 teacher_optim(), val, val_pairs, init_seed=g)
         teachers.append(t)
@@ -380,7 +380,7 @@ def pipeline_pieces(mode="a_kd", kind="SL"):
 
 def test_train_adaptor_selects_min_loss_epoch():
     _, _, _, _, _, _, adaptor, arecs = pipeline_pieces()
-    losses_by_epoch = [r.mean_loss for r in arecs]
+    losses_by_epoch = [r["mean_loss"] for r in arecs]
     assert losses_by_epoch[adaptor.best_epoch - 1] == min(losses_by_epoch)
     assert losses_by_epoch[-1] < losses_by_epoch[0]  # it learned something
     assert "header.W" not in adaptor.params          # header discarded
@@ -454,16 +454,16 @@ def test_train_student_eaf_kd_loss_bookkeeping(monkeypatch):
                                      EafConfig(), CFG, optim_s, init_seed=61)
     assert student.params["header.W"].shape[0] == len(np.unique(train.identities))
     for r in recs:
-        assert r.mean_loss == pytest.approx(
-            r.extras["mean_eaf"] + 10000.0 * r.extras["mean_kd"], rel=1e-9)
+        assert r["mean_loss"] == pytest.approx(
+            r["mean_eaf"] + 10000.0 * r["mean_kd"], rel=1e-9)
     # each epoch's means are the plain means of its batches' values
     per_epoch = len(eaf_values) // len(recs)
     assert per_epoch >= 2
     assert len(eaf_values) == len(kd_values) == len(recs) * per_epoch
     for i, r in enumerate(recs):
         batches = slice(i * per_epoch, (i + 1) * per_epoch)
-        assert r.extras["mean_eaf"] == float(np.mean(eaf_values[batches]))
-        assert r.extras["mean_kd"] == float(np.mean(kd_values[batches]))
+        assert r["mean_eaf"] == float(np.mean(eaf_values[batches]))
+        assert r["mean_kd"] == float(np.mean(kd_values[batches]))
 
 
 @pytest.mark.parametrize("mode, loss", [("eaf_kd", "elastic_arcface"),
@@ -502,16 +502,18 @@ def test_train_student_leaves_teachers_and_adaptor_frozen():
 
 
 def test_train_log_records_serialize(tmp_path):
-    recs = [tr.TrainLogRecord(1, 2.5, 0.1, {"g0": 88.0}, 0.01),
-            tr.TrainLogRecord(2, 2.0, 0.1, None, 0.01, {"mean_kd": 0.5})]
+    recs = [{"epoch": 1, "mean_loss": 2.5, "lr": 0.1, "val_acc": {"g0": 88.0},
+             "wall_time": 0.01},
+            {"wall_time": 0.01, "mean_kd": 0.5, "val_acc": None, "lr": 0.1,
+             "mean_loss": 2.0, "epoch": 2}]
     path = tmp_path / "log.jsonl"
     tr.write_log(recs, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    import json
-    doc = json.loads(lines[0])
-    assert doc["epoch"] == 1 and doc["val_acc"] == {"g0": 88.0}
-    assert json.loads(lines[1])["mean_kd"] == 0.5
+    # one JSON line per record, keys sorted whatever order the dict holds
+    assert path.read_text() == (
+        '{"epoch": 1, "lr": 0.1, "mean_loss": 2.5, "val_acc": {"g0": 88.0}, '
+        '"wall_time": 0.01}\n'
+        '{"epoch": 2, "lr": 0.1, "mean_kd": 0.5, "mean_loss": 2.0, "val_acc": null, '
+        '"wall_time": 0.01}\n')
 
 
 @pytest.mark.parametrize("kind, terms", [
