@@ -19,8 +19,10 @@ cores), and MSTKD_WORKERS=1 trains in this process. gen-data, extract and
 evaluate, and a run-all that skips every stage, make no pool. Workers
 return each model and its epoch log, and this process writes every file,
 in job order, so the output is byte-identical at any worker count.
-Training runs at one BLAS thread of numpy's own OpenBLAS, inference at
-the process's count.
+Training runs at one BLAS thread of numpy's own OpenBLAS. Inference
+runs at the process's count, except while a command's pool lives: the
+command then holds its own process at one thread, and restores the
+caller's count when the pool is shut down.
 
 Exit codes: 0 success, 2 config error (MSTKD_WORKERS is read before any
 write; a repeated adaptor kind or student mode), 3 data/format error (a

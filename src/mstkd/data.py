@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 
 @dataclass(frozen=True)
@@ -204,50 +204,94 @@ def pair_capacity(samples: int, sum_sq: int) -> tuple[int, int]:
     return (sum_sq - samples) // 2, (samples * samples - sum_sq) // 2
 
 
+class _Draws:
+    """The draws of `rng.integers(n)` and `rng.choice(n, 2, replace=False)`
+    for n <= 2**32, value for value, made from the generator's raw 32-bit
+    outputs, which are read in blocks: numpy spends one Python call per
+    draw, and `build_pairs` makes thousands. The blocks run past the last
+    draw used, so the generator must not be drawn from directly after."""
+
+    _BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._raw = rng, iter(())
+
+    def _refill(self) -> int:
+        self._raw = iter(self._rng.integers(0, 2**32, size=self._BLOCK,
+                                            dtype=np.uint32).tolist())
+        return next(self._raw)
+
+    def integers(self, n: int) -> int:
+        """Lemire's multiply-and-reject on one 32-bit output, as numpy does
+        for ranges up to 2**32; n == 1 draws nothing."""
+        if not 1 <= n <= 2**32:
+            raise ContractError(f"n must lie in [1, 2**32], got {n}")
+        if n == 1:
+            return 0
+        u = next(self._raw, None)
+        m = (self._refill() if u is None else u) * n
+        if m & 0xFFFFFFFF < n:
+            t = (2**32 - n) % n
+            while m & 0xFFFFFFFF < t:
+                u = next(self._raw, None)
+                m = (self._refill() if u is None else u) * n
+        return m >> 32
+
+    def choice2(self, n: int) -> tuple[int, int]:
+        """Floyd's two picks of distinct values, then numpy's shuffle of
+        the two."""
+        a = self.integers(n - 1)
+        b = self.integers(n)
+        if b == a:
+            b = n - 1
+        return (b, a) if self.integers(2) == 0 else (a, b)
+
+
 def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
                 seed: int) -> PairList:
     """Per group: `pairs_per_group` pairs, a fixed fraction genuine.
 
     Genuine pairs are two distinct samples of one identity; impostor pairs
     are samples of two identities from the same group (random within-group
-    sampling). No unordered pair appears twice.
+    sampling). No unordered pair appears twice. The pairs are those that
+    `rng.integers` and `rng.choice` on `default_rng(seed)` give, drawn in
+    bulk through `_Draws`.
     """
     if not 0.0 <= genuine_fraction <= 1.0:
         raise ConfigError("genuine_fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
     a_all, b_all, gen_all, grp_all = [], [], [], []
     for g in range(len(pool.group_tags)):
         rows = pool.rows_of_group(g)
         if rows.size == 0:
             raise DataError(f"group {g} has no samples in the pool")
         ids = pool.identities[rows]
-        by_identity = {i: rows[ids == i] for i in np.unique(ids)}
-        multi = [i for i, r in by_identity.items() if r.size >= 2]
+        members = [rows[ids == i].tolist() for i in np.unique(ids)]  # per identity
+        multi = [r for r in members if len(r) >= 2]
         n_gen = round(pairs_per_group * genuine_fraction)
         n_imp = pairs_per_group - n_gen
         capacity = pair_capacity(rows.size,
-                                 sum(r.size ** 2 for r in by_identity.values()))
+                                 sum(len(r) ** 2 for r in members))
         for n, cap, kind in zip((n_gen, n_imp), capacity, ("genuine", "impostor")):
             if n > cap:   # checked first: drawing more than exist never ends
                 raise DataError(
                     f"group {g}: {n} {kind} pairs requested, only {cap} exist")
 
         seen: set[tuple[int, int]] = set()
-        keys = list(by_identity)
 
         def draw(n, genuine):
             got = 0
             while got < n:
                 if genuine:
-                    i = multi[rng.integers(len(multi))]
-                    x, y = rng.choice(by_identity[i], size=2, replace=False)
+                    r = multi[draws.integers(len(multi))]
+                    ia, ib = draws.choice2(len(r))
+                    x, y = r[ia], r[ib]
                 else:
-                    ia, ib = rng.choice(len(keys), size=2, replace=False)
-                    # the draw of rng.choice(arr), without its argument checks
-                    ra, rb = by_identity[keys[ia]], by_identity[keys[ib]]
-                    x = ra[rng.integers(len(ra))]
-                    y = rb[rng.integers(len(rb))]
-                key = (min(x, y), max(x, y))
+                    ia, ib = draws.choice2(len(members))
+                    ra, rb = members[ia], members[ib]
+                    x = ra[draws.integers(len(ra))]
+                    y = rb[draws.integers(len(rb))]
+                key = (x, y) if x < y else (y, x)
                 if key in seen:
                     continue
                 seen.add(key)

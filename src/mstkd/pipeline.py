@@ -500,22 +500,28 @@ class _Run:
     opened by the first stage, each artifact's digest, hashed at most once
     per command, and the worker pool of the command's training jobs. The
     worker limit is read when the command starts, before any write; the
-    pool is made on the first job list that can use two workers, and
-    leaving the `with` block shuts it down."""
+    pool is made on the first job list that can use two workers. While it
+    lives, the command's own process runs at one OpenBLAS thread: the pin
+    is taken before the workers fork, so they start at one thread too, and
+    the inference of `extract` and `evaluate` runs in it. Leaving the
+    `with` block shuts the pool down and then restores the caller's count,
+    also when the command fails or is interrupted. A command that makes no
+    pool keeps the process's count."""
 
     out: Path
     manifest: Optional[dict] = None
     digests: dict[str, str] = field(default_factory=dict)
     workers: int = field(default_factory=_worker_limit)
     pool: Optional[ProcessPoolExecutor] = None
+    # undone last in, first out: the pool's shutdown, then the BLAS pin
+    _cleanup: contextlib.ExitStack = field(default_factory=contextlib.ExitStack)
 
     def __enter__(self) -> _Run:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-            self.pool = None
+        self._cleanup.close()
+        self.pool = None
 
     def map(self, job, cfg: ExperimentConfig, indices: range):
         """`job(cfg, run directory, i)` for each i in `indices`, results in
@@ -525,7 +531,9 @@ class _Run:
         if workers < 2:
             return map(fn, indices)
         if self.pool is None:
+            self._cleanup.enter_context(training._one_blas_thread())
             self.pool = _new_pool(workers)
+            self._cleanup.callback(self.pool.shutdown, cancel_futures=True)
         return self.pool.map(fn, indices)
 
     def digest(self, rel: str) -> Optional[str]:

@@ -21,8 +21,10 @@ rule: the first non-finite loss or gradient stops training with
 margins, and dropout draw from generators derived from the configured
 seeds, so a full run is bit-reproducible. Each trainer runs at one BLAS
 thread: its GEMMs are too small for OpenBLAS to split usefully, so a second
-thread only spins on another core, and teacher worker processes cannot
-oversubscribe the cores.
+thread only spins on another core, and worker processes cannot
+oversubscribe the cores. Inference (`extract_embeddings`, a student's
+`embed`) keeps the process's count, except while a command's worker pool
+lives: `pipeline._Run` then holds the command's process at one thread.
 """
 
 from __future__ import annotations

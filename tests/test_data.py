@@ -2,10 +2,12 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mstkd import data as d
 from mstkd import pipeline
-from mstkd.errors import ConfigError, DataError
+from mstkd.errors import ConfigError, ContractError, DataError
 
 import pairs_oracle
 
@@ -190,19 +192,64 @@ def test_pair_capacity_counts_every_distinct_pair():
 
 @pytest.mark.parametrize("genuine_fraction", [0.5, 0.2])
 def test_build_pairs_draws_what_the_frozen_oracle_draws(genuine_fraction):
-    """The validation and test pools of the tiny pipeline config, over 20
-    data seeds: the same pairs, in the same order, as `rng.choice(arr)`
-    gave."""
-    spec = pipeline.config_from_dict({
+    """The validation and test pools of the tiny pipeline config over 20
+    data seeds, and those of the default config (20 samples per identity,
+    600 pairs per group) over 3: the same pairs, in the same order and
+    dtypes, as `rng.choice(arr)` gave."""
+    tiny = pipeline.config_from_dict({
         "dataset": {"identities_per_group": 8, "samples_per_identity": 6,
                     "validation_identities_per_group": 4,
                     "test_identities_per_group": 4},
-        "pairs_per_group": 80}).dataset
-    for seed in range(20):
-        spec.seed = seed
-        _, val, test = d.generate(spec)
-        for k, pool in enumerate((val, test)):
-            got = d.build_pairs(pool, 80, genuine_fraction, seed=seed + k)
-            want = pairs_oracle.build_pairs(pool, 80, genuine_fraction, seed=seed + k)
-            for field in ("a", "b", "genuine", "group"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
+        "pairs_per_group": 80})
+    default = pipeline.config_from_dict({})
+    for cfg, seeds in ((tiny, range(20)), (default, range(3))):
+        spec, n = cfg.dataset, cfg.pairs_per_group
+        for seed in seeds:
+            spec.seed = seed
+            _, val, test = d.generate(spec)
+            for k, pool in enumerate((val, test)):
+                got = d.build_pairs(pool, n, genuine_fraction, seed=seed + k)
+                want = pairs_oracle.build_pairs(pool, n, genuine_fraction,
+                                                seed=seed + k)
+                for field in ("a", "b", "genuine", "group"):
+                    x, y = getattr(got, field), getattr(want, field)
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+# both sides of numpy's 32-bit bounded draws; 2**31 + 1 rejects about half
+# of its raw outputs
+DRAW_SIZES = [1, 2, 3, 20, 48, 1000, 10001, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+def _same_draw(ours, theirs, pair, n):
+    if pair and n >= 2:
+        assert ours.choice2(n) == tuple(theirs.choice(n, 2, replace=False).tolist())
+    else:
+        assert ours.integers(n) == theirs.integers(n)
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       lead=st.sampled_from([0, 1, d._Draws._BLOCK - 1, d._Draws._BLOCK + 7]),
+       calls=st.lists(st.tuples(st.booleans(),
+                                st.sampled_from(DRAW_SIZES) | st.integers(1, 2**32)),
+                      min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_bulk_draws_equal_numpys_draws(seed, lead, calls):
+    """`_Draws` gives what `rng.integers(n)` and `rng.choice(n, 2,
+    replace=False)` give, call for call, over interleaved sequences that
+    start `lead` raw outputs in, across a block's end; the draws that
+    follow still agree."""
+    ours, theirs = d._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+    assert [ours.integers(2**32) for _ in range(lead)] == theirs.integers(
+        0, 2**32, size=lead, dtype=np.uint32).tolist()
+    for pair, n in calls:
+        _same_draw(ours, theirs, pair, n)
+    for n in DRAW_SIZES:
+        _same_draw(ours, theirs, False, n)
+
+
+def test_bulk_draws_refuse_numpys_64_bit_ranges():
+    draws = d._Draws(np.random.default_rng(0))
+    for n in (0, 2**32 + 1):
+        with pytest.raises(ContractError):
+            draws.integers(n)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from mstkd import cli, losses, models, pipeline, store, training
-from mstkd.errors import ConfigError, ContractError, MissingArtifactError
+from mstkd.errors import (ConfigError, ContractError, DivergenceError,
+                          MissingArtifactError)
 from mstkd.evaluation import FairnessReport, report_to_json
 
 
@@ -340,9 +341,11 @@ def _deterministic_files(out):
 
 
 def test_run_all_is_byte_identical_at_one_and_two_inference_threads(
-        tmp_path, set_blas_threads):
+        tmp_path, monkeypatch, set_blas_threads):
     """Training always runs at one BLAS thread; inference uses the
-    process's count, which must not change a deterministic byte."""
+    process's count, which must not change a deterministic byte. One
+    worker, so that no pool pins the command to one thread."""
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
     files = []
     for threads in (1, 2):
         set_blas_threads(threads)
@@ -649,6 +652,89 @@ def test_divergence_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
     assert err.rstrip("\n").endswith("non-finite loss (nan) at epoch 1, batch 1")
     assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}
+
+
+def _blas_threads():
+    return training._openblas_threads()[0]()
+
+
+def _note_blas_threads(monkeypatch, notes):
+    """Make inference and every trainer append (what, pid, OpenBLAS
+    threads on entry) to the file `notes`, from any process."""
+    def noting(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            with open(notes, "a") as fh:
+                fh.write(f"{name} {os.getpid()} {_blas_threads()}\n")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("extract_embeddings", "train_teacher", "train_adaptor",
+                 "train_student"):
+        noting(training, name)
+    noting(pipeline, "evaluate_embeddings")
+
+
+@pytest.mark.parametrize("workers, diverge", [
+    pytest.param(None, False, marks=needs_two_cores, id="pool"),
+    pytest.param(None, True, marks=needs_two_cores, id="pool-diverges"),
+    pytest.param("1", False, id="one-worker"),
+])
+def test_a_pool_pins_the_command_to_one_blas_thread(
+        tmp_path, monkeypatch, capsys, set_blas_threads, workers, diverge):
+    """While a command's pool lives, inference in the command and every
+    job in a worker start at one OpenBLAS thread; with no pool, inference
+    runs at the caller's count. The caller's count is back after the
+    command, also when a worker's job raises `DivergenceError`."""
+    cfg_path, notes = _cli_config(tmp_path), tmp_path / "notes"
+    if workers is None:
+        monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MSTKD_WORKERS", workers)
+    _note_blas_threads(monkeypatch, notes)
+    if diverge:
+        real = losses.elastic_arcface
+
+        def nan_loss(*args, **kwargs):
+            value, *grads = real(*args, **kwargs)
+            return (math.nan, *grads)
+        monkeypatch.setattr(losses, "elastic_arcface", nan_loss)
+    set_blas_threads(2)
+    assert cli.main(["run-all", "--config", cfg_path]) == (4 if diverge else 0)
+    assert _blas_threads() == 2
+    seen = [line.split() for line in notes.read_text().splitlines()]
+    inference = [(int(pid), int(n)) for name, pid, n in seen
+                 if not name.startswith("train_")]
+    jobs = [(int(pid), int(n)) for name, pid, n in seen if name.startswith("train_")]
+    assert len(inference) == (0 if diverge else 1 + 6)
+    assert len(jobs) >= (1 if diverge else 4 + 3 + 6)
+    if workers is None:
+        assert set(inference) <= {(os.getpid(), 1)}
+        assert {n for _, n in jobs} == {1}
+        assert os.getpid() not in {pid for pid, _ in jobs}
+    else:
+        assert set(inference) == set(jobs) == {(os.getpid(), 2)}
+
+
+def _blas_threads_of_job(cfg, out, i):
+    return os.getpid(), _blas_threads()
+
+
+@needs_two_cores
+def test_an_interrupt_shuts_the_pool_down_then_restores_the_blas_count(
+        tmp_path, monkeypatch, set_blas_threads):
+    monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    set_blas_threads(2)
+    with pytest.raises(KeyboardInterrupt):
+        with pipeline._Run(tmp_path) as run:
+            assert _blas_threads() == 2  # no pool yet
+            jobs = list(run.map(_blas_threads_of_job, None, range(2)))
+            assert _blas_threads() == 1
+            raise KeyboardInterrupt
+    assert run.pool is None and multiprocessing.active_children() == []
+    assert _blas_threads() == 2
+    assert {n for _, n in jobs} == {1} and os.getpid() not in {p for p, _ in jobs}
 
 
 def test_resume_and_reembed_make_no_worker_pool(tmp_path, monkeypatch, capsys):
