@@ -27,9 +27,11 @@ caller's count when the pool is shut down.
 Exit codes: 0 success, 2 config error (MSTKD_WORKERS is read before any
 write; a repeated adaptor kind or student mode), 3 data/format error (a
 malformed artifact or report), 4 divergence (the first non-finite loss or
-gradient in training), 5 missing upstream artifact, 130 interrupted,
-1 anything else: an OS error, or an internal error (a bug, or a worker
-killed by a signal) reported as one `[mstkd] internal error: ...` line.
+gradient in training, or an output that cannot be normalized), 5 missing
+upstream artifact, 130 interrupted, 1 anything else: an OS error, or an
+internal error (a bug, or a worker killed by a signal) reported as one
+`[mstkd] internal error: ...` line. A command and its workers run with
+numpy's float warnings off; loss, gradient and output norm are checked.
 """
 
 from __future__ import annotations
@@ -38,15 +40,18 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import pipeline, store
-from .errors import (ConfigError, DataError, DivergenceError, FormatError,
-                     MissingArtifactError, MstkdError)
+from .errors import (ConfigError, DataError, DegenerateEmbeddingError, DivergenceError,
+                     FormatError, MissingArtifactError, MstkdError)
 
 EXIT_CODES = [
     (ConfigError, 2),
     (DataError, 3),
     (FormatError, 3),
     (DivergenceError, 4),
+    (DegenerateEmbeddingError, 4),
     (MissingArtifactError, 5),
 ]
 
@@ -84,15 +89,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "init-config":
-            store.write_json_atomic(args.out, pipeline.default_config_dict())
-            print(f"[mstkd] wrote default config to {args.out}")
-            return 0
-        cfg = pipeline.load_config(args.config, args.seed_override, args.out)
-        if args.command == "report":
-            pipeline.cmd_report(cfg, args.runs, args.out)
-        else:
-            pipeline.COMMANDS[args.command](cfg, args.force)
+        with np.errstate(all="ignore"):
+            if args.command == "init-config":
+                store.write_json_atomic(args.out, pipeline.default_config_dict())
+                print(f"[mstkd] wrote default config to {args.out}")
+                return 0
+            cfg = pipeline.load_config(args.config, args.seed_override, args.out)
+            if args.command == "report":
+                pipeline.cmd_report(cfg, args.runs, args.out)
+            else:
+                pipeline.COMMANDS[args.command](cfg, args.force)
         return 0
     except (MstkdError, OSError) as exc:
         print(f"[mstkd] error: {exc}", file=sys.stderr)

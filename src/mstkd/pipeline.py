@@ -11,8 +11,8 @@ what the body wrote. Within one `run_all` call the manifest is opened once
 and each artifact is hashed once. Each kind of trained model has one list
 of stems, and its training stage runs one job per stem, in one pool of
 forked workers per command; the command writes every result in job order,
-under the job's stem. All artifacts are pure functions of
-(config, seeds), so re-runs are byte-identical at any worker count.
+under the job's stem. Every file of a run, its logs and manifest too, is a
+pure function of the config, the same at any worker count.
 """
 
 from __future__ import annotations

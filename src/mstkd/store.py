@@ -34,15 +34,29 @@ from .errors import FormatError
 
 MAGIC = b"MSTE"
 VERSION = 1
-_PREAMBLE = 25   # magic, version, dtype, row count, dimension
+_HEAD = MAGIC + VERSION.to_bytes(4, "little") + b"\x01"   # dtype code 1: f64
 _BLOCK = 1 << 20   # bytes read per step when hashing or comparing a file
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
+        raise FormatError(f"{fh.name}: truncated file while reading {what}")
     return buf
+
+
+def _read_preamble(fh, kind: str, counts: tuple[str, ...]) -> list[int]:
+    """Check the container's magic, version and dtype code (`kind` names
+    the files in its error), then read the u64 `counts` that follow."""
+    if _read_exact(fh, 4, "magic") != MAGIC:
+        raise FormatError(f"{fh.name}: bad magic")
+    version = int(np.frombuffer(_read_exact(fh, 4, "version"), "<u4")[0])
+    if version != VERSION:
+        raise FormatError(f"{fh.name}: unsupported format version {version}")
+    code = int(np.frombuffer(_read_exact(fh, 1, "dtype"), "<u1")[0])
+    if code != 1:
+        raise FormatError(f"{fh.name}: unknown dtype code {code}; {kind} are f64")
+    return [int(np.frombuffer(_read_exact(fh, 8, what), "<u8")[0]) for what in counts]
 
 
 def save_sample_set(s: SampleSet, path) -> None:
@@ -51,27 +65,17 @@ def save_sample_set(s: SampleSet, path) -> None:
     if s.n and (s.groups.min() < 0 or s.groups.max() > 0xFF):
         raise FormatError("group tags overflow u8")
     write_atomic(path, [
-        MAGIC, np.uint32(VERSION).tobytes(), np.uint8(1).tobytes(),
-        np.uint64(s.n).tobytes(), np.uint64(s.dim).tobytes(),
+        _HEAD, np.uint64(s.n).tobytes(), np.uint64(s.dim).tobytes(),
         np.ascontiguousarray(s.values, dtype="<f8").data,
         s.identities.astype("<u4").data, s.groups.astype("<u1").data])
 
 
 def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        version = int(np.frombuffer(_read_exact(fh, 4, "version"), "<u4")[0])
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
-        code = int(np.frombuffer(_read_exact(fh, 1, "dtype"), "<u1")[0])
-        if code != 1:
-            raise FormatError(f"{path}: unknown dtype code {code}; sample sets are f64")
-        rows = int(np.frombuffer(_read_exact(fh, 8, "row count"), "<u8")[0])
-        dim = int(np.frombuffer(_read_exact(fh, 8, "dimension"), "<u8")[0])
-        # values, u32 labels and u8 groups must fill the file exactly; checked
-        # before anything is allocated from the header's counts
-        expected = _PREAMBLE + rows * dim * 8 + 5 * rows
+        rows, dim = _read_preamble(fh, "sample sets", ("row count", "dimension"))
+        # values, u32 labels and u8 groups must fill the rest of the file
+        # exactly; checked before anything is allocated from the counts
+        expected = fh.tell() + rows * dim * 8 + 5 * rows
         actual = os.fstat(fh.fileno()).st_size
         if expected != actual:
             raise FormatError(f"{path}: header implies {expected} bytes "
@@ -148,22 +152,13 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
         lines.append(f"{name} {'x'.join(map(str, np.shape(arr)))} {offset}")
         offset += np.size(arr)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    write_atomic(path, [MAGIC, np.uint32(VERSION).tobytes(), np.uint8(1).tobytes(),
-                        np.uint64(len(manifest)).tobytes(), manifest]
+    write_atomic(path, [_HEAD, np.uint64(len(manifest)).tobytes(), manifest]
                  + [np.ascontiguousarray(a, dtype="<f8").data for a in params.values()])
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        version = int(np.frombuffer(_read_exact(fh, 4, "version"), "<u4")[0])
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
-        code = int(np.frombuffer(_read_exact(fh, 1, "dtype"), "<u1")[0])
-        if code != 1:
-            raise FormatError(f"{path}: checkpoints must be f64")
-        manifest_len = int(np.frombuffer(_read_exact(fh, 8, "manifest length"), "<u8")[0])
+        (manifest_len,) = _read_preamble(fh, "checkpoints", ("manifest length",))
         room = os.fstat(fh.fileno()).st_size - fh.tell()
         if manifest_len > room:   # checked before the manifest is allocated
             raise FormatError(f"{path}: manifest length {manifest_len} exceeds "

@@ -19,12 +19,13 @@ loaded, run the same forward keeping nothing. The loop has one divergence
 rule: the first non-finite loss or gradient stops training with
 `DivergenceError` (exit 4); no batch is ever skipped. All shuffling,
 margins, and dropout draw from generators derived from the configured
-seeds, so a full run is bit-reproducible. Each trainer runs at one BLAS
-thread: its GEMMs are too small for OpenBLAS to split usefully, so a second
-thread only spins on another core, and worker processes cannot
-oversubscribe the cores. Inference (`extract_embeddings`, a student's
-`embed`) keeps the process's count, except while a command's worker pool
-lives: `pipeline._Run` then holds the command's process at one thread.
+seeds, and a log record holds no time, so a full run is bit-reproducible,
+logs included. Each trainer runs at one BLAS thread: its GEMMs are too
+small for OpenBLAS to split usefully, so a second thread only spins on
+another core, and worker processes cannot oversubscribe the cores.
+Inference (`extract_embeddings`, a student's `embed`) keeps the process's
+count, except while a command's worker pool lives: `pipeline._Run` then
+holds the command's process at one thread.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import ctypes
 import functools
 import json
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,7 +214,6 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
         raise ContractError("training needs at least one sample")
     records, best, kept_epoch, kept = [], -np.inf, optim.epochs, None
     for epoch in range(1, optim.epochs + 1):
-        t0 = time.perf_counter()
         lr = lr_at_epoch(optim, epoch)
         logged: dict[str, list[float]] = {}
         batches = epoch_batches(n, optim.batch_size, shuffle_rng)
@@ -231,7 +230,6 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
         if value > best:
             best, kept_epoch, kept = value, epoch, opt.flat.copy()
         records.append({"epoch": epoch, "lr": lr, "val_acc": val_acc,
-                        "wall_time": time.perf_counter() - t0,
                         **{f"mean_{key}": v for key, v in means.items()}})
     if kept is not None:
         opt.flat[:] = kept

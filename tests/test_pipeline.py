@@ -15,6 +15,8 @@ from mstkd.errors import (ConfigError, ContractError, DivergenceError,
                           MissingArtifactError)
 from mstkd.evaluation import FairnessReport, report_to_json
 
+from rundirs import differing_files, run_files
+
 
 # a test that needs the training jobs to run in worker processes
 needs_two_cores = pytest.mark.skipif(
@@ -331,38 +333,29 @@ def test_rerun_after_delete_is_byte_identical(tmp_path):
     assert report.read_bytes() == before_report
 
 
-def _deterministic_files(out):
-    """Every file of a run directory but the logs, which hold wall times,
-    and the manifest, which hashes them: {relative path: bytes}. The config
-    copy is kept: it holds no path, so runs in two directories match."""
-    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
-            if p.is_file() and not p.name.endswith(".log.jsonl")
-            and p.name != "manifest.json"}
-
-
 def test_run_all_is_byte_identical_at_one_and_two_inference_threads(
         tmp_path, monkeypatch, set_blas_threads):
     """Training always runs at one BLAS thread; inference uses the
-    process's count, which must not change a deterministic byte. One
-    worker, so that no pool pins the command to one thread."""
+    process's count, which must not change a byte of the run directory.
+    One worker, so that no pool pins the command to one thread."""
     monkeypatch.setenv("MSTKD_WORKERS", "1")
     files = []
     for threads in (1, 2):
         set_blas_threads(threads)
         out = tmp_path / f"threads_{threads}"
         pipeline.run_all(tiny_config(out))
-        files.append(_deterministic_files(out))
+        files.append(run_files(out))
     assert {name.split("/")[0] for name in files[0]} == {
         "dataset", "teachers", "embeddings", "adaptors", "students", "reports",
-        "config.json"}
-    assert files[0] == files[1]
+        "config.json", "manifest.json"}
+    assert differing_files(files[0], files[1]) == []
 
 
 def test_full_disk_at_a_write_then_rerun_equals_a_clean_run(tmp_path, capsys,
                                                             monkeypatch):
     """`run-all` stopped by a full disk at a sampled write of its artifacts
-    exits 1 with one line; running it again exits 0 and leaves every
-    deterministic file as a clean run does."""
+    exits 1 with one line; running it again exits 0 and leaves every file
+    of the run directory as a clean run does."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(pipeline.config_to_dict(tiny_config(tmp_path))))
     real, calls, fail_at = store.write_atomic, [], [0]
@@ -379,7 +372,7 @@ def test_full_disk_at_a_write_then_rerun_equals_a_clean_run(tmp_path, capsys,
 
     monkeypatch.setattr(store, "write_atomic", write_atomic)
     assert run_all(tmp_path / "clean") == 0
-    clean = _deterministic_files(tmp_path / "clean")
+    clean = run_files(tmp_path / "clean")
     writes = len(calls)
     for k in sorted({*range(1, writes + 1, 5), writes}):
         out = tmp_path / f"full_at_{k}"
@@ -390,7 +383,7 @@ def test_full_disk_at_a_write_then_rerun_equals_a_clean_run(tmp_path, capsys,
         assert err.count("\n") == 1 and "No space left on device" in err
         fail_at[0] = 0
         assert run_all(out) == 0
-        assert _deterministic_files(out) == clean
+        assert differing_files(run_files(out), clean) == []
 
 
 def test_config_hash_mismatch_rejected(tmp_path):
@@ -566,17 +559,12 @@ def test_cli_rejects_non_positive_workers(tmp_path, monkeypatch, capsys, workers
     assert not list((tmp_path / "run").rglob("*.ckpt"))
 
 
-def _without_wall_time(log):
-    return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
-            for line in log.read_text().splitlines()]
-
-
 def test_teacher_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
     """A whole `run-all` at one worker, two workers and the default count
-    writes every dataset, checkpoint, embedding and report byte for byte
-    alike, and the same logs but for `wall_time`."""
+    writes every file of the run directory byte for byte alike, the logs
+    and the manifest included."""
     cfg_path = _cli_config(tmp_path)
-    files, logs = [], []
+    files = []
     for workers in ("1", "2", None):
         out = tmp_path / f"workers_{workers}"
         if workers is None:
@@ -584,14 +572,13 @@ def test_teacher_pool_writes_what_one_process_writes(tmp_path, monkeypatch):
         else:
             monkeypatch.setenv("MSTKD_WORKERS", workers)
         assert cli.main(["run-all", "--config", cfg_path, "--out", str(out)]) == 0
-        files.append(_deterministic_files(out))
-        logs.append({str(p.relative_to(out)): _without_wall_time(p)
-                     for p in sorted(out.rglob("*.log.jsonl"))})
+        files.append(run_files(out))
     assert {name.split("/")[0] for name in files[0]} == {
         "dataset", "teachers", "embeddings", "adaptors", "students", "reports",
-        "config.json"}
-    assert len(logs[0]) == 4 + 3 + 6
-    assert files[0] == files[1] == files[2] and logs[0] == logs[1] == logs[2]
+        "config.json", "manifest.json"}
+    assert sum(name.endswith(".log.jsonl") for name in files[0]) == 4 + 3 + 6
+    assert differing_files(files[0], files[1]) == []
+    assert differing_files(files[0], files[2]) == []
 
 
 def test_bad_workers_value_exits_2_before_any_write(tmp_path, monkeypatch, capsys):
@@ -602,6 +589,52 @@ def test_bad_workers_value_exits_2_before_any_write(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "MSTKD_WORKERS" in err
     assert not (tmp_path / "run").exists()
+
+
+# numpy's warnings are errors in these tests, in the forked workers too: a
+# warning that reached the console would end the command with exit 1
+
+@pytest.mark.filterwarnings("error")
+def test_an_output_that_overflows_exits_4_with_one_line(tmp_path, monkeypatch,
+                                                        capsys):
+    """Each student takes one step at lambda 1e308 and keeps finite
+    parameters, but its inference overflows: `evaluate` rejects the
+    non-finite rows, and no report is computed from them."""
+    doc = pipeline.default_config_dict()
+    doc.update({"dataset": {"identities_per_group": 4, "samples_per_identity": 3,
+                            "validation_identities_per_group": 3,
+                            "test_identities_per_group": 3},
+                "pairs_per_group": 8, "schedule_scale": 0.05, "lambda": 1e308,
+                "out_dir": str(tmp_path / "run")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "not finite" in captured.err
+    assert "train-student: " in captured.out
+    assert not list((tmp_path / "run" / "reports").glob("*"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", [None, "1"])
+def test_a_diverging_run_exits_4_with_one_line(tmp_path, monkeypatch, capsys,
+                                               workers):
+    """At lambda 1e308 the tiny config's students overflow in training: the
+    first non-finite loss stops the command with one stderr line and no
+    numpy warning, at the default worker count and in one process."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(pipeline.config_to_dict(
+        tiny_config(tmp_path / "run", **{"lambda": 1e308}))))
+    if workers is None:
+        monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MSTKD_WORKERS", workers)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite loss" in err
 
 
 @pytest.mark.parametrize("workers", [None, "64"])

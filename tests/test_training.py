@@ -502,26 +502,23 @@ def test_train_student_leaves_teachers_and_adaptor_frozen():
 
 
 def test_train_log_records_serialize(tmp_path):
-    recs = [{"epoch": 1, "mean_loss": 2.5, "lr": 0.1, "val_acc": {"g0": 88.0},
-             "wall_time": 0.01},
-            {"wall_time": 0.01, "mean_kd": 0.5, "val_acc": None, "lr": 0.1,
-             "mean_loss": 2.0, "epoch": 2}]
+    recs = [{"epoch": 1, "mean_loss": 2.5, "lr": 0.1, "val_acc": {"g0": 88.0}},
+            {"mean_kd": 0.5, "val_acc": None, "lr": 0.1, "mean_loss": 2.0,
+             "epoch": 2}]
     path = tmp_path / "log.jsonl"
     tr.write_log(recs, path)
     # one JSON line per record, keys sorted whatever order the dict holds
     assert path.read_text() == (
-        '{"epoch": 1, "lr": 0.1, "mean_loss": 2.5, "val_acc": {"g0": 88.0}, '
-        '"wall_time": 0.01}\n'
-        '{"epoch": 2, "lr": 0.1, "mean_kd": 0.5, "mean_loss": 2.0, "val_acc": null, '
-        '"wall_time": 0.01}\n')
+        '{"epoch": 1, "lr": 0.1, "mean_loss": 2.5, "val_acc": {"g0": 88.0}}\n'
+        '{"epoch": 2, "lr": 0.1, "mean_kd": 0.5, "mean_loss": 2.0, "val_acc": null}\n')
 
 
 @pytest.mark.parametrize("kind, terms", [
     ("teacher", set()), ("SL", set()), ("DuL", set()), ("DLDPO", set()),
     ("a_kd", {"mean_kd"}), ("eaf_kd", {"mean_eaf", "mean_kd"})])
 def test_each_model_kind_logs_exactly_its_loss_terms(tmp_path, kind, terms):
-    """Every epoch record holds the epoch, mean loss, lr, validation
-    accuracy and wall time; a student adds the mean of each loss term it
+    """Every epoch record holds the epoch, mean loss, lr and validation
+    accuracy, and no timing; a student adds the mean of each loss term it
     sums, a teacher or an adaptor none."""
     import json
     train, val, _, val_pairs, _ = desk_data()
@@ -544,5 +541,4 @@ def test_each_model_kind_logs_exactly_its_loss_terms(tmp_path, kind, terms):
     lines = path.read_text().splitlines()
     assert len(lines) == optim.epochs
     for line in lines:
-        assert json.loads(line).keys() == {"epoch", "mean_loss", "lr", "val_acc",
-                                           "wall_time"} | terms
+        assert json.loads(line).keys() == {"epoch", "mean_loss", "lr", "val_acc"} | terms
