@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError, DegenerateEmbeddingError, DimensionError
+from .errors import ContractError, DivergenceError
 
 EPS_NORM = 1e-12     # row norms <= this, or non-finite at inference, are degenerate
 EPS_COS = 1e-7       # cosine clamp margin before arccos
@@ -63,7 +63,7 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
     x = np.asarray(x, dtype=np.float64)
     width = params[f"{prefix}.0.W"].shape[0]
     if x.ndim != 2 or x.shape[1] != width:
-        raise DimensionError(
+        raise ContractError(
             f"batch width {x.shape} does not match input width {width}")
     if not 0.0 <= slope < 1.0:
         raise ContractError(f"leaky-relu slope must be in [0, 1), got {slope}")
@@ -93,7 +93,7 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
         i += 1
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if np.any(norms <= EPS_NORM) or not (train or np.isfinite(norms).all()):
-        raise DegenerateEmbeddingError(
+        raise DivergenceError(
             f"row norm at or below {EPS_NORM} or not finite; cannot normalize")
     h /= norms
     return (h, Saved(inputs, factors, keep, h, norms)) if train else h

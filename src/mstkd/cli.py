@@ -24,14 +24,16 @@ runs at the process's count, except while a command's pool lives: the
 command then holds its own process at one thread, and restores the
 caller's count when the pool is shut down.
 
-Exit codes: 0 success, 2 config error (MSTKD_WORKERS is read before any
-write; a repeated adaptor kind or student mode), 3 data/format error (a
-malformed artifact or report), 4 divergence (the first non-finite loss or
-gradient in training, or an output that cannot be normalized), 5 missing
-upstream artifact, 130 interrupted, 1 anything else: an OS error, or an
-internal error (a bug, or a worker killed by a signal) reported as one
-`[mstkd] internal error: ...` line. A command and its workers run with
-numpy's float warnings off; loss, gradient and output norm are checked.
+Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
+2 ConfigError (MSTKD_WORKERS is read before any write; a repeated adaptor
+kind or student mode), 3 FormatError (a malformed artifact or report), 4
+DivergenceError (the first non-finite loss or gradient in training, or an
+output that cannot be normalized), 5 MissingArtifactError (a missing
+upstream artifact), 130 interrupted, 1 anything else: a ContractError, an
+OS error, or an internal error (a bug, or a worker killed by a signal)
+reported as one `[mstkd] internal error: ...` line. A command and its
+workers run with numpy's float warnings off; loss, gradient and output
+norm are checked.
 """
 
 from __future__ import annotations
@@ -43,17 +45,7 @@ import sys
 import numpy as np
 
 from . import pipeline, store
-from .errors import (ConfigError, DataError, DegenerateEmbeddingError, DivergenceError,
-                     FormatError, MissingArtifactError, MstkdError)
-
-EXIT_CODES = [
-    (ConfigError, 2),
-    (DataError, 3),
-    (FormatError, 3),
-    (DivergenceError, 4),
-    (DegenerateEmbeddingError, 4),
-    (MissingArtifactError, 5),
-]
+from .errors import MstkdError
 
 
 @functools.cache
@@ -102,10 +94,7 @@ def main(argv=None) -> int:
         return 0
     except (MstkdError, OSError) as exc:
         print(f"[mstkd] error: {exc}", file=sys.stderr)
-        for klass, code in EXIT_CODES:
-            if isinstance(exc, klass):
-                return code
-        return 1
+        return getattr(exc, "exit_code", 1)
     except KeyboardInterrupt:
         print("[mstkd] interrupted", file=sys.stderr)
         return 130

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def split_specialized(train: SampleSet) -> list[np.ndarray]:
     for g in range(len(train.group_tags)):
         ids = np.unique(train.identities[train.groups == g])
         if ids.size == 0:
-            raise DataError(f"group {g} has no identities")
+            raise ContractError(f"group {g} has no identities")
         subsets.append(ids)
     return subsets
 
@@ -191,7 +191,7 @@ def split_balanced(train: SampleSet, seed: int) -> list[np.ndarray]:
     for g in range(g_count):
         ids = np.unique(train.identities[train.groups == g])
         if ids.size == 0:
-            raise DataError(f"group {g} has no identities")
+            raise ContractError(f"group {g} has no identities")
         rng.shuffle(ids)
         for j in range(g_count):
             subsets[j].extend(ids[j::g_count])
@@ -264,7 +264,7 @@ def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
     for g in range(len(pool.group_tags)):
         rows = pool.rows_of_group(g)
         if rows.size == 0:
-            raise DataError(f"group {g} has no samples in the pool")
+            raise ContractError(f"group {g} has no samples in the pool")
         ids = pool.identities[rows]
         members = [rows[ids == i].tolist() for i in np.unique(ids)]  # per identity
         multi = [r for r in members if len(r) >= 2]
@@ -274,7 +274,7 @@ def build_pairs(pool: SampleSet, pairs_per_group: int, genuine_fraction: float,
                                  sum(len(r) ** 2 for r in members))
         for n, cap, kind in zip((n_gen, n_imp), capacity, ("genuine", "impostor")):
             if n > cap:   # checked first: drawing more than exist never ends
-                raise DataError(
+                raise ConfigError(
                     f"group {g}: {n} {kind} pairs requested, only {cap} exist")
 
         seen: set[tuple[int, int]] = set()

@@ -1,48 +1,47 @@
-"""Exception hierarchy shared by all mstkd modules.
+"""Exception classes shared by all mstkd modules, one per exit code.
 
-The CLI maps these onto distinct exit codes; see `mstkd.cli`.
+Each class carries the exit code that `mstkd.cli` returns for it.
 """
+
+import contextlib
 
 
 class MstkdError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
+
+
+class ContractError(MstkdError):
+    """An operation was called outside its stated contract: bad dimensions,
+    an unscorable pair list, an unsupported model kind, an empty group."""
 
 
 class ConfigError(MstkdError):
     """Invalid experiment configuration or config file."""
-
-
-class DataError(MstkdError):
-    """Dataset violates a precondition (empty group, insufficient samples, ...)."""
-
-
-class DimensionError(MstkdError):
-    """Tensor or file dimensions do not agree."""
-
-
-class ContractError(MstkdError):
-    """An operation was called outside its stated contract."""
-
-
-class DegenerateEmbeddingError(MstkdError):
-    """A row to be normalized has (near-)zero norm."""
+    exit_code = 2
 
 
 class FormatError(MstkdError):
     """A binary or text artifact file is malformed."""
+    exit_code = 3
 
 
 class DivergenceError(MstkdError):
-    """Training produced non-finite losses or gradients."""
+    """Training produced a non-finite loss or gradient, or an output row
+    cannot be normalized."""
+    exit_code = 4
 
 
 class MissingArtifactError(MstkdError):
     """A pipeline stage requires an upstream artifact that does not exist."""
+    exit_code = 5
 
 
-class ProtocolError(MstkdError):
-    """A verification pair list cannot be scored (e.g. only one class present)."""
-
-
-class UnsupportedKindError(MstkdError):
-    """Operation not defined for this model kind."""
+@contextlib.contextmanager
+def naming(what: str):
+    """Re-raise an MstkdError raised inside as one of the same class whose
+    message starts with `what`, such as the model that was being run."""
+    try:
+        yield
+    except MstkdError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairList, SampleSet
-from .errors import ContractError, FormatError, ProtocolError
+from .errors import ContractError, FormatError
 
 PROTOCOL = "per-group best cosine threshold"
 
@@ -46,9 +46,9 @@ def best_threshold_accuracy(scores: np.ndarray,
     genuine = np.asarray(genuine, dtype=bool)
     n = scores.size
     if n == 0:
-        raise ProtocolError("empty pair list")
+        raise ContractError("empty pair list")
     if genuine.all() or not genuine.any():
-        raise ProtocolError("pair list needs both genuine and impostor pairs")
+        raise ContractError("pair list needs both genuine and impostor pairs")
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     y = genuine[order]
@@ -183,12 +183,14 @@ def report_to_json(report: FairnessReport) -> str:
 
 
 def _numbers(values) -> bool:
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    """Every value is a finite JSON number; a bool is not one."""
+    return all(type(v) in (int, float) and abs(v) < np.inf for v in values)
 
 
 def report_from_json(text: str) -> FairnessReport:
-    """The report `report_to_json` wrote; FormatError when a key is missing
-    or holds a value of another type or length."""
+    """The report `report_to_json` wrote; FormatError when a key is missing,
+    holds a value of another type or length or a non-finite number, or an
+    accuracy lies outside [0, 100]."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("groups"), list)
             and all(isinstance(name, str) for name in doc["groups"])
@@ -198,7 +200,10 @@ def report_from_json(text: str) -> FairnessReport:
             and _numbers([doc.get("global_acc"), doc.get("std")])
             and (doc.get("ser") == "undefined" or _numbers([doc.get("ser")]))
             and isinstance(doc.get("protocol"), str)):
-        raise FormatError("a key is missing or holds a value of the wrong type")
+        raise FormatError("a key is missing or holds a value of the wrong type "
+                          "or a non-finite number")
+    if not all(0 <= acc <= 100 for acc in [*doc["per_group_acc"], doc["global_acc"]]):
+        raise FormatError("accuracies must lie in [0, 100]")
     ser = doc["ser"]
     return FairnessReport(doc["groups"], doc["per_group_acc"], doc["thresholds"],
                           doc["global_acc"], doc["std"],

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import EPS_COS, EPS_NORM, PI
-from .errors import ContractError, DegenerateEmbeddingError, DimensionError
+from .errors import ContractError, DivergenceError
 
 UNIT_NORM_TOL = 1e-8
 
@@ -77,9 +77,9 @@ def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
     cfg.validate()
     w = class_weights
     if emb.ndim != 2 or w.ndim != 2:
-        raise DimensionError("elastic_arcface expects 2-D embeddings and weights")
+        raise ContractError("elastic_arcface expects 2-D embeddings and weights")
     if emb.shape[1] != w.shape[1]:
-        raise DimensionError("embedding and class-weight dimensions differ")
+        raise ContractError("embedding and class-weight dimensions differ")
     norms = np.linalg.norm(emb, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ContractError("embeddings must be unit-norm rows")
@@ -96,7 +96,7 @@ def elastic_arcface(emb: np.ndarray, class_weights: np.ndarray,
     # cosine logits against the row-normalized header
     w_norms = np.linalg.norm(w, axis=1, keepdims=True)
     if np.any(w_norms <= EPS_NORM):
-        raise DegenerateEmbeddingError(
+        raise DivergenceError(
             f"row norm at or below {EPS_NORM}; cannot normalize")
     wn = w / w_norms
     wn_t = wn.T.copy()
@@ -151,7 +151,7 @@ def kd_mse(target: np.ndarray, student_emb: np.ndarray,
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != student_emb.shape:
-        raise DimensionError(
+        raise ContractError(
             f"kd_mse shapes differ: {target.shape} vs {student_emb.shape}")
     diff = target - student_emb
     squares = diff * diff

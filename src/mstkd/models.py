@@ -21,7 +21,7 @@ import numpy as np
 from . import store
 from .autodiff import forward
 from .data import GroupTag, SampleSet
-from .errors import ConfigError, ContractError, FormatError, UnsupportedKindError
+from .errors import ConfigError, ContractError, FormatError
 
 ADAPTOR_KINDS = ("SL", "DuL", "DLDPO")
 DROPOUT_P = 0.2
@@ -175,7 +175,7 @@ def trace_teacher_attribution(a: AdaptorModel) -> np.ndarray:
     normalized to sum to one.
     """
     if a.kind != "SL":
-        raise UnsupportedKindError("attribution tracing requires an SL adaptor")
+        raise ContractError("attribution tracing requires an SL adaptor")
     w = a.params["adaptor.0.W"]
     norms = np.array([
         np.linalg.norm(w[g * a.emb_dim:(g + 1) * a.emb_dim, :])

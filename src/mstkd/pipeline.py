@@ -4,15 +4,15 @@ One JSON config drives every stage. `STAGES` is the pipeline as data, in
 run order gen-data -> train-teachers -> extract -> train-adaptor ->
 train-student -> evaluate: each stage names its upstream stages, the
 artifacts it writes and the body that writes them. One driver runs every
-stage the same way: it checks that the upstream artifacts exist on disk
-with the hashes recorded in the manifest, skips the stage when its own
-artifacts are already current (unless forced), and records the digests of
-what the body wrote. Within one `run_all` call the manifest is opened once
-and each artifact is hashed once. Each kind of trained model has one list
-of stems, and its training stage runs one job per stem, in one pool of
-forked workers per command; the command writes every result in job order,
-under the job's stem. Every file of a run, its logs and manifest too, is a
-pure function of the config, the same at any worker count.
+stage the same way: it checks that the upstream stages' manifest records
+are current (`_stale`), skips the stage when its own is (unless forced),
+and records the digests of what the body wrote. Within one `run_all` call
+the manifest is opened once and each artifact is hashed once. Each kind
+of trained model has one list of stems, and its training stage runs one
+job per stem, in one pool of forked workers per command; the command
+writes every result in job order, under the job's stem. Every file of a
+run, its logs and manifest too, is a pure function of the config, the
+same at any worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import data, models, store, training
-from .errors import ConfigError, ContractError, FormatError, MissingArtifactError
+from .errors import ConfigError, ContractError, FormatError, MissingArtifactError, naming
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
                          render_table, report_from_json, report_to_json)
 from .losses import EafConfig
@@ -308,7 +308,7 @@ def load_manifest(out: Path) -> Optional[dict]:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path} is not valid JSON ({exc}); "
                           "run-all --force rebuilds the run") from exc
-    if not (isinstance(manifest, dict) and "config_hash" in manifest
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config_hash"), str)
             and isinstance(manifest.get("stages"), dict)
             and all(isinstance(record, dict)
                     and isinstance(record.get("artifacts"), dict)
@@ -411,7 +411,7 @@ def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
     stems = _teachers(cfg)
     teachers = [models.load_teacher(out / _trained(t)[0]) for t in stems]
-    sets = training.extract_embeddings(teachers, train)
+    sets = training.extract_embeddings(teachers, train, names=stems)
     for t, s in zip(stems, sets):
         store.save_sample_set(s, out / _embeddings(t))
     return (f"{len(sets)} x {sets[0].n} embeddings -> "
@@ -423,7 +423,8 @@ def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test_pairs = store.load_pairs(out / _pairs("test"))
     for stem in _students(cfg):
         student = models.load_student(out / _trained(stem)[0])
-        report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
+        with naming(stem):
+            report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
         jpath, tpath = _report(stem)
         kind, mode = Path(stem).name.split("_", 1)  # no adaptor kind holds "_"
         store.write_text_atomic(out / jpath, report_to_json(report))
@@ -546,11 +547,22 @@ class _Run:
         return self.digests[rel]
 
 
-def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
-    """Run `stage` in `cfg.out_dir`, or skip it when its artifacts are current.
+def _stale(stage: Stage, cfg: ExperimentConfig, run: _Run) -> list[str]:
+    """The artifacts that keep `stage`'s manifest record from being current:
+    each declared artifact that is unrecorded, missing or changed, then each
+    recorded path that the stage does not declare, which is never hashed."""
+    recorded = run.manifest["stages"][stage.name]["artifacts"]
+    declared = stage.artifacts(cfg)
+    return ([rel for rel in declared
+             if recorded.get(rel) is None or recorded[rel] != run.digest(rel)]
+            + [rel for rel in recorded if rel not in declared])
 
-    Fails when an upstream stage has not run or its artifacts are missing or
-    modified. A run records the digest of every declared artifact in the
+
+def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
+    """Run `stage` in `cfg.out_dir`, or skip it when its record is current.
+
+    Fails when an upstream stage has not run or its record is not current
+    (`_stale`). A run records the digest of every declared artifact in the
     manifest; a declared artifact the body did not write is a ContractError.
     """
     out = run.out
@@ -564,15 +576,12 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
             raise MissingArtifactError(
                 f"stage {stage.name!r} needs {up!r}, which has not run in {out}; "
                 f"expected artifacts: {STAGES[up].artifacts(cfg)}")
-        missing = [rel for rel, digest in records[up]["artifacts"].items()
-                   if run.digest(rel) != digest]
+        missing = _stale(STAGES[up], cfg, run)
         if missing:
             raise MissingArtifactError(
                 f"stage {stage.name!r} needs {up!r} artifacts, but these are "
                 f"missing or modified: {missing}")
-    record = records.get(stage.name)
-    if not force and record is not None and all(
-            run.digest(rel) == digest for rel, digest in record["artifacts"].items()):
+    if not force and stage.name in records and not _stale(stage, cfg, run):
         print(f"[mstkd] {stage.name}: up to date in {out}, skipping "
               "(use --force to redo)")
         return out

@@ -100,47 +100,36 @@ def save_pairs(pairs: PairList, path) -> None:
 
 
 def load_pairs(path) -> PairList:
-    """The pair list at `path`. The text is split into lines once and its
-    integers are parsed in one numpy call; a malformed file raises
-    `FormatError` naming its first bad line, as a line-by-line reader
-    would."""
+    """The pair list at `path`. A well-formed file is split into lines once
+    and its integers are parsed in one numpy call; any other file is read
+    line by line, and `FormatError` names its first bad line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: pair list is not UTF-8 ({exc})") from exc
     fields = np.fromiter(map(len, map(str.split, text.split("\n"))), np.intp)
-    wrong = np.flatnonzero((fields != 0) & (fields != 4))
-    errors = []
-    if wrong.size:   # parse the lines before the first with a wrong count
-        end = int(wrong[0])
-        errors.append((end + 1, "expected 4 fields"))
-        text, fields = "\n".join(text.split("\n", end)[:end]), fields[:end]
-    tokens = text.split()
-    linenos = np.flatnonzero(fields) + 1   # the line of each row
-    try:
-        values = np.array(tokens, dtype=np.int64)   # int() on each token
-    except (ValueError, OverflowError):   # find int()'s first error, if any
-        values = []
-        for token in tokens:
-            try:
-                values.append(int(token))
-            except ValueError as exc:
-                errors.append((linenos[len(values) // 4], str(exc)))
-                break
-        values = np.array(values[:len(values) // 4 * 4], dtype=object)
-    values = values.reshape(-1, 4)
-    flag = values[:, 2]
-    bad_flag = np.flatnonzero((flag != 0) & (flag != 1))
-    if bad_flag.size:
-        errors.append((linenos[bad_flag[0]], "genuine flag must be 0 or 1"))
-    if errors:
-        lineno, message = min(errors)
-        raise FormatError(f"{path}:{lineno}: {message}")
-    try:
-        a, b, flag, group = np.ascontiguousarray(values.T, dtype=np.int64)
-    except OverflowError as exc:
-        raise FormatError(f"{path}: an index does not fit 64 bits") from exc
-    return PairList(a, b, flag == 1, group)
+    if np.all((fields == 0) | (fields == 4)):
+        try:
+            values = np.array(text.split(), dtype=np.int64)   # int() on each token
+        except (ValueError, OverflowError):
+            pass
+        else:
+            a, b, flag, group = np.ascontiguousarray(values.reshape(-1, 4).T)
+            if np.all((flag == 0) | (flag == 1)):
+                return PairList(a, b, flag == 1, group)
+    for lineno, line in enumerate(text.split("\n"), 1):
+        tokens = line.split()
+        try:
+            if len(tokens) not in (0, 4):
+                raise ValueError("expected 4 fields")
+            row = [int(token) for token in tokens]
+            if row and row[2] not in (0, 1):
+                raise ValueError("genuine flag must be 0 or 1")
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in row):
+                raise ValueError("an index does not fit 64 bits")
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    raise FormatError(f"{path}: not a pair list")   # not reached: numpy parses as int()
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:

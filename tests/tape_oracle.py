@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from mstkd.autodiff import EPS_COS, EPS_NORM, PI
-from mstkd.errors import ContractError, DegenerateEmbeddingError, DimensionError
+from mstkd.errors import ContractError, DivergenceError
 from mstkd.losses import _check_labels
 
 
@@ -116,9 +116,9 @@ def _same_tape(*tensors: DiffTensor) -> Tape:
 
 def _check_matmul(a: DiffTensor, b: DiffTensor) -> None:
     if a.values.ndim != 2 or b.values.ndim != 2:
-        raise DimensionError("matmul expects 2-D operands")
+        raise ContractError("matmul expects 2-D operands")
     if a.values.shape[1] != b.values.shape[0]:
-        raise DimensionError(
+        raise ContractError(
             f"matmul inner dimensions differ: {a.values.shape} x {b.values.shape}")
 
 
@@ -141,7 +141,7 @@ def bias_add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """A 1-D bias added to each row of a 2-D tensor."""
     tape = _same_tape(a, b)
     if a.values.ndim != 2 or b.values.shape != (a.values.shape[1],):
-        raise DimensionError(f"bias shape {b.values.shape} does not fit rows "
+        raise ContractError(f"bias shape {b.values.shape} does not fit rows "
                              f"of {a.values.shape}")
 
     def bwd(g: np.ndarray) -> None:
@@ -153,7 +153,7 @@ def bias_add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 def transpose(a: DiffTensor) -> DiffTensor:
     if a.values.ndim != 2:
-        raise DimensionError("transpose expects a 2-D tensor")
+        raise ContractError("transpose expects a 2-D tensor")
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g.T)
@@ -164,7 +164,7 @@ def transpose(a: DiffTensor) -> DiffTensor:
 def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     tape = _same_tape(a, b)
     if a.values.shape != b.values.shape:
-        raise DimensionError(f"sub shapes differ: {a.values.shape} vs {b.values.shape}")
+        raise ContractError(f"sub shapes differ: {a.values.shape} vs {b.values.shape}")
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
@@ -177,7 +177,7 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Elementwise (Hadamard) product of same-shape tensors."""
     tape = _same_tape(a, b)
     if a.values.shape != b.values.shape:
-        raise DimensionError(f"mul shapes differ: {a.values.shape} vs {b.values.shape}")
+        raise ContractError(f"mul shapes differ: {a.values.shape} vs {b.values.shape}")
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g * b.values)
@@ -219,7 +219,7 @@ def cos(a: DiffTensor) -> DiffTensor:
 def logsumexp_rows(a: DiffTensor) -> DiffTensor:
     """Row-wise log(sum(exp(x))) of a 2-D tensor, computed stably."""
     if a.values.ndim != 2:
-        raise DimensionError("logsumexp_rows expects a 2-D tensor")
+        raise ContractError("logsumexp_rows expects a 2-D tensor")
     m = a.values.max(axis=1, keepdims=True)
     expx = np.exp(a.values - m)
     sums = expx.sum(axis=1, keepdims=True)
@@ -235,10 +235,10 @@ def logsumexp_rows(a: DiffTensor) -> DiffTensor:
 def pick(a: DiffTensor, idx: np.ndarray) -> DiffTensor:
     """Select one column per row: out[i] = a[i, idx[i]]."""
     if a.values.ndim != 2:
-        raise DimensionError("pick expects a 2-D tensor")
+        raise ContractError("pick expects a 2-D tensor")
     idx = np.asarray(idx)
     if idx.shape != (a.values.shape[0],):
-        raise DimensionError("pick needs one index per row")
+        raise ContractError("pick needs one index per row")
     if np.any(idx < 0) or np.any(idx >= a.values.shape[1]):
         raise ContractError("pick index out of range")
     rows = np.arange(a.values.shape[0])
@@ -257,7 +257,7 @@ def scatter_replace(a: DiffTensor, idx: np.ndarray, v: DiffTensor) -> DiffTensor
     tape = _same_tape(a, v)
     idx = np.asarray(idx)
     if a.values.ndim != 2 or v.values.shape != (a.values.shape[0],):
-        raise DimensionError("scatter_replace expects matrix plus one value per row")
+        raise ContractError("scatter_replace expects matrix plus one value per row")
     if np.any(idx < 0) or np.any(idx >= a.values.shape[1]):
         raise ContractError("scatter_replace index out of range")
     rows = np.arange(a.values.shape[0])
@@ -293,7 +293,7 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Elementwise addition of same-shape tensors."""
     tape = _same_tape(a, b)
     if a.values.shape != b.values.shape:
-        raise DimensionError(f"add shapes differ: {a.values.shape} vs {b.values.shape}")
+        raise ContractError(f"add shapes differ: {a.values.shape} vs {b.values.shape}")
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
@@ -347,10 +347,10 @@ def dropout(a: DiffTensor, p: float,
 def l2_normalize(a: DiffTensor) -> DiffTensor:
     """Scale each row of a 2-D tensor to unit L2 norm."""
     if a.values.ndim != 2:
-        raise DimensionError("l2_normalize expects a 2-D tensor")
+        raise ContractError("l2_normalize expects a 2-D tensor")
     norms = np.linalg.norm(a.values, axis=1, keepdims=True)
     if np.any(norms <= EPS_NORM):
-        raise DegenerateEmbeddingError(
+        raise DivergenceError(
             f"row norm at or below {EPS_NORM}; cannot normalize")
     out_values = a.values / norms
 
@@ -365,7 +365,7 @@ def l2_normalize(a: DiffTensor) -> DiffTensor:
 def softmax_ce(logits: DiffTensor, labels: np.ndarray) -> DiffTensor:
     """Mean over the batch of -log softmax(logits)[label]."""
     if logits.values.ndim != 2:
-        raise DimensionError("softmax_ce expects a [batch, classes] matrix")
+        raise ContractError("softmax_ce expects a [batch, classes] matrix")
     if not np.all(np.isfinite(logits.values)):
         raise ContractError("softmax_ce requires finite logits")
     labels = _check_labels(labels, logits.values.shape[1], logits.values.shape[0])

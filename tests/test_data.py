@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mstkd import data as d
 from mstkd import pipeline
-from mstkd.errors import ConfigError, ContractError, DataError
+from mstkd.errors import ConfigError, ContractError
 
 import pairs_oracle
 
@@ -160,7 +160,7 @@ def test_build_pairs_benchmark_scale_totals():
 def test_build_pairs_insufficient_samples():
     train, _, _ = d.generate(small_spec(samples_per_identity=2,
                                         identities_per_group=2))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="900 genuine pairs requested, only 2 exist"):
         d.build_pairs(train, pairs_per_group=1000, genuine_fraction=0.9, seed=0)
 
 
@@ -176,7 +176,7 @@ def test_build_pairs_rejects_more_impostor_pairs_than_exist():
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(10)
     try:
-        with pytest.raises(DataError, match="98 impostor pairs requested, only 4 exist"):
+        with pytest.raises(ConfigError, match="98 impostor pairs requested, only 4 exist"):
             d.build_pairs(val, 100, 0.02, seed=1)
     finally:
         signal.alarm(0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mstkd import data as d
 from mstkd import evaluation as ev
-from mstkd.errors import ContractError, ProtocolError
+from mstkd.errors import ContractError
 
 from reference_rows import ALL_TABLES
 
@@ -38,9 +38,9 @@ def test_indistinguishable_pairs():
 
 
 def test_single_class_pair_list_rejected():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ContractError, match="needs both genuine and impostor pairs"):
         ev.best_threshold_accuracy(np.array([0.1, 0.2]), np.array([True, True]))
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ContractError, match="empty pair list"):
         ev.best_threshold_accuracy(np.array([]), np.array([], dtype=bool))
 
 

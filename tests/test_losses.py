@@ -6,7 +6,7 @@ import pytest
 
 from mstkd import autodiff as ad
 from mstkd import losses
-from mstkd.errors import ContractError, DimensionError
+from mstkd.errors import ContractError
 from mstkd.losses import EafConfig
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -251,7 +251,7 @@ def test_kd_mse_blocks_target_gradient():
 
 
 def test_kd_mse_shape_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match="kd_mse shapes differ"):
         losses.kd_mse(np.zeros((2, 3)), np.zeros((2, 4)))
 
 

@@ -4,8 +4,7 @@ import pytest
 from mstkd import autodiff as ad
 from mstkd import models, store
 from mstkd.data import GroupTag, SampleSet
-from mstkd.errors import (ConfigError, ContractError, DegenerateEmbeddingError,
-                          DimensionError, FormatError, UnsupportedKindError)
+from mstkd.errors import ConfigError, ContractError, DivergenceError, FormatError
 from mstkd.models import BackboneConfig
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -105,15 +104,15 @@ def test_forward_equals_adaptor_graph_bitwise(kind):
 
 def test_forward_rejects_wrong_width_and_zero_row():
     t = make_teacher()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match="batch width"):
         t.embed(np.ones((3, 15)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match="batch width"):
         ad.forward(t.params, "backbone", CFG.slope, np.ones(16))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match="batch width"):
         models.adaptor_forward(models.new_adaptor("DuL", 4, 6, seed=0), np.ones((2, 18)))
     x = np.random.default_rng(14).normal(size=(3, 16))
     x[1] = 0.0  # biases start at zero, so a zero row stays zero
-    with pytest.raises(DegenerateEmbeddingError):
+    with pytest.raises(DivergenceError, match="row norm at or below"):
         t.embed(x)
 
 
@@ -287,7 +286,7 @@ def test_attribution_invariant_under_output_rotation():
 
 def test_attribution_requires_sl():
     a = models.new_adaptor("DuL", 4, 6, seed=0)
-    with pytest.raises(UnsupportedKindError):
+    with pytest.raises(ContractError, match="attribution tracing requires an SL adaptor"):
         models.trace_teacher_attribution(a)
 
 

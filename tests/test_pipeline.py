@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mstkd import cli, losses, models, pipeline, store, training
-from mstkd.errors import (ConfigError, ContractError, DivergenceError,
-                          MissingArtifactError)
+from mstkd.errors import (ConfigError, ContractError, DivergenceError, FormatError,
+                          MissingArtifactError, MstkdError)
 from mstkd.evaluation import FairnessReport, report_to_json
 
 from rundirs import differing_files, run_files
@@ -617,6 +617,26 @@ def test_an_output_that_overflows_exits_4_with_one_line(tmp_path, monkeypatch,
     assert not list((tmp_path / "run" / "reports").glob("*"))
 
 
+def test_an_output_that_cannot_be_normalized_names_its_model(tmp_path, monkeypatch,
+                                                             capsys):
+    """The overflowing output of the test above: the one stderr line names
+    `evaluate`'s first student, whose output overflowed."""
+    doc = pipeline.default_config_dict()
+    doc.update({"dataset": {"identities_per_group": 4, "samples_per_identity": 3,
+                            "validation_identities_per_group": 3,
+                            "test_identities_per_group": 3},
+                "pairs_per_group": 8, "schedule_scale": 0.05, "lambda": 1e308,
+                "out_dir": str(tmp_path / "run")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "[mstkd] error: students/SL_eaf_kd: row norm at or below 1e-12 or not "
+        "finite; cannot normalize\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("workers", [None, "1"])
 def test_a_diverging_run_exits_4_with_one_line(tmp_path, monkeypatch, capsys,
@@ -806,9 +826,25 @@ def test_cli_reports_an_unexpected_exception_in_one_line(monkeypatch, capsys,
     assert capsys.readouterr().err == line + "\n"
 
 
+@pytest.mark.parametrize("klass, code", [
+    (MstkdError, 1), (ContractError, 1), (ConfigError, 2), (FormatError, 3),
+    (DivergenceError, 4), (MissingArtifactError, 5)])
+def test_each_error_class_exits_with_its_code_on_one_line(monkeypatch, capsys,
+                                                          klass, code):
+    def command(cfg, force):
+        raise klass("the stage failed")
+
+    monkeypatch.setattr(pipeline, "load_config", lambda path, seed, out: None)
+    monkeypatch.setitem(pipeline.COMMANDS, "evaluate", command)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", "a.json"]) == klass.exit_code == code
+    assert capsys.readouterr().err == "[mstkd] error: the stage failed\n"
+
+
 @pytest.mark.parametrize("damage", [
     lambda good: good[:40],                                      # truncated
     lambda good: b'{"config_hash": "0", "stages": {"gen-data": {}}}',
+    lambda good: json.dumps({**json.loads(good), "config_hash": 5}).encode(),
 ])
 def test_cli_malformed_manifest_is_a_format_error(tmp_path, capsys, damage):
     cfg_path = _cli_config(tmp_path)
@@ -862,7 +898,12 @@ def _run_with_reports(tmp_path):
     return run
 
 
-@pytest.mark.parametrize("content", ['{"groups": ["g0"]}', "not json"])
+@pytest.mark.parametrize("content", [
+    '{"groups": ["g0"]}', "not json",
+    pytest.param(report_to_json(FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4],
+                                               math.nan, 7.1, 2.0)), id="nan-global-acc"),
+    pytest.param(report_to_json(FairnessReport(["g0", "g1"], [1e9, 80.0], [0.5, 0.4],
+                                               85.0, 7.1, 2.0)), id="acc-above-100")])
 def test_report_on_a_malformed_report_is_a_format_error(tmp_path, capsys, content):
     cfg_path = _cli_config(tmp_path)
     run = _run_with_reports(tmp_path)
@@ -935,6 +976,60 @@ def test_a_manifest_entry_that_names_a_directory_is_missing(tmp_path, capsys):
     assert cli.main(["train-teachers", "--config", cfg_path]) == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing or modified: ['dataset']" in err
+
+
+def test_an_unrecorded_declared_artifact_makes_its_stage_stale(tmp_path, capsys):
+    """A student checkpoint missing from disk and from its stage's record:
+    `evaluate` exits 5 naming it, and `run-all` re-runs `train-student`,
+    which writes the same bytes again."""
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+    run = tmp_path / "run"
+    ckpt = run / "students" / "SL_eaf_kd.ckpt"
+    before = ckpt.read_bytes()
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["stages"]["train-student"]["artifacts"]["students/SL_eaf_kd.ckpt"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    ckpt.unlink()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path, "--force"]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "['students/SL_eaf_kd.ckpt']" in err
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+    out = capsys.readouterr().out
+    assert "train-student: up to date" not in out and out.count("skipping") == 5
+    assert ckpt.read_bytes() == before
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.count("skipping") == 6
+
+
+def test_an_undeclared_manifest_entry_is_stale_and_never_hashed(tmp_path, capsys,
+                                                                monkeypatch):
+    """A record entry that names a file outside the run directory, with that
+    file's digest, is not an artifact of the stage: the upstream check fails
+    on it and the skip check re-runs the stage, and neither hashes it."""
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an artifact\n")
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"]["gen-data"]["artifacts"]["../outside.txt"] = \
+        store.sha256_file(outside)
+    path.write_text(json.dumps(manifest))
+    hashed = []
+    real = store.sha256_file
+    monkeypatch.setattr(store, "sha256_file",
+                        lambda p: hashed.append(str(p)) or real(p))
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing or modified: ['../outside.txt']" in err
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    assert "gen-data: wrote" in capsys.readouterr().out
+    assert hashed and not [p for p in hashed if p.endswith("outside.txt")]
+    assert "../outside.txt" not in pipeline.load_manifest(tmp_path / "run")[
+        "stages"]["gen-data"]["artifacts"]
 
 
 def test_manifest_records_exactly_the_declared_artifacts(tmp_path):

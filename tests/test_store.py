@@ -149,6 +149,13 @@ def test_pair_list_malformed_line(tmp_path):
         store.load_pairs(path)
 
 
+def test_pair_list_index_over_64_bits_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1 1 0\n2 {2 ** 63} 0 1\n4 5 7 0\n")
+    with pytest.raises(FormatError, match=r"bad.txt:2: an index does not fit 64 bits"):
+        store.load_pairs(path)
+
+
 def test_pair_list_not_utf8(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"0 1 1 0\n\xff 2 0 1\n")
