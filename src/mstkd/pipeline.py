@@ -363,6 +363,9 @@ def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
 
 def _train_one_teacher(cfg: ExperimentConfig, out: Path, g: int):
     train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
+    empty = set(range(cfg.dataset.groups)) - set(train.groups.tolist())
+    if empty:   # a rewritten pool: every generated group has samples
+        raise FormatError(f"{out / _pool('train')}: group {min(empty)} has no samples")
     val_pairs = store.load_pairs(out / _pairs("validation"))
     split = (data.split_specialized(train) if cfg.split == "specialized"
              else data.split_balanced(train, cfg.seeds.data))
@@ -411,7 +414,10 @@ def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
     stems = _teachers(cfg)
     teachers = [models.load_teacher(out / _trained(t)[0]) for t in stems]
-    sets = training.extract_embeddings(teachers, train, names=stems)
+    sets = []
+    for stem, teacher in zip(stems, teachers):
+        with naming(stem):
+            sets += training.extract_embeddings([teacher], train)
     for t, s in zip(stems, sets):
         store.save_sample_set(s, out / _embeddings(t))
     return (f"{len(sets)} x {sets[0].n} embeddings -> "

@@ -43,7 +43,7 @@ import numpy as np
 from . import losses, models, store
 from .autodiff import backward, forward
 from .data import GroupTag, PairList, SampleSet
-from .errors import ConfigError, ContractError, DivergenceError, naming
+from .errors import ConfigError, ContractError, DivergenceError
 from .evaluation import verification_accuracy
 from .losses import EafConfig
 from .models import AdaptorModel, BackboneConfig, StudentModel, TeacherModel
@@ -290,17 +290,11 @@ def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConf
     return model, records
 
 
-def extract_embeddings(teachers: list[TeacherModel], dataset: SampleSet,
-                       names: Optional[list[str]] = None) -> list[SampleSet]:
-    """Every teacher embeds every sample; outputs stay row-aligned. An error
-    names its teacher: `names[i]`, or else `teacher i`."""
-    sets = []
-    for i, t in enumerate(teachers):
-        with naming(names[i] if names else f"teacher {i}"):
-            values = t.embed(dataset.values)
-        sets.append(SampleSet(values, dataset.identities.copy(),
-                              dataset.groups.copy(), dataset.group_tags))
-    return sets
+def extract_embeddings(teachers: list[TeacherModel],
+                       dataset: SampleSet) -> list[SampleSet]:
+    """Every teacher embeds every sample; outputs stay row-aligned."""
+    return [SampleSet(t.embed(dataset.values), dataset.identities.copy(),
+                      dataset.groups.copy(), dataset.group_tags) for t in teachers]
 
 
 @_one_blas_thread()

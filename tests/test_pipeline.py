@@ -612,29 +612,10 @@ def test_an_output_that_overflows_exits_4_with_one_line(tmp_path, monkeypatch,
     capsys.readouterr()
     assert cli.main(["run-all", "--config", str(path)]) == 4
     captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1 and "not finite" in captured.err
+    assert captured.err == ("[mstkd] error: students/SL_eaf_kd: row norm at or "
+                            "below 1e-12 or not finite; cannot normalize\n")
     assert "train-student: " in captured.out
     assert not list((tmp_path / "run" / "reports").glob("*"))
-
-
-def test_an_output_that_cannot_be_normalized_names_its_model(tmp_path, monkeypatch,
-                                                             capsys):
-    """The overflowing output of the test above: the one stderr line names
-    `evaluate`'s first student, whose output overflowed."""
-    doc = pipeline.default_config_dict()
-    doc.update({"dataset": {"identities_per_group": 4, "samples_per_identity": 3,
-                            "validation_identities_per_group": 3,
-                            "test_identities_per_group": 3},
-                "pairs_per_group": 8, "schedule_scale": 0.05, "lambda": 1e308,
-                "out_dir": str(tmp_path / "run")})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    monkeypatch.setenv("MSTKD_WORKERS", "1")
-    capsys.readouterr()
-    assert cli.main(["run-all", "--config", str(path)]) == 4
-    assert capsys.readouterr().err == (
-        "[mstkd] error: students/SL_eaf_kd: row norm at or below 1e-12 or not "
-        "finite; cannot normalize\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -760,7 +741,8 @@ def test_a_pool_pins_the_command_to_one_blas_thread(
     inference = [(int(pid), int(n)) for name, pid, n in seen
                  if not name.startswith("train_")]
     jobs = [(int(pid), int(n)) for name, pid, n in seen if name.startswith("train_")]
-    assert len(inference) == (0 if diverge else 1 + 6)
+    # `extract` embeds with each of 4 teachers, `evaluate` scores 6 students
+    assert len(inference) == (0 if diverge else 4 + 6)
     assert len(jobs) >= (1 if diverge else 4 + 3 + 6)
     if workers is None:
         assert set(inference) <= {(os.getpid(), 1)}
@@ -976,6 +958,28 @@ def test_a_manifest_entry_that_names_a_directory_is_missing(tmp_path, capsys):
     assert cli.main(["train-teachers", "--config", cfg_path]) == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing or modified: ['dataset']" in err
+
+
+def test_a_train_pool_with_an_empty_group_is_a_format_error(tmp_path, capsys):
+    """A train pool rewritten so that group 1 has no samples, with its
+    manifest digest updated to match: `train-teachers` exits 3 naming the
+    file, before any split of the pool."""
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    run = tmp_path / "run"
+    path = run / "dataset" / "train.mste"
+    groups = store.load_sample_set(path).groups
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-groups.size]
+                     + np.where(groups == 1, 0, groups).astype(np.uint8).tobytes())
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["stages"]["gen-data"]["artifacts"]["dataset/train.mste"] = \
+        store.sha256_file(path)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {path}: group 1 has no samples\n")
 
 
 def test_an_unrecorded_declared_artifact_makes_its_stage_stale(tmp_path, capsys):

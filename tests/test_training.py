@@ -343,18 +343,6 @@ def test_train_teacher_is_deterministic():
     assert t1.best_epoch == t2.best_epoch
 
 
-def test_extract_embeddings_names_the_teacher_it_cannot_normalize():
-    train, *_ = desk_data()
-    teachers = [models.new_teacher(CFG, np.arange(12), train.group_tags[g], seed=g)
-                for g in range(2)]
-    teachers[1].params["backbone.1.W"][:] = 0.0   # the biases start at zero
-    with pytest.raises(DivergenceError, match="^teachers/teacher_1: row norm"):
-        tr.extract_embeddings(teachers, train,
-                              names=["teachers/teacher_0", "teachers/teacher_1"])
-    with pytest.raises(DivergenceError, match="^teacher 1: row norm"):
-        tr.extract_embeddings(teachers, train)
-
-
 def test_extract_embeddings_aligned_and_stable():
     train, val, _, val_pairs, _ = desk_data()
     split = d.split_specialized(train)
