@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError
 
-EPS_NORM = 1e-12     # row norms <= this, or non-finite at inference, are degenerate
+EPS_NORM = 1e-12     # row norms <= this, or non-finite, are degenerate
 EPS_COS = 1e-7       # cosine clamp margin before arccos
 PI = math.pi
 _BLOCK_ROWS = 256    # rows per inference activation block
@@ -92,7 +92,7 @@ def forward(params: dict[str, np.ndarray], prefix: str, slope: float,
         h += params[f"{prefix}.{i}.b"]
         i += 1
     norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if np.any(norms <= EPS_NORM) or not (train or np.isfinite(norms).all()):
+    if np.any(norms <= EPS_NORM) or not np.isfinite(norms).all():
         raise DivergenceError(
             f"row norm at or below {EPS_NORM} or not finite; cannot normalize")
     h /= norms

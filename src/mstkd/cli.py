@@ -19,21 +19,20 @@ cores), and MSTKD_WORKERS=1 trains in this process. gen-data, extract and
 evaluate, and a run-all that skips every stage, make no pool. Workers
 return each model and its epoch log, and this process writes every file,
 in job order, so the output is byte-identical at any worker count.
-Training runs at one BLAS thread of numpy's own OpenBLAS. Inference
-runs at the process's count, except while a command's pool lives: the
-command then holds its own process at one thread, and restores the
-caller's count when the pool is shut down.
+A command that trains runs at one thread of numpy's own OpenBLAS from
+its first training job to its end, inference included, and then
+restores the caller's count; a command that trains nothing keeps it.
 
 Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
 2 ConfigError (MSTKD_WORKERS is read before any write; a repeated adaptor
 kind or student mode), 3 FormatError (a malformed artifact or report), 4
 DivergenceError (the first non-finite loss or gradient in training, or an
 output that cannot be normalized), 5 MissingArtifactError (a missing
-upstream artifact), 130 interrupted, 1 anything else: a ContractError, an
-OS error, or an internal error (a bug, or a worker killed by a signal)
-reported as one `[mstkd] internal error: ...` line. A command and its
-workers run with numpy's float warnings off; loss, gradient and output
-norm are checked.
+upstream artifact, or an upstream stage with no current record), 130
+interrupted, 1 anything else: a ContractError, an OS error, or an
+internal error (a bug, or a worker killed by a signal) reported as one
+`[mstkd] internal error: ...` line. A command and its workers run with
+numpy's float warnings off; loss, gradient and output norm are checked.
 """
 
 from __future__ import annotations

@@ -189,8 +189,10 @@ def _numbers(values) -> bool:
 
 def report_from_json(text: str) -> FairnessReport:
     """The report `report_to_json` wrote; FormatError when a key is missing,
-    holds a value of another type or length or a non-finite number, or an
-    accuracy lies outside [0, 100]."""
+    holds a value of another type or length or a non-finite number, an
+    accuracy lies outside [0, 100], the report has fewer than 2 groups, or
+    its `global_acc`, `std` and `ser` are not what `fairness_metrics` gives
+    for its `per_group_acc`."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("groups"), list)
             and all(isinstance(name, str) for name in doc["groups"])
@@ -202,9 +204,13 @@ def report_from_json(text: str) -> FairnessReport:
             and isinstance(doc.get("protocol"), str)):
         raise FormatError("a key is missing or holds a value of the wrong type "
                           "or a non-finite number")
-    if not all(0 <= acc <= 100 for acc in [*doc["per_group_acc"], doc["global_acc"]]):
+    if not all(0 <= acc <= 100 for acc in doc["per_group_acc"]):
         raise FormatError("accuracies must lie in [0, 100]")
-    ser = doc["ser"]
+    if len(doc["groups"]) < 2:
+        raise FormatError("a report needs at least 2 groups")
+    ser = None if doc["ser"] == "undefined" else doc["ser"]
+    summary = [doc["global_acc"], doc["std"], ser]
+    if summary != list(fairness_metrics(doc["per_group_acc"])):
+        raise FormatError("global_acc, std and ser are not those of per_group_acc")
     return FairnessReport(doc["groups"], doc["per_group_acc"], doc["thresholds"],
-                          doc["global_acc"], doc["std"],
-                          None if ser == "undefined" else ser, doc["protocol"])
+                          doc["global_acc"], doc["std"], ser, doc["protocol"])

@@ -6,13 +6,14 @@ train-student -> evaluate: each stage names its upstream stages, the
 artifacts it writes and the body that writes them. One driver runs every
 stage the same way: it checks that the upstream stages' manifest records
 are current (`_stale`), skips the stage when its own is (unless forced),
-and records the digests of what the body wrote. Within one `run_all` call
-the manifest is opened once and each artifact is hashed once. Each kind
-of trained model has one list of stems, and its training stage runs one
-job per stem, in one pool of forked workers per command; the command
-writes every result in job order, under the job's stem. Every file of a
-run, its logs and manifest too, is a pure function of the config, the
-same at any worker count.
+and records the digests of what the body wrote; a record that differs
+from the stage's old one drops the records of every later stage. Within
+one `run_all` call the manifest is opened once and each artifact is
+hashed once. Each kind of trained model has one list of stems, and its
+training stage runs one job per stem, in one pool of forked workers per
+command; the command writes every result in job order, under the job's
+stem. Every file of a run, its logs and manifest too, is a pure function
+of the config, the same at any worker count.
 """
 
 from __future__ import annotations
@@ -501,25 +502,52 @@ def _new_pool(workers: int) -> ProcessPoolExecutor:
                                initargs=(signal.SIGINT, signal.SIG_IGN))
 
 
+# getter/setter name patterns of the OpenBLAS builds numpy wheels link
+_OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "scipy_openblas_{}_num_threads64_")
+
+
+@functools.cache
+def _openblas_threads():
+    """The `(get, set)` thread-count functions of the OpenBLAS numpy links,
+    or None when numpy links another BLAS; looked up on first use. The
+    lookup goes through numpy's own linalg extension, which finds the
+    library it links even when scipy has loaded an OpenBLAS of its own."""
+    # local imports: at module level they moved the bench's `reembed` peak
+    # RSS to its higher heap-layout mode
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for pattern in _OPENBLAS_THREADS:
+        get = getattr(lib, pattern.format("get"), None)
+        set_ = getattr(lib, pattern.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 @dataclass
 class _Run:
     """A run directory as the stages of one command see it: the manifest,
     opened by the first stage, each artifact's digest, hashed at most once
     per command, and the worker pool of the command's training jobs. The
     worker limit is read when the command starts, before any write; the
-    pool is made on the first job list that can use two workers. While it
-    lives, the command's own process runs at one OpenBLAS thread: the pin
-    is taken before the workers fork, so they start at one thread too, and
-    the inference of `extract` and `evaluate` runs in it. Leaving the
-    `with` block shuts the pool down and then restores the caller's count,
-    also when the command fails or is interrupted. A command that makes no
-    pool keeps the process's count."""
+    pool is made on the first job list that can use two workers. The
+    first job list pins the command to one OpenBLAS thread, before any
+    worker forks, for the rest of the command, its inference included.
+    Leaving the `with` block shuts the pool down and then restores the
+    caller's count, also when the command fails or is interrupted; a
+    command that trains nothing keeps the caller's count."""
 
     out: Path
     manifest: Optional[dict] = None
     digests: dict[str, str] = field(default_factory=dict)
     workers: int = field(default_factory=_worker_limit)
     pool: Optional[ProcessPoolExecutor] = None
+    _pinned: bool = False
     # undone last in, first out: the pool's shutdown, then the BLAS pin
     _cleanup: contextlib.ExitStack = field(default_factory=contextlib.ExitStack)
 
@@ -533,12 +561,16 @@ class _Run:
     def map(self, job, cfg: ExperimentConfig, indices: range):
         """`job(cfg, run directory, i)` for each i in `indices`, results in
         that order; in this process when one worker is all the list can use."""
+        if not self._pinned and _openblas_threads() is not None:
+            get, set_ = _openblas_threads()
+            self._cleanup.callback(set_, get())
+            set_(1)
+        self._pinned = True
         fn = functools.partial(job, cfg, self.out)
         workers = min(self.workers, len(indices))
         if workers < 2:
             return map(fn, indices)
         if self.pool is None:
-            self._cleanup.enter_context(training._one_blas_thread())
             self.pool = _new_pool(workers)
             self._cleanup.callback(self.pool.shutdown, cancel_futures=True)
         return self.pool.map(fn, indices)
@@ -567,9 +599,11 @@ def _stale(stage: Stage, cfg: ExperimentConfig, run: _Run) -> list[str]:
 def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
     """Run `stage` in `cfg.out_dir`, or skip it when its record is current.
 
-    Fails when an upstream stage has not run or its record is not current
+    Fails when an upstream stage has no record or its record is not current
     (`_stale`). A run records the digest of every declared artifact in the
     manifest; a declared artifact the body did not write is a ContractError.
+    A run whose record differs from the one it replaces drops the record of
+    every later stage, so nothing built from the old artifacts stays current.
     """
     out = run.out
     if run.manifest is None:
@@ -580,7 +614,8 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
     for up in stage.upstream:
         if up not in records:
             raise MissingArtifactError(
-                f"stage {stage.name!r} needs {up!r}, which has not run in {out}; "
+                f"stage {stage.name!r} needs {up!r}, which has no record in {out} "
+                "(it has not run, or an earlier stage has changed since it ran); "
                 f"expected artifacts: {STAGES[up].artifacts(cfg)}")
         missing = _stale(STAGES[up], cfg, run)
         if missing:
@@ -602,6 +637,11 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
         raise ContractError(f"stage {stage.name!r} did not write {missing}")
     fresh = {rel: store.sha256_file(out / rel) for rel in artifacts}
     run.digests.update(fresh)
+    if records.get(stage.name) != {"artifacts": fresh}:
+        # every stage's upstream comes before it, so its dependents are among these
+        names = list(STAGES)
+        for name in names[names.index(stage.name) + 1:]:
+            records.pop(name, None)
     records[stage.name] = {"artifacts": fresh}
     store.write_json_atomic(out / MANIFEST, run.manifest)
     print(f"[mstkd] {stage.name}: {summary}")

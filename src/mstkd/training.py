@@ -16,23 +16,17 @@ Each model's parameters and gradients live in two flat buffers with a
 checkpoint's data layout (`store.lay_out`), so an SGD step is three vector
 operations and a kept epoch one copy; frozen networks, read-only once
 loaded, run the same forward keeping nothing. The loop has one divergence
-rule: the first non-finite loss or gradient stops training with
-`DivergenceError` (exit 4); no batch is ever skipped. All shuffling,
-margins, and dropout draw from generators derived from the configured
-seeds, and a log record holds no time, so a full run is bit-reproducible,
-logs included. Each trainer runs at one BLAS thread: its GEMMs are too
-small for OpenBLAS to split usefully, so a second thread only spins on
-another core, and worker processes cannot oversubscribe the cores.
-Inference (`extract_embeddings`, a student's `embed`) keeps the process's
-count, except while a command's worker pool lives: `pipeline._Run` then
-holds the command's process at one thread.
+rule: the first non-finite loss or gradient, or an output row that cannot
+be normalized, stops training with `DivergenceError` (exit 4); no batch
+is ever skipped. All shuffling, margins, and dropout draw from generators
+derived from the configured seeds, and a log record holds no time, so a
+full run is bit-reproducible, logs included. Nothing here sets the BLAS
+thread count: a trainer runs at its caller's, which a training command
+sets (`pipeline._Run`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -150,48 +144,6 @@ def write_log(records: list[dict], path) -> None:
                                           for rec in records))
 
 
-# getter/setter name patterns of the OpenBLAS builds numpy wheels link
-_OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads",
-                     "scipy_openblas_{}_num_threads64_")
-
-
-@functools.cache
-def _openblas_threads():
-    """The `(get, set)` thread-count functions of the OpenBLAS numpy links,
-    or None when numpy links another BLAS; looked up on first use. The
-    lookup goes through numpy's own linalg extension, which finds the
-    library it links even when scipy has loaded an OpenBLAS of its own."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for pattern in _OPENBLAS_THREADS:
-        get = getattr(lib, pattern.format("get"), None)
-        set_ = getattr(lib, pattern.format("set"), None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body at one OpenBLAS thread, then restore the caller's count
-    (also when the body raises); without a known OpenBLAS, do nothing. The
-    count is process-wide, so the body must not share the process with
-    another thread's BLAS calls."""
-    found = _openblas_threads()
-    if found is None:
-        yield
-        return
-    get, set_ = found
-    caller = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(caller)
-
-
 def _rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -204,8 +156,9 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
 
     `step(batch)` writes every gradient into `opt.grads` and returns one
     batch's `(loss, terms)`: the loss to minimize and scalar terms logged
-    as `mean_<term>`. The first non-finite loss raises
-    `DivergenceError` naming its epoch and batch (both 1-based).
+    as `mean_<term>`. The first non-finite loss, like a `DivergenceError`
+    raised inside the step, raises `DivergenceError` naming its epoch and
+    batch (both 1-based).
     `score(means)` returns an epoch's `(value, val_acc)`; the highest value
     is kept (ties: earliest), and without `score` the final epoch.
     """
@@ -218,10 +171,12 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
         logged: dict[str, list[float]] = {}
         batches = epoch_batches(n, optim.batch_size, shuffle_rng)
         for i, batch in enumerate(batches, 1):
-            loss, terms = step(batch)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss ({loss}) at epoch {epoch}, batch {i}")
+            try:
+                loss, terms = step(batch)
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss ({loss})")
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}, batch {i}") from None
             for key, value in {"loss": loss, **terms}.items():
                 logged.setdefault(key, []).append(value)
             opt.step(lr)
@@ -269,7 +224,6 @@ def _fit(model, prefix: str, slope: float, inputs: np.ndarray,
     return _train_loop(opt, optim, len(inputs), shuffle_rng, step, score)
 
 
-@_one_blas_thread()
 def train_teacher(subset: SampleSet, group: GroupTag, backbone_cfg: BackboneConfig,
                   eaf_cfg: EafConfig, optim: OptimConfig, val_pool: SampleSet,
                   val_pairs: PairList, init_seed: int,
@@ -297,7 +251,6 @@ def extract_embeddings(teachers: list[TeacherModel],
                       dataset.groups.copy(), dataset.group_tags) for t in teachers]
 
 
-@_one_blas_thread()
 def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig,
                   optim: OptimConfig, init_seed: int,
                   fusion_order: Optional[list[int]] = None,
@@ -333,7 +286,6 @@ def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
         adaptor, models.fuse_inputs(embedding_sets, fusion_order))
 
 
-@_one_blas_thread()
 def train_student(mode: str, adaptor: AdaptorModel,
                   embedding_sets: list[SampleSet], dataset: SampleSet,
                   lam: float, eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -7,12 +8,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_command():
+    """Every command shuts its worker pool down, whether it succeeded or
+    failed, so no test leaves a child process behind."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def set_blas_threads():
     """The setter of the process's OpenBLAS thread count; the count a test
     started with is restored after it. Skips where no OpenBLAS is found."""
-    from mstkd import training
-    found = training._openblas_threads()
+    from mstkd import pipeline
+    found = pipeline._openblas_threads()
     if found is None:
         pytest.skip("no OpenBLAS thread-count functions in this process")
     get, set_ = found

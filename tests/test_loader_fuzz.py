@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mstkd import models, pipeline, store
 from mstkd.data import GroupTag
 from mstkd.errors import FormatError
-from mstkd.evaluation import FairnessReport, report_to_json
+from mstkd.evaluation import FairnessReport, fairness_metrics, report_to_json
 from mstkd.models import BackboneConfig
 
 LOADERS = {
@@ -42,7 +42,8 @@ def run_dir(tmp_path_factory):
                                  np.arange(3), GroupTag(0, "g0"), seed=0)
     models.save_teacher(teacher, out / "teacher.ckpt")
     (out / "reports").mkdir()
-    report = FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4], 85.0, 7.1, None)
+    report = FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4],
+                            *fairness_metrics([90.0, 80.0]))
     (out / "reports" / "SL_a_kd.json").write_text(report_to_json(report))
     for rel, load in LOADERS.values():
         load(out / rel)   # each file as written loads
