@@ -25,14 +25,15 @@ restores the caller's count; a command that trains nothing keeps it.
 
 Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
 2 ConfigError (MSTKD_WORKERS is read before any write; a repeated adaptor
-kind or student mode), 3 FormatError (a malformed artifact or report), 4
-DivergenceError (the first non-finite loss or gradient in training, or an
-output that cannot be normalized), 5 MissingArtifactError (a missing
-upstream artifact, or an upstream stage with no current record), 130
-interrupted, 1 anything else: a ContractError, an OS error, or an
-internal error (a bug, or a worker killed by a signal) reported as one
-`[mstkd] internal error: ...` line. A command and its workers run with
-numpy's float warnings off; loss, gradient and output norm are checked.
+kind or student mode; a gen-data output over 2**30 bytes), 3 FormatError
+(a malformed artifact or report), 4 DivergenceError (the first non-finite
+loss or gradient in training, or an output that cannot be normalized), 5
+MissingArtifactError (a missing upstream artifact, or an upstream stage
+with no current record), 130 interrupted, 1 anything else: a
+ContractError, an OS error, or an internal error (a bug, or a worker
+killed by a signal) reported as one `[mstkd] internal error: ...` line.
+A command and its workers run with numpy's float warnings off; loss,
+gradient and output norm are checked.
 """
 
 from __future__ import annotations

@@ -77,6 +77,8 @@ class SyntheticDatasetSpec:
     def validate(self) -> None:
         if self.groups < 2:
             raise ConfigError("need at least 2 groups")
+        if min(self.shared_dim, self.group_dim) < 1:   # _prototype normalizes each
+            raise ConfigError("shared_dim and group_dim must be >= 1")
         if self.shared_dim + self.groups * self.group_dim > self.input_dim:
             raise ConfigError(
                 "shared_dim + groups*group_dim exceeds input_dim "

@@ -87,14 +87,35 @@ def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _init_backbone(cfg: BackboneConfig, rng: np.random.Generator,
-                   prefix: str = "backbone") -> dict[str, np.ndarray]:
-    dims = [cfg.input_dim, *cfg.hidden, cfg.embedding_dim]
-    params: dict[str, np.ndarray] = {}
+def _shapes(model) -> dict[str, tuple[int, ...]]:
+    """The parameter shapes of `model`'s network, in draw order: its layer
+    stack, then the classification header of a model with `class_ids`."""
+    if isinstance(model, AdaptorModel):
+        prefix, dims = "adaptor", [model.n_teachers * model.emb_dim, model.emb_dim]
+        dims += [model.emb_dim] if model.kind in ("DuL", "DLDPO") else []
+    else:
+        cfg = model.cfg
+        prefix, dims = "backbone", [cfg.input_dim, *cfg.hidden, cfg.embedding_dim]
+    shapes = {}
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-        params[f"{prefix}.{i}.W"] = _kaiming_uniform(rng, din, (din, dout))
-        params[f"{prefix}.{i}.b"] = np.zeros(dout)
-    return params
+        shapes[f"{prefix}.{i}.W"], shapes[f"{prefix}.{i}.b"] = (din, dout), (dout,)
+    if getattr(model, "class_ids", None) is not None:
+        shapes["header.W"] = (len(model.class_ids), model.cfg.embedding_dim)
+    return shapes
+
+
+def _drawn(model, seed: int):
+    """`model` with new parameters, drawn in order from one stream:
+    Kaiming-uniform weights, zero biases and a row-normalized header."""
+    rng = np.random.default_rng(seed)
+    for name, shape in _shapes(model).items():
+        if name == "header.W":
+            model.params[name] = init_header(rng, *shape)
+        elif name.endswith(".W"):
+            model.params[name] = _kaiming_uniform(rng, shape[0], shape)
+        else:
+            model.params[name] = np.zeros(shape)
+    return model
 
 
 def init_header(rng: np.random.Generator, n_classes: int, dim: int) -> np.ndarray:
@@ -106,24 +127,15 @@ def init_header(rng: np.random.Generator, n_classes: int, dim: int) -> np.ndarra
 def new_teacher(cfg: BackboneConfig, class_ids: np.ndarray, group: GroupTag,
                 seed: int) -> TeacherModel:
     cfg.validate()
-    rng = np.random.default_rng(seed)
-    params = _init_backbone(cfg, rng)
-    params["header.W"] = init_header(rng, len(class_ids), cfg.embedding_dim)
-    return TeacherModel(cfg, params, group, np.asarray(class_ids, dtype=np.int64))
+    return _drawn(TeacherModel(cfg, {}, group, np.asarray(class_ids, dtype=np.int64)),
+                  seed)
 
 
 def new_adaptor(kind: str, n_teachers: int, emb_dim: int, seed: int,
                 slope: float = 0.01) -> AdaptorModel:
     if kind not in ADAPTOR_KINDS:
         raise ConfigError(f"unknown adaptor kind {kind!r}; expected {ADAPTOR_KINDS}")
-    rng = np.random.default_rng(seed)
-    d_in = n_teachers * emb_dim
-    params = {"adaptor.0.W": _kaiming_uniform(rng, d_in, (d_in, emb_dim)),
-              "adaptor.0.b": np.zeros(emb_dim)}
-    if kind in ("DuL", "DLDPO"):
-        params["adaptor.1.W"] = _kaiming_uniform(rng, emb_dim, (emb_dim, emb_dim))
-        params["adaptor.1.b"] = np.zeros(emb_dim)
-    return AdaptorModel(kind, n_teachers, emb_dim, params, slope)
+    return _drawn(AdaptorModel(kind, n_teachers, emb_dim, {}, slope), seed)
 
 
 def new_student(cfg: BackboneConfig, mode: str,
@@ -131,16 +143,13 @@ def new_student(cfg: BackboneConfig, mode: str,
     cfg.validate()
     if mode not in ("eaf_kd", "a_kd"):
         raise ConfigError(f"unknown student mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    params = _init_backbone(cfg, rng)
     if mode == "eaf_kd":
         if class_ids is None:
             raise ConfigError("eaf_kd student needs the training identity list")
-        params["header.W"] = init_header(rng, len(class_ids), cfg.embedding_dim)
         class_ids = np.asarray(class_ids, dtype=np.int64)
     else:
         class_ids = None
-    return StudentModel(cfg, mode, params, class_ids)
+    return _drawn(StudentModel(cfg, mode, {}, class_ids), seed)
 
 
 def adaptor_forward(a: AdaptorModel, fused: np.ndarray) -> np.ndarray:
@@ -148,12 +157,10 @@ def adaptor_forward(a: AdaptorModel, fused: np.ndarray) -> np.ndarray:
     return forward(a.params, "adaptor", a.slope, fused)
 
 
-def fuse_inputs(sets: list[SampleSet], order: Optional[list[int]] = None) -> np.ndarray:
-    """Concatenate aligned teacher embedding sets into [n, G*D] rows.
-
-    Blocks follow `order` (teacher indices; default 0..G-1). All sets must
-    cover the same samples in the same row order.
-    """
+def fuse_inputs(sets: list[SampleSet]) -> np.ndarray:
+    """Concatenate aligned teacher embedding sets into [n, G*D] rows, one
+    block per set in the caller's order. All sets must cover the same
+    samples in the same row order."""
     if not sets:
         raise ContractError("fuse_inputs needs at least one embedding set")
     n = sets[0].n
@@ -162,10 +169,7 @@ def fuse_inputs(sets: list[SampleSet], order: Optional[list[int]] = None) -> np.
             raise ContractError("embedding sets are not aligned (row counts differ)")
         if not np.array_equal(s.identities, sets[0].identities):
             raise ContractError("embedding sets are not aligned (labels differ)")
-    order = list(range(len(sets))) if order is None else list(order)
-    if sorted(order) != list(range(len(sets))):
-        raise ContractError(f"fusion order {order} is not a permutation")
-    return np.concatenate([sets[g].values for g in order], axis=1)
+    return np.concatenate([s.values for s in sets], axis=1)
 
 
 def trace_teacher_attribution(a: AdaptorModel) -> np.ndarray:
@@ -195,9 +199,10 @@ def save_teacher(t: TeacherModel, path) -> None:
 def load_teacher(path) -> TeacherModel:
     params, meta = store.load_params(path)
     m = _checked_meta(meta, path, "teacher", _TEACHER_META)
-    return TeacherModel(BackboneConfig(**m["backbone"]), params,
-                        GroupTag(m["group_index"], m["group_name"]),
-                        np.array(m["class_ids"], dtype=np.int64), m["best_epoch"])
+    return _checked_params(TeacherModel(
+        BackboneConfig(**m["backbone"]), params,
+        GroupTag(m["group_index"], m["group_name"]),
+        np.array(m["class_ids"], dtype=np.int64), m["best_epoch"]), path)
 
 
 def save_adaptor(a: AdaptorModel, path) -> None:
@@ -210,8 +215,9 @@ def save_adaptor(a: AdaptorModel, path) -> None:
 def load_adaptor(path) -> AdaptorModel:
     params, meta = store.load_params(path)
     m = _checked_meta(meta, path, "adaptor", _ADAPTOR_META)
-    return AdaptorModel(m["adaptor_kind"], m["n_teachers"], m["emb_dim"],
-                        params, m["slope"], m["dropout_p"], m["best_epoch"])
+    return _checked_params(AdaptorModel(
+        m["adaptor_kind"], m["n_teachers"], m["emb_dim"], params, m["slope"],
+        m["dropout_p"], m["best_epoch"]), path)
 
 
 def save_student(s: StudentModel, path) -> None:
@@ -224,8 +230,9 @@ def load_student(path) -> StudentModel:
     params, meta = store.load_params(path)
     m = _checked_meta(meta, path, "student", _STUDENT_META)
     ids = m["class_ids"]
-    return StudentModel(BackboneConfig(**m["backbone"]), m["mode"], params,
-                        None if ids is None else np.array(ids, dtype=np.int64))
+    return _checked_params(StudentModel(
+        BackboneConfig(**m["backbone"]), m["mode"], params,
+        None if ids is None else np.array(ids, dtype=np.int64)), path)
 
 
 # checkpoint meta fields, each with the test its value must pass; a dict
@@ -254,7 +261,8 @@ _BACKBONE_META = {"input_dim": _is_int, "hidden": _is_ids,
                   "embedding_dim": _is_int, "slope": _is_fraction}
 _TEACHER_META = {"backbone": _BACKBONE_META, "group_index": _is_int,
                  "group_name": _is_str, "class_ids": _is_ids, "best_epoch": _is_int}
-_ADAPTOR_META = {"adaptor_kind": _is_str, "n_teachers": _is_int, "emb_dim": _is_int,
+_ADAPTOR_META = {"adaptor_kind": lambda v: v in ADAPTOR_KINDS,
+                 "n_teachers": _is_int, "emb_dim": _is_int,
                  "slope": _is_fraction, "dropout_p": _is_fraction,
                  "best_epoch": _is_int}
 _STUDENT_META = {"backbone": _BACKBONE_META, "mode": _is_str,
@@ -283,3 +291,17 @@ def _checked_meta(meta: dict, path, kind: Optional[str], fields: dict,
                               f"value {value!r}")
         out[key] = value
     return out
+
+
+def _checked_params(model, path):
+    """A loaded `model`, whose parameters must be those of the network its
+    meta describes (`_shapes`): a missing, extra or misshapen parameter is
+    a FormatError naming the file and the parameter."""
+    shapes = _shapes(model)
+    for name in {**shapes, **model.params}:
+        have = model.params[name].shape if name in model.params else "absent"
+        want = shapes.get(name, "absent")
+        if have != want:
+            raise FormatError(f"{path}: parameter {name} is {have} in the file, "
+                              f"{want} in the network its meta describes")
+    return model

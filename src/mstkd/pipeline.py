@@ -85,6 +85,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.dataset.validate()
+        # gen-data's output is bounded: 8 bytes per pool value, 32 per pair
+        d = self.dataset
+        values = d.groups * d.samples_per_identity * d.input_dim * (
+            d.identities_per_group + d.validation_identities_per_group
+            + d.test_identities_per_group)
+        size = 8 * values + 32 * 2 * d.groups * self.pairs_per_group
+        if size > 2 ** 30:
+            raise ConfigError(f"gen-data's pools and pair lists come to {size} "
+                              "bytes, over the limit of 2**30")
         if self.split not in ("specialized", "balanced"):
             raise ConfigError(f"split must be specialized|balanced, got {self.split!r}")
         self.backbone.validate()
@@ -136,9 +145,6 @@ class ExperimentConfig:
 
     def teacher_cfg(self) -> models.BackboneConfig:
         return self.teacher_backbone or self.backbone
-
-    def resolved_fusion_order(self) -> list[int]:
-        return list(self.fusion_order or range(self.dataset.groups))
 
     def optim(self, phase: str, seed: int) -> training.OptimConfig:
         base = {"teacher": training.TEACHER_PHASE,
@@ -339,8 +345,10 @@ def _load_pool(cfg: ExperimentConfig, out: Path, name: str) -> data.SampleSet:
 
 
 def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSet]:
-    tags = cfg.dataset.tags()
-    return [store.load_sample_set(out / _embeddings(t), tags) for t in _teachers(cfg)]
+    """The teachers' train-pool embeddings, in the fusion order the trainers take."""
+    teachers, tags = _teachers(cfg), cfg.dataset.tags()
+    return [store.load_sample_set(out / _embeddings(teachers[g]), tags)
+            for g in cfg.fusion_order or range(cfg.dataset.groups)]
 
 
 def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
@@ -381,7 +389,7 @@ def _train_one_adaptor(cfg: ExperimentConfig, out: Path, i: int):
     optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
     return training.train_adaptor(
         cfg.adaptors[i], _load_embedding_sets(cfg, out), cfg.eaf, optim,
-        init_seed=cfg.seeds.init + 100 + i, fusion_order=cfg.resolved_fusion_order())
+        init_seed=cfg.seeds.init + 100 + i)
 
 
 def _train_one_student(cfg: ExperimentConfig, out: Path, k: int):
@@ -391,8 +399,7 @@ def _train_one_student(cfg: ExperimentConfig, out: Path, k: int):
     return training.train_student(
         cfg.student_modes[j], adaptor, _load_embedding_sets(cfg, out),
         _load_pool(cfg, out, "train"), cfg.lam, cfg.eaf, cfg.backbone, optim,
-        init_seed=cfg.seeds.init + 200 + 10 * i + j,
-        fusion_order=cfg.resolved_fusion_order())
+        init_seed=cfg.seeds.init + 200 + 10 * i + j)
 
 
 def _training_stage(stems_of, job, save):
@@ -428,15 +435,15 @@ def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
 def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test = _load_pool(cfg, out, "test")
     test_pairs = store.load_pairs(out / _pairs("test"))
-    for stem in _students(cfg):
+    modes = len(cfg.student_modes)
+    for k, stem in enumerate(_students(cfg)):
         student = models.load_student(out / _trained(stem)[0])
         with naming(stem):
             report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
         jpath, tpath = _report(stem)
-        kind, mode = Path(stem).name.split("_", 1)  # no adaptor kind holds "_"
+        label = f"{cfg.adaptors[k // modes]} ({cfg.student_modes[k % modes]})"
         store.write_text_atomic(out / jpath, report_to_json(report))
-        store.write_text_atomic(out / tpath,
-                                render_table([(f"{kind} ({mode})", report)]))
+        store.write_text_atomic(out / tpath, render_table([(label, report)]))
     return f"reports -> {(out / jpath).parent}"
 
 

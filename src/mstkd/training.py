@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -253,16 +252,15 @@ def extract_embeddings(teachers: list[TeacherModel],
 
 def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig,
                   optim: OptimConfig, init_seed: int,
-                  fusion_order: Optional[list[int]] = None,
                   ) -> tuple[AdaptorModel, list[dict]]:
-    """Train a fusion adaptor on concatenated teacher embeddings.
+    """Train a fusion adaptor on the teacher embeddings fused in list order.
 
     Uses identity labels only (no group information). The classification
     header trained alongside, laid last in the same buffer, is discarded;
     the returned adaptor is the epoch checkpoint with the lowest epoch-mean
     training loss, whose parameters are views of the buffer's leading part.
     """
-    fused = models.fuse_inputs(embedding_sets, fusion_order)
+    fused = models.fuse_inputs(embedding_sets)
     class_ids, local_labels = np.unique(embedding_sets[0].identities,
                                         return_inverse=True)
     emb_dim = embedding_sets[0].dim
@@ -278,30 +276,27 @@ def train_adaptor(kind: str, embedding_sets: list[SampleSet], eaf_cfg: EafConfig
     return model, records
 
 
-def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet],
-                 fusion_order: Optional[list[int]] = None) -> np.ndarray:
+def fused_target(adaptor: AdaptorModel, embedding_sets: list[SampleSet]) -> np.ndarray:
     """Frozen-network mimicry target: fuse the row-aligned teacher embeddings
-    of a pool and adapt them; row i is the target of sample i."""
-    return models.adaptor_forward(
-        adaptor, models.fuse_inputs(embedding_sets, fusion_order))
+    of a pool, in list order, and adapt them; row i is the target of sample i."""
+    return models.adaptor_forward(adaptor, models.fuse_inputs(embedding_sets))
 
 
 def train_student(mode: str, adaptor: AdaptorModel,
                   embedding_sets: list[SampleSet], dataset: SampleSet,
                   lam: float, eaf_cfg: EafConfig, backbone_cfg: BackboneConfig,
                   optim: OptimConfig, init_seed: int,
-                  fusion_order: Optional[list[int]] = None,
                   ) -> tuple[StudentModel, list[dict]]:
     """Distill the fused teacher space into a student; returns the
     final-epoch model.
 
     `embedding_sets` are the teachers' embeddings of `dataset`, row-aligned
-    with it (the extract stage's output). The target of every sample is
-    computed once, before the first epoch, and the frozen adaptor is not
-    read again; a loaded adaptor is read-only."""
+    with it (the extract stage's output), in the adaptor's order. The target
+    of every sample is computed once, before the first epoch, and the frozen
+    adaptor is not read again; a loaded adaptor is read-only."""
     if not lam > 0:
         raise ContractError(f"lambda must be > 0, got {lam}")
-    targets = fused_target(adaptor, embedding_sets, fusion_order)
+    targets = fused_target(adaptor, embedding_sets)
     if targets.shape[0] != dataset.n:
         raise ContractError(f"{targets.shape[0]} target rows for "
                             f"{dataset.n} training samples")

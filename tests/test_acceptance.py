@@ -402,8 +402,7 @@ def test_criterion_6_distillation_effectiveness(sweep):
     for i, kind in enumerate(cfg.adaptors):
         adaptor = models.load_adaptor(out / "adaptors" / f"{kind}.ckpt")
         e_mt = training.fused_target(adaptor,
-                                     training.extract_embeddings(teachers, val),
-                                     cfg.resolved_fusion_order())
+                                     training.extract_embeddings(teachers, val))
         student = models.load_student(out / "students" / f"{kind}_a_kd.ckpt")
         fresh = models.new_student(cfg.backbone, "a_kd", None,
                                    seed=cfg.seeds.init + 200 + 10 * i + mode_index)
@@ -502,8 +501,7 @@ def test_criterion_9_frozen_network_guarantee(sweep):
     for mode in ("eaf_kd", "a_kd"):
         training.train_student(mode, adaptor,
                                training.extract_embeddings(teachers, train), train,
-                               cfg.lam, cfg.eaf, cfg.backbone, optim, init_seed=8,
-                               fusion_order=cfg.resolved_fusion_order())
+                               cfg.lam, cfg.eaf, cfg.backbone, optim, init_seed=8)
         for t, snap in zip(teachers, before):
             for n in snap:
                 assert t.params[n].tobytes() == snap[n]

@@ -50,6 +50,9 @@ def test_generate_rejects_bad_spec():
         d.generate(small_spec(group_dim=10))  # 8 + 4*10 > 32
     with pytest.raises(ConfigError):
         d.generate(small_spec(intra_class_noise=(0.1, 0.1, 0.1, 0.0)))
+    for empty in ({"shared_dim": 0}, {"group_dim": 0}):  # rejected before any draw
+        with pytest.raises(ConfigError, match="shared_dim and group_dim must be >= 1"):
+            d.generate(small_spec(**empty))
 
 
 def test_no_identity_spans_two_groups():

@@ -165,7 +165,7 @@ def test_fuse_inputs_widths_and_order():
     assert fused.shape == (3, 8)
     assert np.array_equal(fused[:, :4], sets[0].values)
     assert np.array_equal(fused[:, 4:], sets[1].values)
-    swapped = models.fuse_inputs(sets, order=[1, 0])
+    swapped = models.fuse_inputs(sets[::-1])
     assert np.array_equal(swapped[:, :4], sets[1].values)
     # paper-scale width: 4 teachers x 512 dims
     big = [SampleSet(np.zeros((2, 512)) + 1.0, np.arange(2),
@@ -353,15 +353,23 @@ def test_loaded_parameters_are_read_only_views_of_the_data_block(tmp_path):
 
 
 def _without(key):
-    return lambda meta: meta.pop(key)
+    return lambda meta, params: meta.pop(key)
 
 
 def _set(key, value, *nested):
-    def edit(meta):
+    def edit(meta, params):
         for k in nested:
             meta = meta[k]
         meta[key] = value
     return edit
+
+
+def _rename(name, new):
+    return lambda meta, params: params.update({new: params.pop(name)})
+
+
+def _reshape(name, shape):
+    return lambda meta, params: params.update({name: np.zeros(shape)})
 
 
 @pytest.mark.parametrize("which, edit, named", [
@@ -380,11 +388,21 @@ def _set(key, value, *nested):
     ("student", _set("embedding_dim", 8.0, "backbone"), "meta.backbone.embedding_dim"),
     ("teacher", _set("slope", 1.5, "backbone"), "meta.backbone.slope"),
     ("adaptor", _set("dropout_p", -0.2), "meta.dropout_p"),
+    ("teacher", _rename("backbone.1.W", "backbone.1.V"),
+     r"parameter backbone.1.W is absent in the file, \(24, 8\) in the network"),
+    ("teacher", _reshape("backbone.0.b", 7),
+     r"parameter backbone.0.b is \(7,\) in the file, \(24,\) in the network"),
+    ("student", _reshape("header.W", (3, 8)),
+     r"parameter header.W is \(3, 8\) in the file, absent in the network"),
+    ("adaptor", _rename("adaptor.0.b", "adaptor.1.b"), "parameter adaptor.0.b"),
+    ("adaptor", _set("adaptor_kind", "XXL"), "meta.adaptor_kind"),
 ], ids=["no-backbone", "no-class-ids", "no-group-index", "hidden-str",
         "backbone-list", "best-epoch-bool", "class-id-over-64-bits", "wrong-kind",
         "adaptor-no-slope", "adaptor-n-teachers-str", "student-no-mode",
         "student-class-ids-str", "student-embedding-dim-float",
-        "backbone-slope-1.5", "adaptor-dropout-negative"])
+        "backbone-slope-1.5", "adaptor-dropout-negative", "renamed-parameter",
+        "bias-of-7", "header-of-an-a-kd-student", "adaptor-renamed-bias",
+        "adaptor-unknown-kind"])
 def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     model, save, load = {
         "teacher": (make_teacher(seed=13), models.save_teacher, models.load_teacher),
@@ -397,7 +415,7 @@ def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     save(model, path)
     load(path)   # the file as written loads
     params, meta = store.load_params(path)
-    edit(meta)
+    edit(meta, params)
     store.save_params(path, params, meta)
     with pytest.raises(FormatError, match=named) as info:
         load(path)

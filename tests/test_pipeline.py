@@ -174,6 +174,15 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"seeds": {"init": -3}}, "seeds must be non-negative"),
     ({"teacher_backbone": {"hidden": [16], "embedding_dim": 12}},
      "teacher_backbone.embedding_dim 12 must equal backbone.embedding_dim 32"),
+    ({"dataset": {"shared_dim": 0}}, "shared_dim and group_dim must be >= 1"),
+    ({"dataset": {"group_dim": 0}}, "shared_dim and group_dim must be >= 1"),
+    # 8 bytes per pool value, 32 per pair: 8*4*(10**9+24)*20*64 + 32*2*4*600
+    ({"dataset": {"identities_per_group": 10 ** 9}},
+     "pools and pair lists come to 40960001136640 bytes, over the limit of 2**30"),
+    ({"dataset": {"validation_identities_per_group": 10 ** 4,
+                  "test_identities_per_group": 10 ** 4},
+      "pairs_per_group": 10 ** 9, "genuine_fraction": 0.001},
+     "pools and pair lists come to 256821248000 bytes, over the limit of 2**30"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -216,6 +225,22 @@ def test_config_hash_ignores_out_dir_but_not_params(tmp_path):
     assert pipeline.config_hash(a) == pipeline.config_hash(b)
     c = tiny_config(tmp_path / "a", **{"lambda": 5000.0})
     assert pipeline.config_hash(a) != pipeline.config_hash(c)
+
+
+@pytest.mark.parametrize("pairs, valid", [(80, True), (81, False)])
+def test_gen_data_size_bound_is_inclusive(pairs, valid):
+    """Two groups of 524,283 identities of 2 samples at width 64 take
+    2**30 - 80*128 bytes, and each pair 2*2*32 more; nothing is generated."""
+    doc = {"dataset": {"groups": 2, "identities_per_group": 524083,
+                       "samples_per_identity": 2, "intra_class_noise": [0.1, 0.1],
+                       "validation_identities_per_group": 100,
+                       "test_identities_per_group": 100},
+           "pairs_per_group": pairs}
+    if valid:
+        pipeline.config_from_dict(doc)
+    else:
+        with pytest.raises(ConfigError, match=r"come to 1073741952 bytes"):
+            pipeline.config_from_dict(doc)
 
 
 def test_invalid_config_values():
@@ -500,6 +525,42 @@ def test_train_student_reads_embeddings_not_teachers(tmp_path):
     assert "embeddings/teacher_0.mste" in str(err.value)
 
 
+def test_a_fusion_order_reaches_the_trained_models(tmp_path):
+    """`fusion_order` [3, 1, 0, 2], which is not its own inverse, orders the
+    blocks that the SL adaptor and its a_kd student train on: each equals
+    the trainer called directly, with its job's seeds, on the embeddings
+    listed in that order, and the identity order trains other parameters."""
+    order = [3, 1, 0, 2]
+    out = tmp_path / "run"
+    cfg = tiny_config(out, fusion_order=order)
+    pipeline.run_all(cfg)
+    tags = cfg.dataset.tags()
+    train = store.load_sample_set(out / "dataset" / "train.mste", tags)
+    sets = [store.load_sample_set(out / "embeddings" / f"teacher_{g}.mste", tags)
+            for g in range(4)]
+    i, j = cfg.adaptors.index("SL"), cfg.student_modes.index("a_kd")
+    adaptor = models.load_adaptor(out / "adaptors" / "SL.ckpt")
+    student = models.load_student(out / "students" / "SL_a_kd.ckpt")
+
+    def direct(listed):
+        a, _ = training.train_adaptor(
+            "SL", listed, cfg.eaf, cfg.optim("adaptor", cfg.seeds.train + 100 + i),
+            init_seed=cfg.seeds.init + 100 + i)
+        s, _ = training.train_student(
+            "a_kd", adaptor, listed, train, cfg.lam, cfg.eaf, cfg.backbone,
+            cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j),
+            init_seed=cfg.seeds.init + 200 + 10 * i + j)
+        return a, s
+
+    def same(a, b):
+        return all(a.params[n].tobytes() == b.params[n].tobytes() for n in a.params)
+
+    ordered = direct([sets[g] for g in order])
+    identity = direct(sets)
+    assert same(adaptor, ordered[0]) and same(student, ordered[1])
+    assert not same(adaptor, identity[0]) and not same(student, identity[1])
+
+
 def test_run_all_hashes_each_artifact_once_per_call(tmp_path, monkeypatch,
                                                     capsys):
     out = tmp_path / "run"
@@ -585,10 +646,6 @@ def test_bad_workers_value_exits_2_before_any_write(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "run").exists()
 
 
-# numpy's warnings are errors in these tests, in the forked workers too: a
-# warning that reached the console would end the command with exit 1
-
-@pytest.mark.filterwarnings("error")
 def test_an_output_that_overflows_exits_4_with_one_line(tmp_path, monkeypatch,
                                                         capsys):
     """Each student takes one step at lambda 1e308 and keeps finite
@@ -612,7 +669,6 @@ def test_an_output_that_overflows_exits_4_with_one_line(tmp_path, monkeypatch,
     assert not list((tmp_path / "run" / "reports").glob("*"))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise", [1e300, 1e200, 1e160])
 def test_an_input_that_overflows_in_training_exits_4_with_one_line(
         tmp_path, monkeypatch, capsys, noise):
@@ -636,7 +692,6 @@ def test_an_input_that_overflows_in_training_exits_4_with_one_line(
         "normalize at epoch 1, batch 1\n")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("workers", [None, "1"])
 def test_a_diverging_run_exits_4_with_one_line(tmp_path, monkeypatch, capsys,
                                                workers):

@@ -338,8 +338,8 @@ def test_train_adaptor_ignores_group_information():
 def test_fused_target_of_pool_equals_per_batch_target(kind):
     train, _, _, _, teachers, _, adaptor, _ = pipeline_pieces(kind=kind)
     order = [2, 0, 3, 1]
-    targets = tr.fused_target(adaptor, tr.extract_embeddings(teachers, train),
-                              order)
+    sets = tr.extract_embeddings(teachers, train)
+    targets = tr.fused_target(adaptor, [sets[g] for g in order])
     batches = list(tr.epoch_batches(train.n, FAST["batch_size"],
                                     np.random.default_rng(3)))
     assert len(batches[-1]) < FAST["batch_size"]  # the short last batch too
