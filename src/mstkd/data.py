@@ -184,16 +184,13 @@ def split_specialized(train: SampleSet) -> list[np.ndarray]:
 def split_balanced(train: SampleSet, seed: int) -> list[np.ndarray]:
     """G subsets, each holding an equal share of every group's identities.
 
-    Identities are dealt round-robin after a seeded shuffle, so remainders
-    land on the lowest-index subsets.
+    Each group's `split_specialized` subset is dealt round-robin after a
+    seeded shuffle, so remainders land on the lowest-index subsets.
     """
     g_count = len(train.group_tags)
     rng = np.random.default_rng(seed)
     subsets: list[list[int]] = [[] for _ in range(g_count)]
-    for g in range(g_count):
-        ids = np.unique(train.identities[train.groups == g])
-        if ids.size == 0:
-            raise ContractError(f"group {g} has no identities")
+    for ids in split_specialized(train):
         rng.shuffle(ids)
         for j in range(g_count):
             subsets[j].extend(ids[j::g_count])

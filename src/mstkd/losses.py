@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import EPS_COS, EPS_NORM, PI
-from .errors import ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError
 
 UNIT_NORM_TOL = 1e-8
 
@@ -46,8 +46,8 @@ class EafConfig:
     def validate(self) -> None:
         if not (0 < self.s < math.inf and 0 <= self.m < math.inf
                 and 0 <= self.sigma < math.inf):
-            raise ContractError("EafConfig requires s > 0, m >= 0, sigma >= 0, "
-                                "all finite")
+            raise ConfigError("EafConfig requires s > 0, m >= 0, sigma >= 0, "
+                              "all finite")
 
 
 def _check_labels(labels: np.ndarray, n_classes: int, batch: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .data import GroupTag, SampleSet
 from .errors import ConfigError, ContractError, FormatError
 
 ADAPTOR_KINDS = ("SL", "DuL", "DLDPO")
+STUDENT_MODES = ("eaf_kd", "a_kd")   # with / without the classification term
 DROPOUT_P = 0.2
 
 
@@ -74,7 +75,7 @@ class AdaptorModel:
 @dataclass
 class StudentModel:
     cfg: BackboneConfig
-    mode: str                      # "eaf_kd" | "a_kd"
+    mode: str                      # one of STUDENT_MODES
     params: dict[str, np.ndarray]
     class_ids: Optional[np.ndarray] = None   # None in a_kd mode
 
@@ -141,8 +142,8 @@ def new_adaptor(kind: str, n_teachers: int, emb_dim: int, seed: int,
 def new_student(cfg: BackboneConfig, mode: str,
                 class_ids: Optional[np.ndarray], seed: int) -> StudentModel:
     cfg.validate()
-    if mode not in ("eaf_kd", "a_kd"):
-        raise ConfigError(f"unknown student mode {mode!r}")
+    if mode not in STUDENT_MODES:
+        raise ConfigError(f"unknown student mode {mode!r}; expected {STUDENT_MODES}")
     if mode == "eaf_kd":
         if class_ids is None:
             raise ConfigError("eaf_kd student needs the training identity list")
@@ -265,7 +266,7 @@ _ADAPTOR_META = {"adaptor_kind": lambda v: v in ADAPTOR_KINDS,
                  "n_teachers": _is_int, "emb_dim": _is_int,
                  "slope": _is_fraction, "dropout_p": _is_fraction,
                  "best_epoch": _is_int}
-_STUDENT_META = {"backbone": _BACKBONE_META, "mode": _is_str,
+_STUDENT_META = {"backbone": _BACKBONE_META, "mode": lambda v: v in STUDENT_MODES,
                  "class_ids": lambda v: v is None or _is_ids(v)}
 
 

@@ -64,7 +64,7 @@ class ExperimentConfig:
     backbone: models.BackboneConfig = field(default_factory=models.BackboneConfig)
     teacher_backbone: Optional[models.BackboneConfig] = None
     adaptors: tuple[str, ...] = models.ADAPTOR_KINDS
-    student_modes: tuple[str, ...] = ("eaf_kd", "a_kd")
+    student_modes: tuple[str, ...] = models.STUDENT_MODES
     schedule_scale: float = 0.25
     batch_size: int = 128
     momentum: float = 0.9
@@ -105,22 +105,32 @@ class ExperimentConfig:
                 f"must equal backbone.embedding_dim {self.backbone.embedding_dim}")
         if min(dataclasses.astuple(self.seeds)) < 0:
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
-        for kind in self.adaptors:
-            if kind not in models.ADAPTOR_KINDS:
-                raise ConfigError(f"unknown adaptor kind {kind!r}")
-        for mode in self.student_modes:
-            if mode not in ("eaf_kd", "a_kd"):
-                raise ConfigError(f"unknown student mode {mode!r}")
-        if not self.adaptors or not self.student_modes:
-            raise ConfigError("need at least one adaptor kind and one student mode")
-        for key in ("adaptors", "student_modes"):  # else two models share a stem
-            values = getattr(self, key)
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{key} must not repeat an entry, got {list(values)}")
-        try:
-            self.eaf.validate()
-        except ContractError as exc:
-            raise ConfigError(f"eaf: {exc}") from None
+        for key, known in (("adaptors", models.ADAPTOR_KINDS),
+                           ("student_modes", models.STUDENT_MODES)):
+            values = list(getattr(self, key))
+            unknown = [v for v in values if v not in known]
+            if unknown or not values:
+                raise ConfigError(f"{key} must be one or more of {list(known)}, "
+                                  f"not {unknown or values}")
+            if len(set(values)) < len(values):   # else two models share a stem
+                raise ConfigError(f"{key} must not repeat an entry, got {values}")
+        # every network a run draws is bounded too: 8 bytes per parameter,
+        # counted on undrawn models with one header row per training identity
+        ids = range(d.groups * d.identities_per_group)
+        emb = self.backbone.embedding_dim
+        networks = {
+            "teacher": models._shapes(
+                models.TeacherModel(self.teacher_cfg(), {}, None, ids)),
+            "student": models._shapes(models.StudentModel(self.backbone, None, {}, ids)),
+            **{f"{kind} adaptor": {   # with the header it trains alongside
+                **models._shapes(models.AdaptorModel(kind, d.groups, emb, {})),
+                "header.W": (len(ids), emb)} for kind in self.adaptors}}
+        for name, shapes in networks.items():
+            size = 8 * sum(map(math.prod, shapes.values()))
+            if size > 2 ** 30:
+                raise ConfigError(f"the {name} network comes to {size} bytes, "
+                                  "over the limit of 2**30")
+        self.eaf.validate()
         if self.lam <= 0:
             raise ConfigError("lambda must be > 0")
         # data.build_pairs draws this many genuine pairs per group, the rest impostors

@@ -300,9 +300,8 @@ def train_student(mode: str, adaptor: AdaptorModel,
     if targets.shape[0] != dataset.n:
         raise ContractError(f"{targets.shape[0]} target rows for "
                             f"{dataset.n} training samples")
-    class_ids = local_labels = None
-    if mode == "eaf_kd":
-        class_ids, local_labels = np.unique(dataset.identities, return_inverse=True)
+    # `new_student` keeps the ids only in a mode with the classification term
+    class_ids, local_labels = np.unique(dataset.identities, return_inverse=True)
     model = models.new_student(backbone_cfg, mode, class_ids, init_seed)
     records, _ = _fit(model, "backbone", backbone_cfg.slope, dataset.values,
                       optim, eaf_cfg, labels=local_labels, targets=targets, lam=lam)

@@ -13,7 +13,7 @@ import pytest
 
 from mstkd import autodiff as ad
 from mstkd import data, losses, models, training
-from mstkd.errors import ContractError, DivergenceError
+from mstkd.errors import ConfigError, ContractError, DivergenceError
 from mstkd.losses import EafConfig
 
 import tape_oracle as oracle
@@ -175,7 +175,7 @@ def test_elastic_arcface_keeps_its_checks():
     with pytest.raises(ContractError):
         losses.elastic_arcface(e, rng.normal(size=(2, 3)), np.array([0, 2]),
                                EafConfig(sigma=0.0))
-    with pytest.raises(ContractError):   # a non-finite scale
+    with pytest.raises(ConfigError):   # a non-finite scale
         losses.elastic_arcface(e, rng.normal(size=(2, 3)), np.array([0, 1]),
                                EafConfig(s=np.inf, sigma=0.0))
     with pytest.raises(ContractError,

@@ -396,13 +396,14 @@ def _reshape(name, shape):
      r"parameter header.W is \(3, 8\) in the file, absent in the network"),
     ("adaptor", _rename("adaptor.0.b", "adaptor.1.b"), "parameter adaptor.0.b"),
     ("adaptor", _set("adaptor_kind", "XXL"), "meta.adaptor_kind"),
+    ("student", _set("mode", "zzz"), "meta.mode"),
 ], ids=["no-backbone", "no-class-ids", "no-group-index", "hidden-str",
         "backbone-list", "best-epoch-bool", "class-id-over-64-bits", "wrong-kind",
         "adaptor-no-slope", "adaptor-n-teachers-str", "student-no-mode",
         "student-class-ids-str", "student-embedding-dim-float",
         "backbone-slope-1.5", "adaptor-dropout-negative", "renamed-parameter",
         "bias-of-7", "header-of-an-a-kd-student", "adaptor-renamed-bias",
-        "adaptor-unknown-kind"])
+        "adaptor-unknown-kind", "student-unknown-mode"])
 def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     model, save, load = {
         "teacher": (make_teacher(seed=13), models.save_teacher, models.load_teacher),

@@ -145,7 +145,7 @@ def test_config_contract_is_pinned(tmp_path, capsys):
     ({"batch_size": True}, "config.batch_size must be int"),
     ({"momentum": False}, "config.momentum must be float"),
     ({"backbone": {"hidden": [32.0]}}, "config.backbone.hidden[0] must be int"),
-    ({"eaf": {"s": -1.0}}, "eaf: EafConfig requires s > 0"),
+    ({"eaf": {"s": -1.0}}, "EafConfig requires s > 0"),
     ({"schedule_scale": math.inf}, "config.schedule_scale must be finite"),
     ({"decay_factor": 0}, "decay_factor must be > 0"),
     ({"decay_factor": -10}, "decay_factor must be > 0"),
@@ -183,6 +183,24 @@ def test_config_contract_is_pinned(tmp_path, capsys):
                   "test_identities_per_group": 10 ** 4},
       "pairs_per_group": 10 ** 9, "genuine_fraction": 0.001},
      "pools and pair lists come to 256821248000 bytes, over the limit of 2**30"),
+    ({"adaptors": ["SL", "XXL"]},
+     "adaptors must be one or more of ['SL', 'DuL', 'DLDPO'], not ['XXL']"),
+    ({"student_modes": ["zzz"]},
+     "student_modes must be one or more of ['eaf_kd', 'a_kd'], not ['zzz']"),
+    ({"adaptors": []},
+     "adaptors must be one or more of ['SL', 'DuL', 'DLDPO'], not []"),
+    ({"student_modes": []},
+     "student_modes must be one or more of ['eaf_kd', 'a_kd'], not []"),
+    # 8 bytes per parameter: 64*10**12 + 10**12 + 10**12*32 + 32, and a header
+    # row of 32 per training identity
+    ({"backbone": {"hidden": [10 ** 12]}},
+     "the teacher network comes to 776000000051456 bytes, over the limit of 2**30"),
+    ({"teacher_backbone": {"hidden": [10 ** 12]}},
+     "the teacher network comes to 776000000051456 bytes, over the limit of 2**30"),
+    ({"backbone": {"hidden": [10 ** 12]}, "teacher_backbone": {}},
+     "the student network comes to 776000000051456 bytes, over the limit of 2**30"),
+    ({"backbone": {"embedding_dim": 8192}},
+     "the SL adaptor network comes to 2160656384 bytes, over the limit of 2**30"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -240,6 +258,19 @@ def test_gen_data_size_bound_is_inclusive(pairs, valid):
         pipeline.config_from_dict(doc)
     else:
         with pytest.raises(ConfigError, match=r"come to 1073741952 bytes"):
+            pipeline.config_from_dict(doc)
+
+
+@pytest.mark.parametrize("hidden, valid", [(1383621, True), (1383622, False)])
+def test_model_size_bound_is_inclusive(hidden, valid):
+    """A default-width backbone with one hidden layer of h units and a header
+    of 200 training identities holds 97*h + 6432 parameters: 2**30 bytes
+    allow h = 1383621. Nothing is drawn."""
+    doc = {"backbone": {"hidden": [hidden]}}
+    if valid:
+        pipeline.config_from_dict(doc)
+    else:
+        with pytest.raises(ConfigError, match=r"teacher network comes to 1073742128 "):
             pipeline.config_from_dict(doc)
 
 
