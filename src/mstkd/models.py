@@ -231,6 +231,9 @@ def load_student(path) -> StudentModel:
     params, meta = store.load_params(path)
     m = _checked_meta(meta, path, "student", _STUDENT_META)
     ids = m["class_ids"]
+    if (m["mode"] == "eaf_kd") != (ids is not None):   # only eaf_kd keeps its ids
+        raise FormatError(f"{path}: checkpoint meta.mode {m['mode']!r} does not "
+                          "match meta.class_ids")
     return _checked_params(StudentModel(
         BackboneConfig(**m["backbone"]), m["mode"], params,
         None if ids is None else np.array(ids, dtype=np.int64)), path)

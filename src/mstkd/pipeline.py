@@ -431,14 +431,13 @@ def _training_stage(stems_of, job, save):
 def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
     stems = _teachers(cfg)
-    teachers = [models.load_teacher(out / _trained(t)[0]) for t in stems]
-    sets = []
-    for stem, teacher in zip(stems, teachers):
+    for stem in stems:   # one teacher and its embeddings in memory at a time
+        teacher = models.load_teacher(out / _trained(stem)[0])
         with naming(stem):
-            sets += training.extract_embeddings([teacher], train)
-    for t, s in zip(stems, sets):
-        store.save_sample_set(s, out / _embeddings(t))
-    return (f"{len(sets)} x {sets[0].n} embeddings -> "
+            (embedded,) = training.extract_embeddings([teacher], train)
+        store.save_sample_set(embedded, out / _embeddings(stem))
+        del teacher, embedded
+    return (f"{len(stems)} x {train.n} embeddings -> "
             f"{(out / _embeddings(stems[0])).parent}")
 
 
@@ -605,8 +604,9 @@ class _Run:
 def _stale(stage: Stage, cfg: ExperimentConfig, run: _Run) -> list[str]:
     """The artifacts that keep `stage`'s manifest record from being current:
     each declared artifact that is unrecorded, missing or changed, then each
-    recorded path that the stage does not declare, which is never hashed."""
-    recorded = run.manifest["stages"][stage.name]["artifacts"]
+    recorded path that the stage does not declare, which is never hashed.
+    A stage with no record has every declared artifact unrecorded."""
+    recorded = run.manifest["stages"].get(stage.name, {"artifacts": {}})["artifacts"]
     declared = stage.artifacts(cfg)
     return ([rel for rel in declared
              if recorded.get(rel) is None or recorded[rel] != run.digest(rel)]
@@ -616,7 +616,7 @@ def _stale(stage: Stage, cfg: ExperimentConfig, run: _Run) -> list[str]:
 def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
     """Run `stage` in `cfg.out_dir`, or skip it when its record is current.
 
-    Fails when an upstream stage has no record or its record is not current
+    Fails when an upstream stage's record is absent or not current
     (`_stale`). A run records the digest of every declared artifact in the
     manifest; a declared artifact the body did not write is a ContractError.
     A run whose record differs from the one it replaces drops the record of
@@ -629,17 +629,12 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
         run.manifest = _open_manifest(out, cfg, reset=force and not stage.upstream)
     records = run.manifest["stages"]
     for up in stage.upstream:
-        if up not in records:
-            raise MissingArtifactError(
-                f"stage {stage.name!r} needs {up!r}, which has no record in {out} "
-                "(it has not run, or an earlier stage has changed since it ran); "
-                f"expected artifacts: {STAGES[up].artifacts(cfg)}")
         missing = _stale(STAGES[up], cfg, run)
         if missing:
             raise MissingArtifactError(
-                f"stage {stage.name!r} needs {up!r} artifacts, but these are "
-                f"missing or modified: {missing}")
-    if not force and stage.name in records and not _stale(stage, cfg, run):
+                f"stage {stage.name!r} needs {up!r}, whose artifacts in {out} are "
+                f"unrecorded, missing or modified: {missing}")
+    if not force and not _stale(stage, cfg, run):
         print(f"[mstkd] {stage.name}: up to date in {out}, skipping "
               "(use --force to redo)")
         return out

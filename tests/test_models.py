@@ -397,13 +397,16 @@ def _reshape(name, shape):
     ("adaptor", _rename("adaptor.0.b", "adaptor.1.b"), "parameter adaptor.0.b"),
     ("adaptor", _set("adaptor_kind", "XXL"), "meta.adaptor_kind"),
     ("student", _set("mode", "zzz"), "meta.mode"),
+    ("student", _set("mode", "eaf_kd"), "meta.mode 'eaf_kd' does not match"),
+    ("eaf_kd student", _set("mode", "a_kd"), "meta.mode 'a_kd' does not match"),
 ], ids=["no-backbone", "no-class-ids", "no-group-index", "hidden-str",
         "backbone-list", "best-epoch-bool", "class-id-over-64-bits", "wrong-kind",
         "adaptor-no-slope", "adaptor-n-teachers-str", "student-no-mode",
         "student-class-ids-str", "student-embedding-dim-float",
         "backbone-slope-1.5", "adaptor-dropout-negative", "renamed-parameter",
         "bias-of-7", "header-of-an-a-kd-student", "adaptor-renamed-bias",
-        "adaptor-unknown-kind", "student-unknown-mode"])
+        "adaptor-unknown-kind", "student-unknown-mode", "a-kd-student-as-eaf-kd",
+        "eaf-kd-student-as-a-kd"])
 def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     model, save, load = {
         "teacher": (make_teacher(seed=13), models.save_teacher, models.load_teacher),
@@ -411,6 +414,8 @@ def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
                     models.load_adaptor),
         "student": (models.new_student(CFG, "a_kd", None, seed=15),
                     models.save_student, models.load_student),
+        "eaf_kd student": (models.new_student(CFG, "eaf_kd", np.arange(5), seed=16),
+                           models.save_student, models.load_student),
     }[which]
     path = tmp_path / f"{which}.ckpt"
     save(model, path)

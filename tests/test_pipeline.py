@@ -201,6 +201,20 @@ def test_config_contract_is_pinned(tmp_path, capsys):
      "the student network comes to 776000000051456 bytes, over the limit of 2**30"),
     ({"backbone": {"embedding_dim": 8192}},
      "the SL adaptor network comes to 2160656384 bytes, over the limit of 2**30"),
+    ({"dataset": {"groups": 1}}, "need at least 2 groups"),
+    ({"dataset": {"intra_class_noise": [0.1, 0.1]}},
+     "intra_class_noise needs one value per group"),
+    ({"dataset": {"identities_per_group": 0}}, "counts must be positive"),
+    ({"dataset": {"shared_energy": 1.0}}, "shared_energy must lie in (0, 1)"),
+    ({"dataset": {"group_names": ["a", "a", "b", "c"]}},
+     "group_names must be unique, one per group"),
+    ({"backbone": {"embedding_dim": 1}}, "embedding_dim must be >= 2"),
+    ({"teacher_backbone": {"embedding_dim": 1}}, "embedding_dim must be >= 2"),
+    ({"backbone": {"hidden": []}}, "backbone needs at least one hidden layer"),
+    ({"backbone": {"hidden": [0]}}, "layer sizes must be positive"),
+    ({"lambda": 0}, "lambda must be > 0"),
+    ({"momentum": 1.0}, "momentum must lie in [0, 1)"),
+    ({"batch_size": 0}, "epochs and batch_size must be positive"),
 ])
 def test_cli_bad_config_value_exits_2_before_any_stage(tmp_path, capsys,
                                                        bad, message):
@@ -508,6 +522,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert cli.main(["gen-data", "--config", str(missing)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text('["split", "specialized"]')
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err == (
+        "[mstkd] error: config file must hold a JSON object\n")
     capsys.readouterr()
 
 
@@ -1131,6 +1151,34 @@ def test_an_unrecorded_declared_artifact_makes_its_stage_stale(tmp_path, capsys)
     assert ckpt.read_bytes() == before
     assert cli.main(["run-all", "--config", cfg_path]) == 0
     assert capsys.readouterr().out.count("skipping") == 6
+
+
+def test_stale_reports_a_stage_with_no_record_without_hashing(tmp_path,
+                                                              monkeypatch):
+    """On a fresh manifest every stage's declared artifacts are all
+    unrecorded, gen-data's too though its files are on disk, and nothing
+    is hashed to say so."""
+    cfg = tiny_config(tmp_path / "run")
+    pipeline.cmd_gen_data(cfg)
+    hashed = []
+    monkeypatch.setattr(store, "sha256_file", hashed.append)
+    run = pipeline._Run(tmp_path / "run", manifest={
+        "config_hash": pipeline.config_hash(cfg), "stages": {}})
+    for stage in pipeline.STAGES.values():
+        assert pipeline._stale(stage, cfg, run) == stage.artifacts(cfg)
+    assert hashed == []
+
+
+def test_a_stage_whose_upstream_never_ran_exits_5_naming_its_artifacts(tmp_path,
+                                                                      capsys):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["extract", "--config", cfg_path]) == 5
+    err = capsys.readouterr().err
+    declared = pipeline.STAGES["train-teachers"].artifacts(tiny_config(tmp_path / "run"))
+    assert err.count("\n") == 1 and "needs 'train-teachers'" in err
+    assert f"missing or modified: {declared}" in err
 
 
 def test_a_changed_stage_drops_the_records_built_on_it(tmp_path, monkeypatch,
