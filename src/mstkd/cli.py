@@ -26,10 +26,13 @@ restores the caller's count; a command that trains nothing keeps it.
 Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
 2 ConfigError (MSTKD_WORKERS is read before any write; an empty, repeated
 or unknown adaptor kind or student mode; a gen-data output or a network
-over 2**30 bytes), 3 FormatError (a malformed artifact or report), 4
-DivergenceError (the first non-finite loss or gradient in training, or an
-output that cannot be normalized), 5 MissingArtifactError (a missing
-upstream artifact, or an upstream stage with no current record), 130
+over 2**30 bytes), 3 FormatError (a malformed artifact or report, or a
+sample-set row whose group has no tag), 4 DivergenceError (the first
+non-finite loss or gradient in training, or an output that cannot be
+normalized; the message names the model, and in training the epoch and
+batch), 5 MissingArtifactError (a missing upstream artifact, or an
+upstream stage with no current record, found before the stage writes
+anything), 130
 interrupted, 1 anything else: a ContractError, an OS error, or an
 internal error (a bug, or a worker killed by a signal) reported as one
 `[mstkd] internal error: ...` line. A command and its workers run with

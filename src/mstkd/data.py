@@ -215,26 +215,23 @@ class _Draws:
     def __init__(self, rng: np.random.Generator):
         self._rng, self._raw = rng, iter(())
 
-    def _refill(self) -> int:
-        self._raw = iter(self._rng.integers(0, 2**32, size=self._BLOCK,
-                                            dtype=np.uint32).tolist())
-        return next(self._raw)
-
     def integers(self, n: int) -> int:
-        """Lemire's multiply-and-reject on one 32-bit output, as numpy does
-        for ranges up to 2**32; n == 1 draws nothing."""
+        """Lemire's multiply-and-reject, as numpy does for n <= 2**32: the
+        high word of `output * n` for the first raw output whose low word
+        is >= n or, failing that, >= (2**32 - n) % n. n == 1 draws nothing."""
         if not 1 <= n <= 2**32:
             raise ContractError(f"n must lie in [1, 2**32], got {n}")
         if n == 1:
             return 0
-        u = next(self._raw, None)
-        m = (self._refill() if u is None else u) * n
-        if m & 0xFFFFFFFF < n:
-            t = (2**32 - n) % n
-            while m & 0xFFFFFFFF < t:
-                u = next(self._raw, None)
-                m = (self._refill() if u is None else u) * n
-        return m >> 32
+        while True:
+            u = next(self._raw, None)
+            if u is None:   # the block is used up: read the next one
+                self._raw = iter(self._rng.integers(0, 2**32, size=self._BLOCK,
+                                                    dtype=np.uint32).tolist())
+                continue
+            m = u * n
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (2**32 - n) % n:
+                return m >> 32
 
     def choice2(self, n: int) -> tuple[int, int]:
         """Floyd's two picks of distinct values, then numpy's shuffle of

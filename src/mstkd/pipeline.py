@@ -420,7 +420,10 @@ def _training_stage(stems_of, job, save):
 
     def body(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
         stems = stems_of(cfg)
-        for stem, (model, records) in zip(stems, run.map(job, cfg, range(len(stems)))):
+        results = run.map(job, cfg, range(len(stems)))
+        for stem in stems:
+            with naming(stem):   # a job's error reaches this process in job order
+                model, records = next(results)
             ckpt, log = _trained(stem)
             save(model, out / ckpt)
             training.write_log(records, out / log)
@@ -492,9 +495,11 @@ STAGES = {stage.name: stage for stage in (
 
 
 def _worker_limit() -> int:
-    """The most worker processes one job list may use: the usable cores,
-    capped by MSTKD_WORKERS when it is set."""
-    cores = len(os.sched_getaffinity(0))
+    """The most worker processes one job list may use: the usable cores
+    (all cores where the OS has no affinity call), capped by MSTKD_WORKERS
+    when it is set."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     raw = os.environ.get("MSTKD_WORKERS")
     if raw is None:
         return cores
@@ -616,15 +621,15 @@ def _stale(stage: Stage, cfg: ExperimentConfig, run: _Run) -> list[str]:
 def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
     """Run `stage` in `cfg.out_dir`, or skip it when its record is current.
 
-    Fails when an upstream stage's record is absent or not current
-    (`_stale`). A run records the digest of every declared artifact in the
+    Fails, writing nothing, when an upstream stage's record is absent or
+    not current (`_stale`); every directory is made just before the first
+    write. A run records the digest of every declared artifact in the
     manifest; a declared artifact the body did not write is a ContractError.
     A run whose record differs from the one it replaces drops the record of
     every later stage, so nothing built from the old artifacts stays current.
     """
     out = run.out
     if run.manifest is None:
-        out.mkdir(parents=True, exist_ok=True)
         # forcing a stage that has no upstream starts a fresh manifest
         run.manifest = _open_manifest(out, cfg, reset=force and not stage.upstream)
     records = run.manifest["stages"]
@@ -638,11 +643,11 @@ def _drive(stage: Stage, cfg: ExperimentConfig, force: bool, run: _Run) -> Path:
         print(f"[mstkd] {stage.name}: up to date in {out}, skipping "
               "(use --force to redo)")
         return out
-    store.write_json_atomic(out / CONFIG_COPY, _run_config(cfg))
-    store.write_json_atomic(out / MANIFEST, run.manifest)
     artifacts = stage.artifacts(cfg)
     for directory in sorted({(out / rel).parent for rel in artifacts}):
         directory.mkdir(parents=True, exist_ok=True)
+    store.write_json_atomic(out / CONFIG_COPY, _run_config(cfg))
+    store.write_json_atomic(out / MANIFEST, run.manifest)
     summary = stage.body(cfg, out, run)
     missing = [rel for rel in artifacts if not (out / rel).exists()]
     if missing:

@@ -90,6 +90,9 @@ def load_sample_set(path, group_tags: list[GroupTag] | None = None) -> SampleSet
     if group_tags is None:
         n_groups = int(groups.max()) + 1 if rows else 0
         group_tags = [GroupTag(i, f"g{i}") for i in range(n_groups)]
+    if rows and groups.max() >= len(group_tags):
+        raise FormatError(f"{path}: a row has group {groups.max()}, but only "
+                          f"{len(group_tags)} groups are tagged")
     return SampleSet(values, idents, groups, group_tags)
 
 

@@ -156,8 +156,8 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
     `step(batch)` writes every gradient into `opt.grads` and returns one
     batch's `(loss, terms)`: the loss to minimize and scalar terms logged
     as `mean_<term>`. The first non-finite loss, like a `DivergenceError`
-    raised inside the step, raises `DivergenceError` naming its epoch and
-    batch (both 1-based).
+    from the step or from `opt.step` (a non-finite gradient), raises
+    `DivergenceError` naming its epoch and batch (both 1-based).
     `score(means)` returns an epoch's `(value, val_acc)`; the highest value
     is kept (ties: earliest), and without `score` the final epoch.
     """
@@ -174,11 +174,11 @@ def _train_loop(opt: SgdMomentum, optim: OptimConfig, n: int,
                 loss, terms = step(batch)
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite loss ({loss})")
+                opt.step(lr)
             except DivergenceError as exc:
                 raise DivergenceError(f"{exc} at epoch {epoch}, batch {i}") from None
             for key, value in {"loss": loss, **terms}.items():
                 logged.setdefault(key, []).append(value)
-            opt.step(lr)
         means = {key: float(np.mean(v)) for key, v in logged.items()}
         value, val_acc = score(means) if score else (-np.inf, None)
         if value > best:

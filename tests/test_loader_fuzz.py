@@ -1,8 +1,10 @@
 """Corrupted artifacts: each loader either loads the bytes or raises
 FormatError, never anything else.
 
-The originals are real files of a tiny run: the gen-data stage's sample set,
-pair list and manifest, a saved teacher checkpoint and a fairness report.
+The originals are real files of a tiny run: the gen-data stage's sample set
+(loaded with and without the run's group tags), pair list and manifest, a
+saved teacher, `DuL` adaptor and `eaf_kd` student checkpoint, and a fairness
+report.
 Each example flips a few bytes, truncates the file or inserts bytes into it.
 """
 
@@ -17,10 +19,16 @@ from mstkd.errors import FormatError
 from mstkd.evaluation import FairnessReport, fairness_metrics, report_to_json
 from mstkd.models import BackboneConfig
 
+TAGS = [GroupTag(0, "g0"), GroupTag(1, "g1")]   # the run's `dataset.tags()`
+
 LOADERS = {
     "sample-set": ("dataset/train.mste", store.load_sample_set),
+    "tagged-sample-set": ("dataset/train.mste",
+                          lambda path: store.load_sample_set(path, TAGS)),
     "pair-list": ("dataset/pairs_test.txt", store.load_pairs),
     "checkpoint": ("teacher.ckpt", models.load_teacher),
+    "adaptor-checkpoint": ("adaptor.ckpt", models.load_adaptor),
+    "student-checkpoint": ("student.ckpt", models.load_student),
     "manifest": (pipeline.MANIFEST, lambda path: pipeline.load_manifest(path.parent)),
     "report": ("reports/SL_a_kd.json", pipeline.load_report),
 }
@@ -37,10 +45,14 @@ def run_dir(tmp_path_factory):
                     "test_identities_per_group": 2},
         "pairs_per_group": 4, "out_dir": str(out)})
     pipeline.cmd_gen_data(cfg)
+    assert cfg.dataset.tags() == TAGS
     teacher = models.new_teacher(BackboneConfig(input_dim=8, hidden=(4,),
                                                 embedding_dim=3),
                                  np.arange(3), GroupTag(0, "g0"), seed=0)
     models.save_teacher(teacher, out / "teacher.ckpt")
+    models.save_adaptor(models.new_adaptor("DuL", 2, 3, seed=0), out / "adaptor.ckpt")
+    student = models.new_student(teacher.cfg, "eaf_kd", np.arange(6), seed=0)
+    models.save_student(student, out / "student.ckpt")
     (out / "reports").mkdir()
     report = FairnessReport(["g0", "g1"], [90.0, 80.0], [0.5, 0.4],
                             *fairness_metrics([90.0, 80.0]))

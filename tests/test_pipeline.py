@@ -739,8 +739,8 @@ def test_an_input_that_overflows_in_training_exits_4_with_one_line(
     capsys.readouterr()
     assert cli.main(["run-all", "--config", str(path)]) == 4
     assert capsys.readouterr().err == (
-        "[mstkd] error: row norm at or below 1e-12 or not finite; cannot "
-        "normalize at epoch 1, batch 1\n")
+        "[mstkd] error: teachers/teacher_0: row norm at or below 1e-12 or not "
+        "finite; cannot normalize at epoch 1, batch 1\n")
 
 
 @pytest.mark.parametrize("workers", [None, "1"])
@@ -760,8 +760,8 @@ def test_a_diverging_run_exits_4_with_one_line(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
     assert cli.main(["run-all", "--config", str(path)]) == 4
     assert capsys.readouterr().err == (
-        "[mstkd] error: row norm at or below 1e-12 or not finite; cannot "
-        "normalize at epoch 1, batch 2\n")
+        "[mstkd] error: students/SL_eaf_kd: row norm at or below 1e-12 or not "
+        "finite; cannot normalize at epoch 1, batch 2\n")
 
 
 @pytest.mark.parametrize("workers", [None, "64"])
@@ -771,6 +771,17 @@ def test_workers_never_exceed_the_usable_cores(tmp_path, monkeypatch, workers):
     else:
         monkeypatch.setenv("MSTKD_WORKERS", workers)
     assert pipeline._Run(tmp_path).workers == len(os.sched_getaffinity(0))
+
+
+def test_commands_run_where_the_os_has_no_affinity_call(tmp_path, monkeypatch,
+                                                        capsys):
+    """Without `os.sched_getaffinity` (macOS, Windows) a command counts
+    every core as usable."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    assert pipeline._Run(tmp_path).workers == (os.cpu_count() or 1)
+    assert cli.main(["gen-data", "--config", _cli_config(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 def _kill_own_worker(*args, **kwargs):
@@ -811,6 +822,34 @@ def test_divergence_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.rstrip("\n").endswith("non-finite loss (nan) at epoch 1, batch 1")
+    assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}
+
+
+@pytest.mark.parametrize("workers", [
+    pytest.param(None, marks=needs_two_cores, id="pool"),
+    pytest.param("1", id="one-process")])
+def test_a_non_finite_gradient_names_its_model_epoch_and_batch(
+        tmp_path, monkeypatch, capsys, workers):
+    """A NaN in the header gradient with a finite loss: the optimizer's
+    refusal names the parameter, the model, the epoch and the batch."""
+    real = losses.elastic_arcface
+
+    def nan_header_gradient(*args, **kwargs):
+        loss, g_emb, g_header = real(*args, **kwargs)
+        g_header[0, 0] = math.nan
+        return loss, g_emb, g_header
+
+    cfg_path = _cli_config(tmp_path)
+    if workers is None:
+        monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MSTKD_WORKERS", workers)
+    monkeypatch.setattr(losses, "elastic_arcface", nan_header_gradient)
+    capsys.readouterr()
+    assert cli.main(["run-all", "--config", cfg_path]) == 4
+    assert capsys.readouterr().err == (
+        "[mstkd] error: teachers/teacher_0: non-finite gradient in header.W at "
+        "epoch 1, batch 1\n")
     assert set(pipeline.load_manifest(tmp_path / "run")["stages"]) == {"gen-data"}
 
 
@@ -1125,7 +1164,43 @@ def test_a_train_pool_with_an_empty_group_is_a_format_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train-teachers", "--config", cfg_path]) == 3
     assert capsys.readouterr().err == (
-        f"[mstkd] error: {path}: group 1 has no samples\n")
+        f"[mstkd] error: teachers/teacher_0: {path}: group 1 has no samples\n")
+
+
+def test_a_train_pool_row_whose_group_has_no_tag_is_a_format_error(tmp_path,
+                                                                   capsys):
+    """Two group-1 rows of the train pool rewritten to group 9, which no tag
+    names, with the manifest digest updated to match: `train-teachers`
+    exits 3 naming the file, and nothing copies group 9 onwards."""
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    run = tmp_path / "run"
+    path = run / "dataset" / "train.mste"
+    groups = store.load_sample_set(path).groups.copy()
+    groups[np.flatnonzero(groups == 1)[:2]] = 9
+    path.write_bytes(path.read_bytes()[:-groups.size]
+                     + groups.astype(np.uint8).tobytes())
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["stages"]["gen-data"]["artifacts"]["dataset/train.mste"] = \
+        store.sha256_file(path)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: teachers/teacher_0: {path}: a row has group 9, but only "
+        "4 groups are tagged\n")
+    assert set(pipeline.load_manifest(run)["stages"]) == {"gen-data"}
+
+
+def test_a_command_that_fails_its_upstream_check_writes_nothing(tmp_path, capsys):
+    """`evaluate` on a fresh run directory exits 5 with one line and
+    leaves no directory behind."""
+    cfg_path = _cli_config(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs 'gen-data'" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_an_unrecorded_declared_artifact_makes_its_stage_stale(tmp_path, capsys):

@@ -125,6 +125,20 @@ def test_f32_container_rejected(tmp_path):
         store.load_sample_set(path)
 
 
+def test_a_row_whose_group_has_no_tag_rejected(tmp_path):
+    """Every row's group indexes the tags a set is loaded with; loaded
+    without tags, a set gets one for each group up to its largest."""
+    s = make_set()
+    s.groups[0] = 3
+    path = tmp_path / "s.mste"
+    store.save_sample_set(s, path)
+    with pytest.raises(FormatError) as err:
+        store.load_sample_set(path, s.group_tags[:3])
+    assert str(err.value) == f"{path}: a row has group 3, but only 3 groups are tagged"
+    assert store.load_sample_set(path, s.group_tags).group_tags == s.group_tags
+    assert len(store.load_sample_set(path).group_tags) == 4
+
+
 def test_pair_list_round_trip(tmp_path):
     train, _, _ = d.generate(d.SyntheticDatasetSpec(
         groups=2, identities_per_group=5, samples_per_identity=4,
