@@ -26,8 +26,11 @@ restores the caller's count; a command that trains nothing keeps it.
 Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
 2 ConfigError (MSTKD_WORKERS is read before any write; an empty, repeated
 or unknown adaptor kind or student mode; a gen-data output or a network
-over 2**30 bytes), 3 FormatError (a malformed artifact or report, or a
-sample-set row whose group has no tag), 4 DivergenceError (the first
+over 2**30 bytes), 3 FormatError (a malformed artifact or report, a
+sample-set row whose group has no tag, a pair that is not two rows of
+its pool, or a teacher embedding set that is not the train pool's rows at
+the teachers' width; the message names the file, and in a JSON file the
+key at fault), 4 DivergenceError (the first
 non-finite loss or gradient in training, or an output that cannot be
 normalized; the message names the model, and in training the epoch and
 batch), 5 MissingArtifactError (a missing upstream artifact, or an
@@ -95,8 +98,8 @@ def main(argv=None) -> int:
             else:
                 pipeline.COMMANDS[args.command](cfg, args.force)
         return 0
-    except (MstkdError, OSError) as exc:
-        print(f"[mstkd] error: {exc}", file=sys.stderr)
+    except (MstkdError, OSError) as exc:   # one line, even where it quotes a file
+        print(f"[mstkd] error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
     except KeyboardInterrupt:
         print("[mstkd] interrupted", file=sys.stderr)

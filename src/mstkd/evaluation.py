@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import store
 from .data import PairList, SampleSet
 from .errors import ContractError, FormatError
 
@@ -182,32 +183,26 @@ def report_to_json(report: FairnessReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _numbers(values) -> bool:
-    """Every value is a finite JSON number; a bool is not one."""
-    return all(type(v) in (int, float) and abs(v) < np.inf for v in values)
+_REPORT = {"groups": store.list_of(store.is_str),
+           "per_group_acc": store.list_of(store.is_number),
+           "thresholds": store.list_of(store.is_number),
+           "global_acc": store.is_number, "std": store.is_number,
+           "ser": lambda v: v == "undefined" or store.is_number(v),
+           "protocol": store.is_str}
 
 
 def report_from_json(text: str) -> FairnessReport:
-    """The report `report_to_json` wrote; FormatError when a key is missing,
-    holds a value of another type or length or a non-finite number, an
-    accuracy lies outside [0, 100], the report has fewer than 2 groups, or
-    its `global_acc`, `std` and `ser` are not what `fairness_metrics` gives
-    for its `per_group_acc`."""
-    doc = json.loads(text)
-    if not (isinstance(doc, dict) and isinstance(doc.get("groups"), list)
-            and all(isinstance(name, str) for name in doc["groups"])
-            and all(isinstance(doc.get(key), list) and _numbers(doc[key])
-                    and len(doc[key]) == len(doc["groups"])
-                    for key in ("per_group_acc", "thresholds"))
-            and _numbers([doc.get("global_acc"), doc.get("std")])
-            and (doc.get("ser") == "undefined" or _numbers([doc.get("ser")]))
-            and isinstance(doc.get("protocol"), str)):
-        raise FormatError("a key is missing or holds a value of the wrong type "
-                          "or a non-finite number")
+    """The report `report_to_json` wrote; FormatError when a field fails
+    its rule in `_REPORT` (the message names it), the report has fewer than
+    2 groups or not one accuracy and one threshold per group, an accuracy
+    lies outside [0, 100], or its `global_acc`, `std` and `ser` are not
+    what `fairness_metrics` gives for its `per_group_acc`."""
+    doc = store.checked(json.loads(text), _REPORT, "report")
+    if not len(doc["per_group_acc"]) == len(doc["thresholds"]) == len(doc["groups"]) > 1:
+        raise FormatError("a report needs 2 or more groups, each with one accuracy "
+                          "and one threshold")
     if not all(0 <= acc <= 100 for acc in doc["per_group_acc"]):
         raise FormatError("accuracies must lie in [0, 100]")
-    if len(doc["groups"]) < 2:
-        raise FormatError("a report needs at least 2 groups")
     ser = None if doc["ser"] == "undefined" else doc["ser"]
     summary = [doc["global_acc"], doc["std"], ser]
     if summary != list(fairness_metrics(doc["per_group_acc"])):

@@ -198,8 +198,7 @@ def save_teacher(t: TeacherModel, path) -> None:
 
 
 def load_teacher(path) -> TeacherModel:
-    params, meta = store.load_params(path)
-    m = _checked_meta(meta, path, "teacher", _TEACHER_META)
+    params, m = _checked_meta(path, "teacher", _TEACHER_META)
     return _checked_params(TeacherModel(
         BackboneConfig(**m["backbone"]), params,
         GroupTag(m["group_index"], m["group_name"]),
@@ -214,8 +213,7 @@ def save_adaptor(a: AdaptorModel, path) -> None:
 
 
 def load_adaptor(path) -> AdaptorModel:
-    params, meta = store.load_params(path)
-    m = _checked_meta(meta, path, "adaptor", _ADAPTOR_META)
+    params, m = _checked_meta(path, "adaptor", _ADAPTOR_META)
     return _checked_params(AdaptorModel(
         m["adaptor_kind"], m["n_teachers"], m["emb_dim"], params, m["slope"],
         m["dropout_p"], m["best_epoch"]), path)
@@ -228,8 +226,7 @@ def save_student(s: StudentModel, path) -> None:
 
 
 def load_student(path) -> StudentModel:
-    params, meta = store.load_params(path)
-    m = _checked_meta(meta, path, "student", _STUDENT_META)
+    params, m = _checked_meta(path, "student", _STUDENT_META)
     ids = m["class_ids"]
     if (m["mode"] == "eaf_kd") != (ids is not None):   # only eaf_kd keeps its ids
         raise FormatError(f"{path}: checkpoint meta.mode {m['mode']!r} does not "
@@ -239,62 +236,33 @@ def load_student(path) -> StudentModel:
         None if ids is None else np.array(ids, dtype=np.int64)), path)
 
 
-# checkpoint meta fields, each with the test its value must pass; a dict
-# holds the fields of a nested JSON object
-def _is_int(v) -> bool:
-    return type(v) is int and abs(v) < 2 ** 63   # bool is not an int here
-
-
-def _is_float(v) -> bool:
-    return type(v) is float or _is_int(v)
-
-
+# the field table of each kind's checkpoint meta (`store.checked`)
 def _is_fraction(v) -> bool:   # a slope or a dropout probability
-    return _is_float(v) and 0 <= v < 1
+    return store.is_number(v) and 0 <= v < 1
 
 
-def _is_str(v) -> bool:
-    return type(v) is str
-
-
-def _is_ids(v) -> bool:
-    return type(v) is list and all(map(_is_int, v))
-
-
-_BACKBONE_META = {"input_dim": _is_int, "hidden": _is_ids,
-                  "embedding_dim": _is_int, "slope": _is_fraction}
-_TEACHER_META = {"backbone": _BACKBONE_META, "group_index": _is_int,
-                 "group_name": _is_str, "class_ids": _is_ids, "best_epoch": _is_int}
+_IDS = store.list_of(store.is_int)
+_BACKBONE_META = {"input_dim": store.is_int, "hidden": _IDS,
+                  "embedding_dim": store.is_int, "slope": _is_fraction}
+_TEACHER_META = {"backbone": _BACKBONE_META, "group_index": store.is_int,
+                 "group_name": store.is_str, "class_ids": _IDS,
+                 "best_epoch": store.is_int}
 _ADAPTOR_META = {"adaptor_kind": lambda v: v in ADAPTOR_KINDS,
-                 "n_teachers": _is_int, "emb_dim": _is_int,
+                 "n_teachers": store.is_int, "emb_dim": store.is_int,
                  "slope": _is_fraction, "dropout_p": _is_fraction,
-                 "best_epoch": _is_int}
+                 "best_epoch": store.is_int}
 _STUDENT_META = {"backbone": _BACKBONE_META, "mode": lambda v: v in STUDENT_MODES,
-                 "class_ids": lambda v: v is None or _is_ids(v)}
+                 "class_ids": lambda v: v is None or _IDS(v)}
 
 
-def _checked_meta(meta: dict, path, kind: Optional[str], fields: dict,
-                  where: str = "meta") -> dict:
-    """The `fields` of a checkpoint's meta, each checked; a checkpoint of
-    another kind, a missing field or a value of the wrong type is a
-    FormatError naming the file and the key."""
-    if kind is not None and meta.get("kind") != kind:
+def _checked_meta(path, kind: str, fields: dict) -> tuple[dict, dict]:
+    """(parameters, the checked `fields` of the meta) of the checkpoint at
+    `path`; a checkpoint of another kind is a FormatError naming the file."""
+    params, meta = store.load_params(path)
+    if meta.get("kind") != kind:
         raise FormatError(f"{path}: checkpoint holds a {meta.get('kind')!r}, "
                           f"expected a {kind}")
-    out = {}
-    for key, check in fields.items():
-        if key not in meta:
-            raise FormatError(f"{path}: checkpoint {where} lacks {key!r}")
-        value = meta[key]
-        if isinstance(check, dict):
-            if type(value) is not dict:
-                raise FormatError(f"{path}: checkpoint {where}.{key} is not an object")
-            value = _checked_meta(value, path, None, check, f"{where}.{key}")
-        elif not check(value):
-            raise FormatError(f"{path}: checkpoint {where}.{key} has the bad "
-                              f"value {value!r}")
-        out[key] = value
-    return out
+    return params, store.checked(meta, fields, f"{path}: checkpoint meta")
 
 
 def _checked_params(model, path):

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import data, models, store, training
 from .errors import ConfigError, ContractError, FormatError, MissingArtifactError, naming
 from .evaluation import (FairnessReport, compare_reports, evaluate_embeddings,
@@ -315,24 +317,20 @@ def _report(student: str) -> tuple[str, str]:
 
 # --- manifest ----------------------------------------------------------------
 
+_MANIFEST = {"config_hash": store.is_str,
+             "stages": {"*": {"artifacts": {"*": store.is_str}}}}
+
+
 def load_manifest(out: Path) -> Optional[dict]:
     path = out / MANIFEST
     if not path.exists():
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise FormatError(f"{path} is not valid JSON ({exc}); "
+            return store.checked(json.load(fh), _MANIFEST, "manifest")
+    except (ValueError, FormatError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not a run manifest ({exc}); "
                           "run-all --force rebuilds the run") from exc
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("config_hash"), str)
-            and isinstance(manifest.get("stages"), dict)
-            and all(isinstance(record, dict)
-                    and isinstance(record.get("artifacts"), dict)
-                    for record in manifest["stages"].values())):
-        raise FormatError(f"{path} lacks config_hash or per-stage artifacts; "
-                          "run-all --force rebuilds the run")
-    return manifest
 
 
 def _open_manifest(out: Path, cfg: ExperimentConfig, reset: bool) -> dict:
@@ -354,11 +352,26 @@ def _load_pool(cfg: ExperimentConfig, out: Path, name: str) -> data.SampleSet:
     return store.load_sample_set(out / _pool(name), cfg.dataset.tags())
 
 
-def _load_embedding_sets(cfg: ExperimentConfig, out: Path) -> list[data.SampleSet]:
-    """The teachers' train-pool embeddings, in the fusion order the trainers take."""
+def _load_embedding_sets(cfg: ExperimentConfig, out: Path,
+                         train: data.SampleSet) -> list[data.SampleSet]:
+    """The teachers' embeddings of the train pool `train`, in the fusion
+    order the trainers take; a set that does not hold train's rows (count,
+    identities and groups, in order) at the teachers' embedding width is a
+    FormatError naming its file."""
     teachers, tags = _teachers(cfg), cfg.dataset.tags()
-    return [store.load_sample_set(out / _embeddings(teachers[g]), tags)
-            for g in cfg.fusion_order or range(cfg.dataset.groups)]
+    width, sets = cfg.teacher_cfg().embedding_dim, []
+    for g in cfg.fusion_order or range(cfg.dataset.groups):
+        path = out / _embeddings(teachers[g])
+        s = store.load_sample_set(path, tags)
+        if (s.n, s.dim) != (train.n, width):
+            raise FormatError(f"{path}: {s.n} x {s.dim} embeddings, the train pool "
+                              f"embedded at the teachers' width is {train.n} x {width}")
+        if not (np.array_equal(s.identities, train.identities)
+                and np.array_equal(s.groups, train.groups)):
+            raise FormatError(f"{path}: the identities or groups of its rows are "
+                              "not those of the train pool")
+        sets.append(s)
+    return sets
 
 
 def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
@@ -378,38 +391,44 @@ def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
 # model list. A job is a pure function of (validated config, run directory,
 # index): it loads its inputs from the run directory and returns (model,
 # epoch log), which the stage body saves under the stem of that index, in
-# job order, so every write happens in the command's own process.
+# job order, so every write happens in the command's own process. Only the
+# training call is named after the stem: a fault in an input that every job
+# reads names its file, not the first model.
 
 def _train_one_teacher(cfg: ExperimentConfig, out: Path, g: int):
     train, val = _load_pool(cfg, out, "train"), _load_pool(cfg, out, "validation")
     empty = set(range(cfg.dataset.groups)) - set(train.groups.tolist())
     if empty:   # a rewritten pool: every generated group has samples
         raise FormatError(f"{out / _pool('train')}: group {min(empty)} has no samples")
-    val_pairs = store.load_pairs(out / _pairs("validation"))
+    val_pairs = store.load_pairs(out / _pairs("validation"), val)
     split = (data.split_specialized(train) if cfg.split == "specialized"
              else data.split_balanced(train, cfg.seeds.data))
     subset = train.select(train.rows_of_identities(split[g]))
     optim = cfg.optim("teacher", cfg.seeds.train + g)
-    return training.train_teacher(
-        subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
-        val, val_pairs, init_seed=cfg.seeds.init + g)
+    with naming(_teachers(cfg)[g]):
+        return training.train_teacher(
+            subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
+            val, val_pairs, init_seed=cfg.seeds.init + g)
 
 
 def _train_one_adaptor(cfg: ExperimentConfig, out: Path, i: int):
+    sets = _load_embedding_sets(cfg, out, _load_pool(cfg, out, "train"))
     optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
-    return training.train_adaptor(
-        cfg.adaptors[i], _load_embedding_sets(cfg, out), cfg.eaf, optim,
-        init_seed=cfg.seeds.init + 100 + i)
+    with naming(_adaptors(cfg)[i]):
+        return training.train_adaptor(cfg.adaptors[i], sets, cfg.eaf, optim,
+                                      init_seed=cfg.seeds.init + 100 + i)
 
 
 def _train_one_student(cfg: ExperimentConfig, out: Path, k: int):
     i, j = divmod(k, len(cfg.student_modes))
     adaptor = models.load_adaptor(out / _trained(_adaptors(cfg)[i])[0])
+    train = _load_pool(cfg, out, "train")
+    sets = _load_embedding_sets(cfg, out, train)
     optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
-    return training.train_student(
-        cfg.student_modes[j], adaptor, _load_embedding_sets(cfg, out),
-        _load_pool(cfg, out, "train"), cfg.lam, cfg.eaf, cfg.backbone, optim,
-        init_seed=cfg.seeds.init + 200 + 10 * i + j)
+    with naming(_students(cfg)[k]):
+        return training.train_student(
+            cfg.student_modes[j], adaptor, sets, train, cfg.lam, cfg.eaf,
+            cfg.backbone, optim, init_seed=cfg.seeds.init + 200 + 10 * i + j)
 
 
 def _training_stage(stems_of, job, save):
@@ -420,10 +439,7 @@ def _training_stage(stems_of, job, save):
 
     def body(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
         stems = stems_of(cfg)
-        results = run.map(job, cfg, range(len(stems)))
-        for stem in stems:
-            with naming(stem):   # a job's error reaches this process in job order
-                model, records = next(results)
+        for stem, (model, records) in zip(stems, run.map(job, cfg, range(len(stems)))):
             ckpt, log = _trained(stem)
             save(model, out / ckpt)
             training.write_log(records, out / log)
@@ -446,7 +462,7 @@ def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
 
 def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test = _load_pool(cfg, out, "test")
-    test_pairs = store.load_pairs(out / _pairs("test"))
+    test_pairs = store.load_pairs(out / _pairs("test"), test)
     modes = len(cfg.student_modes)
     for k, stem in enumerate(_students(cfg)):
         student = models.load_student(out / _trained(stem)[0])
@@ -713,11 +729,9 @@ def _run_label(run_dir: Path) -> str:
         raise MissingArtifactError(f"{run_dir} has no {CONFIG_COPY}; run stages first")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise FormatError(f"{path} is not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("split") not in ("specialized", "balanced"):
-        raise FormatError(f"{path} is not a run config: its split is neither "
-                          "specialized nor balanced")
+        store.checked(doc, {"split": lambda v: v in ("specialized", "balanced")}, "config")
+    except (ValueError, FormatError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not a run config ({exc})") from exc
     return "Ours" if doc["split"] == "specialized" else "Baseline"
 
 

@@ -102,10 +102,30 @@ def save_pairs(pairs: PairList, path) -> None:
         for i in range(pairs.n)))
 
 
-def load_pairs(path) -> PairList:
-    """The pair list at `path`. A well-formed file is split into lines once
-    and its integers are parsed in one numpy call; any other file is read
-    line by line, and `FormatError` names its first bad line."""
+def load_pairs(path, pool: SampleSet | None = None) -> PairList:
+    """The pair list at `path`; with a `pool`, every pair must be two of its
+    rows, in the group of both, genuine exactly when the two rows share an
+    identity, and `FormatError` names the first pair that is not."""
+    pairs = _read_pairs(path)
+    if pool is not None:
+        inside = ((np.minimum(pairs.a, pairs.b) >= 0)
+                  & (np.maximum(pairs.a, pairs.b) < pool.n))
+        a, b = pairs.a * inside, pairs.b * inside   # a pair outside reads row 0 twice
+        for bad, what in (
+                (~inside, f"references a row outside the pool's {pool.n} rows"),
+                ((pool.groups[a] != pairs.group) | (pool.groups[b] != pairs.group),
+                 "has a group other than its rows' group"),
+                ((pool.identities[a] == pool.identities[b]) != pairs.genuine,
+                 "has a genuine flag other than whether its rows share an identity")):
+            if bad.any():
+                raise FormatError(f"{path}: pair {np.argmax(bad) + 1} {what}")
+    return pairs
+
+
+def _read_pairs(path) -> PairList:
+    """A well-formed file is split into lines once and its integers are
+    parsed in one numpy call; any other file is read line by line, and
+    `FormatError` names its first bad line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -266,3 +286,43 @@ def write_text_atomic(path, text: str) -> None:
 def write_json_atomic(path, doc) -> None:
     """`doc` as indented, key-sorted JSON with a final newline, written atomically."""
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+# --- JSON read back (checkpoint meta, reports, the manifest, the config copy):
+# each reader has a table of fields, which `checked` checks with these rules
+
+def is_int(v) -> bool:   # fits 64 bits; a bool is not one
+    return type(v) is int and abs(v) < 2 ** 63
+
+
+def is_number(v) -> bool:   # finite; a bool is not one
+    return is_int(v) or type(v) is float and math.isfinite(v)
+
+
+def is_str(v) -> bool:
+    return type(v) is str
+
+
+def list_of(rule):   # a list whose every item passes `rule`
+    return lambda v: type(v) is list and all(map(rule, v))
+
+
+def checked(doc, fields: dict, where: str) -> dict:
+    """The `fields` of the JSON object `doc`, each checked by its rule: a
+    test of the value, or the table of a nested object, where the key "*"
+    stands for every key. A non-object, a missing field or a value that
+    fails its test is a FormatError starting with `where`, naming the key."""
+    if type(doc) is not dict:
+        raise FormatError(f"{where} is not an object")
+    out = {}
+    for field, rule in fields.items():
+        for key in doc if field == "*" else [field]:
+            if key not in doc:
+                raise FormatError(f"{where} lacks {key!r}")
+            value = doc[key]
+            if isinstance(rule, dict):
+                value = checked(value, rule, f"{where}.{key}")
+            elif not rule(value):
+                raise FormatError(f"{where}.{key} has the bad value {value!r}")
+            out[key] = value
+    return out

@@ -2,12 +2,16 @@
 
 Criteria 5-9 share a session-scoped sweep fixture that runs the full
 pipeline on the desk-scale default config for five data seeds, once per
-data-split kind, through the real stage commands. Run with `pytest -s
+data-split kind, through the real stage commands; the ten pipelines run
+side by side in a pool of forked processes. Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,29 +41,42 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 # shared sweep over the desk-scale default config
 
 
+def _sweep_pipeline(doc: dict) -> dict[str, float]:
+    """One pipeline of the sweep, stage by stage through the real stage
+    commands, in this process; the wall seconds of its two training stages
+    that criteria 5 and 6 bound."""
+    os.environ["MSTKD_WORKERS"] = "1"   # in a worker of the sweep's pool only
+    cfg = pipeline.config_from_dict(doc)
+    seconds = {}
+    for name in pipeline.STAGES:
+        t0 = time.perf_counter()
+        pipeline.COMMANDS[name](cfg)
+        seconds[name] = time.perf_counter() - t0
+    return {"teachers": seconds["train-teachers"],
+            "students": seconds["train-student"]}
+
+
 @pytest.fixture(scope="session")
 def sweep(tmp_path_factory):
+    """The 10 pipelines, run whole in a forked pool of min(usable cores,
+    10) processes, each pipeline at MSTKD_WORKERS=1; the pool is shut down
+    before the fixture returns."""
     root = tmp_path_factory.mktemp("sweep")
-    runs = {}
-    stage_seconds = {}
+    docs = {}
     for seed in SEEDS:
         for split in ("specialized", "balanced"):
             doc = pipeline.default_config_dict()
             doc["split"] = split
             doc["out_dir"] = str(root / f"{split}_{seed}")
             doc["seeds"] = {"data": seed, "init": seed + 1, "train": seed + 2}
-            cfg = pipeline.config_from_dict(doc)
-            pipeline.cmd_gen_data(cfg)
-            t0 = time.perf_counter()
-            pipeline.cmd_train_teachers(cfg)
-            stage_seconds[(split, seed, "teachers")] = time.perf_counter() - t0
-            pipeline.cmd_extract(cfg)
-            pipeline.cmd_train_adaptor(cfg)
-            t0 = time.perf_counter()
-            pipeline.cmd_train_student(cfg)
-            stage_seconds[(split, seed, "students")] = time.perf_counter() - t0
-            pipeline.cmd_evaluate(cfg)
-            runs[(split, seed)] = (Path(doc["out_dir"]), cfg)
+            docs[(split, seed)] = doc
+    workers = min(len(os.sched_getaffinity(0)), len(docs))
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        times = dict(zip(docs, pool.map(_sweep_pipeline, docs.values())))
+    runs = {key: (Path(doc["out_dir"]), pipeline.config_from_dict(doc))
+            for key, doc in docs.items()}
+    stage_seconds = {(*key, stage): t for key, by_stage in times.items()
+                     for stage, t in by_stage.items()}
     return {"runs": runs, "stage_seconds": stage_seconds}
 
 

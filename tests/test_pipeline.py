@@ -10,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from mstkd import cli, losses, models, pipeline, store, training
+from mstkd import cli, data, losses, models, pipeline, store, training
 from mstkd.errors import (ConfigError, ContractError, DivergenceError, FormatError,
                           MissingArtifactError, MstkdError)
 from mstkd.evaluation import FairnessReport, fairness_metrics, report_to_json
@@ -1094,6 +1094,56 @@ def test_report_reads_every_report_before_it_writes(tmp_path, capsys):
     assert not list(tmp_path.glob("**/students_*"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("groups", ["g0", 1]), ("per_group_acc", "90"), ("thresholds", [0.5, None]),
+    ("global_acc", True), ("std", "7.07"), ("ser", "undef"), ("protocol", 5)])
+def test_a_mistyped_report_key_is_named(tmp_path, capsys, key, value):
+    cfg_path = _cli_config(tmp_path)
+    run = _run_with_reports(tmp_path)
+    bad = run / "reports" / "DuL_eaf_kd.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), key: value}))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {bad} is not a fairness report (report.{key} has the bad "
+        f"value {value!r})\n")
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda m: m.update(config_hash=5), "manifest.config_hash has the bad value 5"),
+    (lambda m: m.update(stages=[]), "manifest.stages is not an object"),
+    (lambda m: m["stages"]["gen-data"].pop("artifacts"),
+     "manifest.stages.gen-data lacks 'artifacts'"),
+    (lambda m: m["stages"]["gen-data"]["artifacts"].update({"dataset/test.mste": 7}),
+     "manifest.stages.gen-data.artifacts.dataset/test.mste has the bad value 7"),
+    (lambda m: m["stages"].update({"two\nlines": {}}),   # still one line of stderr
+     "manifest.stages.two lines lacks 'artifacts'")],
+    ids=["config-hash", "stages", "artifacts", "digest", "key-with-a-newline"])
+def test_a_mistyped_manifest_key_is_named(tmp_path, capsys, edit, fault):
+    cfg_path = _cli_config(tmp_path)
+    assert cli.main(["gen-data", "--config", cfg_path]) == 0
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train-teachers", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {path} is not a run manifest ({fault}); "
+        "run-all --force rebuilds the run\n")
+
+
+def test_a_config_copy_without_a_known_split_names_the_key(tmp_path, capsys):
+    cfg_path = _cli_config(tmp_path)
+    run = _run_with_reports(tmp_path)
+    (run / "config.json").write_text('{"split": "fair"}')
+    capsys.readouterr()
+    assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {run / 'config.json'} is not a run config "
+        "(config.split has the bad value 'fair')\n")
+
+
 def test_stage_that_skips_a_declared_artifact_is_not_recorded(tmp_path, monkeypatch):
     out = tmp_path / "run"
     cfg = tiny_config(out)
@@ -1164,7 +1214,7 @@ def test_a_train_pool_with_an_empty_group_is_a_format_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train-teachers", "--config", cfg_path]) == 3
     assert capsys.readouterr().err == (
-        f"[mstkd] error: teachers/teacher_0: {path}: group 1 has no samples\n")
+        f"[mstkd] error: {path}: group 1 has no samples\n")
 
 
 def test_a_train_pool_row_whose_group_has_no_tag_is_a_format_error(tmp_path,
@@ -1187,9 +1237,123 @@ def test_a_train_pool_row_whose_group_has_no_tag_is_a_format_error(tmp_path,
     capsys.readouterr()
     assert cli.main(["train-teachers", "--config", cfg_path]) == 3
     assert capsys.readouterr().err == (
-        f"[mstkd] error: teachers/teacher_0: {path}: a row has group 9, but only "
+        f"[mstkd] error: {path}: a row has group 9, but only "
         "4 groups are tagged\n")
     assert set(pipeline.load_manifest(run)["stages"]) == {"gen-data"}
+
+
+@pytest.fixture(scope="module")
+def evaluated_run(tmp_path_factory):
+    """A tiny run with every stage done, which a test copies to damage."""
+    out = tmp_path_factory.mktemp("evaluated") / "run"
+    pipeline.run_all(tiny_config(out))
+    return out
+
+
+def _damaged_copy(tmp_path, evaluated_run, stage, damages):
+    """A copy of `evaluated_run` at `tmp_path / "run"` whose artifacts of
+    `stage` are rewritten, {rel: bytes}, with the manifest digests updated
+    to match, so that only the bytes are at fault; the copy's config path."""
+    run = tmp_path / "run"
+    shutil.copytree(evaluated_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    for rel, blob in damages.items():
+        (run / rel).write_bytes(blob)
+        manifest["stages"][stage]["artifacts"][rel] = store.sha256_file(run / rel)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return _cli_config(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [
+    pytest.param(None, marks=needs_two_cores, id="pool"),
+    pytest.param("1", id="one-process")])
+def test_a_fault_in_an_input_every_job_reads_names_only_the_file(
+        tmp_path, monkeypatch, capsys, evaluated_run, workers):
+    """A truncated embedding set fails every adaptor job: the one line
+    names the file, not the first adaptor."""
+    rel = "embeddings/teacher_2.mste"
+    cfg_path = _damaged_copy(tmp_path, evaluated_run, "extract",
+                             {rel: (evaluated_run / rel).read_bytes()[:-7]})
+    if workers is None:
+        monkeypatch.delenv("MSTKD_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MSTKD_WORKERS", workers)
+    capsys.readouterr()
+    assert cli.main(["train-adaptor", "--config", cfg_path, "--force"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"[mstkd] error: {tmp_path / 'run' / rel}: header implies ")
+
+
+@pytest.mark.parametrize("column, value, fault", [
+    (0, 999999, "references a row outside the pool's 96 rows"),
+    (1, -1, "references a row outside the pool's 96 rows"),
+    (3, 3, "has a group other than its rows' group"),
+    (3, 7, "has a group other than its rows' group"),
+    (2, 0, "has a genuine flag other than whether its rows share an identity")],
+    ids=["index-999999", "index-minus-1", "group-3", "group-7", "impostor-flag"])
+@pytest.mark.parametrize("name, command", [("validation", "train-teachers"),
+                                           ("test", "evaluate")])
+def test_a_pair_that_is_not_two_rows_of_its_pool_is_a_format_error(
+        tmp_path, monkeypatch, capsys, evaluated_run, name, command, column, value,
+        fault):
+    """The first pair of a pair list, a genuine pair of group 0, damaged in
+    one column: the stage that reads the list exits 3 naming the file and
+    the pair. An index outside the pool exited 1 before, naming a model,
+    and a wrong group or flag exited 0."""
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
+    rel = f"dataset/pairs_{name}.txt"
+    first, *rest = (evaluated_run / rel).read_text().splitlines(keepends=True)
+    fields = first.split()
+    assert fields[2:] == ["1", "0"]
+    fields[column] = str(value)
+    cfg_path = _damaged_copy(tmp_path, evaluated_run, "gen-data",
+                             {rel: (" ".join(fields) + "\n" + "".join(rest)).encode()})
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path, "--force"]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {tmp_path / 'run' / rel}: pair 1 {fault}\n")
+
+
+def _relabelled(s):
+    identities = s.identities.copy()
+    identities[0] = 999
+    return data.SampleSet(s.values, identities, s.groups, s.group_tags)
+
+
+def _regrouped(s):
+    return data.SampleSet(s.values, s.identities, np.where(s.groups == 0, 1, s.groups),
+                          s.group_tags)
+
+
+@pytest.mark.parametrize("damage, fault", [
+    (lambda s: s.select(np.arange(s.n - 5)),
+     "187 x 16 embeddings, the train pool embedded at the teachers' width is 192 x 16"),
+    (lambda s: data.SampleSet(s.values[:, :8], s.identities, s.groups, s.group_tags),
+     "192 x 8 embeddings, the train pool embedded at the teachers' width is 192 x 16"),
+    (_relabelled, "the identities or groups of its rows are not those of the train pool"),
+    (_regrouped, "the identities or groups of its rows are not those of the train pool")],
+    ids=["cut-by-5-rows", "width-8", "one-identity-changed", "group-0-as-1"])
+@pytest.mark.parametrize("command", ["train-adaptor", "train-student"])
+def test_embedding_sets_that_are_not_the_train_pools_are_a_format_error(
+        tmp_path, monkeypatch, capsys, evaluated_run, command, damage, fault):
+    """Every teacher's embedding set damaged alike, so that the sets still
+    agree with each other: a stage that fuses them exits 3 naming the
+    first set in fusion order. Before, `train-adaptor` exited 0 on each of
+    these sets, training on what it was given."""
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
+    sets = {}
+    for g in range(4):
+        rel = f"embeddings/teacher_{g}.mste"
+        store.save_sample_set(damage(store.load_sample_set(evaluated_run / rel)),
+                              tmp_path / "set.mste")
+        sets[rel] = (tmp_path / "set.mste").read_bytes()
+    cfg_path = _damaged_copy(tmp_path, evaluated_run, "extract", sets)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path, "--force"]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {tmp_path / 'run' / 'embeddings' / 'teacher_0.mste'}: "
+        f"{fault}\n")
 
 
 def test_a_command_that_fails_its_upstream_check_writes_nothing(tmp_path, capsys):
