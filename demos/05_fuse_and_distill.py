@@ -2,8 +2,8 @@
 
 Continues from specialized teachers: extract all-sample embeddings, train a
 single-layer fusion adaptor (with its throwaway classification header),
-trace which teacher contributes most weight mass, then train a label-free
-student against the fused space and evaluate its per-group fairness.
+then train a label-free student against the fused space and evaluate its
+per-group fairness.
 """
 
 import numpy as np
@@ -11,8 +11,8 @@ import numpy as np
 from mstkd import (BackboneConfig, EafConfig, OptimConfig,
                    SyntheticDatasetSpec, build_pairs, evaluate_embeddings,
                    extract_embeddings, fused_target, generate, render_table,
-                   scale_phase, split_specialized, trace_teacher_attribution,
-                   train_adaptor, train_student, train_teacher)
+                   scale_phase, split_specialized, train_adaptor,
+                   train_student, train_teacher)
 from mstkd.models import new_student
 from mstkd.training import ADAPTOR_PHASE, STUDENT_PHASE, TEACHER_PHASE
 
@@ -41,9 +41,6 @@ optim_a = OptimConfig(*scale_phase(*ADAPTOR_PHASE, 0.25), batch_size=128, seed=2
 adaptor, arecs = train_adaptor("SL", sets, EafConfig(), optim_a, init_seed=200)
 print(f"SL adaptor: best epoch {adaptor.best_epoch} "
       f"(train loss {min(r['mean_loss'] for r in arecs):.2f})")
-attribution = trace_teacher_attribution(adaptor)
-print("teacher attribution (share of fusion weight mass): "
-      + ", ".join(f"teacher {g}: {a:.3f}" for g, a in enumerate(attribution)))
 
 optim_s = OptimConfig(*scale_phase(*STUDENT_PHASE, 0.25), batch_size=128, seed=30)
 student, _ = train_student("a_kd", adaptor, sets, train, 10000.0, EafConfig(),

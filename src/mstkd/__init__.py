@@ -22,8 +22,7 @@ from .evaluation import (FairnessReport, best_threshold_accuracy,
 from .losses import EafConfig, elastic_arcface, kd_mse, student_loss
 from .models import (ADAPTOR_KINDS, AdaptorModel, BackboneConfig, StudentModel,
                      TeacherModel, adaptor_forward, fuse_inputs,
-                     new_adaptor, new_student, new_teacher,
-                     trace_teacher_attribution)
+                     new_adaptor, new_student, new_teacher)
 from .training import (OptimConfig, SgdMomentum, extract_embeddings,
                        fused_target, lr_at_epoch, scale_phase, train_adaptor,
                        train_student, train_teacher)

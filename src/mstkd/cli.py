@@ -28,11 +28,13 @@ Exit codes, each the `exit_code` of its `mstkd.errors` class: 0 success,
 or unknown adaptor kind or student mode; a gen-data output or a network
 over 2**30 bytes), 3 FormatError (a malformed artifact or report, a
 sample-set row whose group has no tag, a pair that is not two rows of
-its pool, or a teacher embedding set that is not the train pool's rows at
-the teachers' width; the message names the file, and in a JSON file the
-key at fault), 4 DivergenceError (the first
-non-finite loss or gradient in training, or an output that cannot be
-normalized; the message names the model, and in training the epoch and
+its pool, a teacher embedding set that is not the train pool's rows at
+the teachers' width, or a checkpoint of another model than its file name
+stands for: a teacher of another group, an adaptor of another kind, a
+student of another mode; the message names the file, and in a JSON file
+the key at fault, and in a list the first bad item by its index), 4
+DivergenceError (the first non-finite loss or gradient in training, or
+an output that cannot be normalized; the message names the model, and in training the epoch and
 batch), 5 MissingArtifactError (a missing upstream artifact, or an
 upstream stage with no current record, found before the stage writes
 anything), 130

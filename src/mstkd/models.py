@@ -132,11 +132,10 @@ def new_teacher(cfg: BackboneConfig, class_ids: np.ndarray, group: GroupTag,
                   seed)
 
 
-def new_adaptor(kind: str, n_teachers: int, emb_dim: int, seed: int,
-                slope: float = 0.01) -> AdaptorModel:
+def new_adaptor(kind: str, n_teachers: int, emb_dim: int, seed: int) -> AdaptorModel:
     if kind not in ADAPTOR_KINDS:
         raise ConfigError(f"unknown adaptor kind {kind!r}; expected {ADAPTOR_KINDS}")
-    return _drawn(AdaptorModel(kind, n_teachers, emb_dim, {}, slope), seed)
+    return _drawn(AdaptorModel(kind, n_teachers, emb_dim, {}), seed)
 
 
 def new_student(cfg: BackboneConfig, mode: str,
@@ -171,21 +170,6 @@ def fuse_inputs(sets: list[SampleSet]) -> np.ndarray:
         if not np.array_equal(s.identities, sets[0].identities):
             raise ContractError("embedding sets are not aligned (labels differ)")
     return np.concatenate([s.values for s in sets], axis=1)
-
-
-def trace_teacher_attribution(a: AdaptorModel) -> np.ndarray:
-    """Per-teacher share of the SL adaptor's weight mass.
-
-    Frobenius norm of each teacher's input block of the single affine map,
-    normalized to sum to one.
-    """
-    if a.kind != "SL":
-        raise ContractError("attribution tracing requires an SL adaptor")
-    w = a.params["adaptor.0.W"]
-    norms = np.array([
-        np.linalg.norm(w[g * a.emb_dim:(g + 1) * a.emb_dim, :])
-        for g in range(a.n_teachers)])
-    return norms / norms.sum()
 
 
 # --- checkpoint persistence ------------------------------------------------

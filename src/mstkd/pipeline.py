@@ -158,6 +158,14 @@ class ExperimentConfig:
     def teacher_cfg(self) -> models.BackboneConfig:
         return self.teacher_backbone or self.backbone
 
+    def model_seeds(self, phase: str, k: int) -> tuple[int, int]:
+        """(init seed, training seed) of job `k` of `phase`'s training stage:
+        teacher k, adaptor k, or student k, which distills adaptor
+        k // modes in mode k % modes."""
+        i, j = divmod(k, len(self.student_modes))
+        offset = {"teacher": k, "adaptor": 100 + k, "student": 200 + 10 * i + j}[phase]
+        return self.seeds.init + offset, self.seeds.train + offset
+
     def optim(self, phase: str, seed: int) -> training.OptimConfig:
         base = {"teacher": training.TEACHER_PHASE,
                 "adaptor": training.ADAPTOR_PHASE,
@@ -374,6 +382,14 @@ def _load_embedding_sets(cfg: ExperimentConfig, out: Path,
     return sets
 
 
+def _stem_check(path: Path, what: str, have, want) -> None:
+    """A model loaded from `path` must be the one its stem names: its
+    `what` (group index, adaptor kind or student mode) is `want`."""
+    if have != want:
+        raise FormatError(f"{path}: checkpoint holds the model of {what} {have!r}, "
+                          f"its file name stands for {what} {want!r}")
+
+
 def _gen_data(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train, val, test = data.generate(cfg.dataset)
     pair_lists = [data.build_pairs(pool, cfg.pairs_per_group,
@@ -404,31 +420,33 @@ def _train_one_teacher(cfg: ExperimentConfig, out: Path, g: int):
     split = (data.split_specialized(train) if cfg.split == "specialized"
              else data.split_balanced(train, cfg.seeds.data))
     subset = train.select(train.rows_of_identities(split[g]))
-    optim = cfg.optim("teacher", cfg.seeds.train + g)
+    init_seed, train_seed = cfg.model_seeds("teacher", g)
     with naming(_teachers(cfg)[g]):
         return training.train_teacher(
-            subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf, optim,
-            val, val_pairs, init_seed=cfg.seeds.init + g)
+            subset, train.group_tags[g], cfg.teacher_cfg(), cfg.eaf,
+            cfg.optim("teacher", train_seed), val, val_pairs, init_seed)
 
 
 def _train_one_adaptor(cfg: ExperimentConfig, out: Path, i: int):
     sets = _load_embedding_sets(cfg, out, _load_pool(cfg, out, "train"))
-    optim = cfg.optim("adaptor", cfg.seeds.train + 100 + i)
+    init_seed, train_seed = cfg.model_seeds("adaptor", i)
     with naming(_adaptors(cfg)[i]):
-        return training.train_adaptor(cfg.adaptors[i], sets, cfg.eaf, optim,
-                                      init_seed=cfg.seeds.init + 100 + i)
+        return training.train_adaptor(cfg.adaptors[i], sets, cfg.eaf,
+                                      cfg.optim("adaptor", train_seed), init_seed)
 
 
 def _train_one_student(cfg: ExperimentConfig, out: Path, k: int):
     i, j = divmod(k, len(cfg.student_modes))
-    adaptor = models.load_adaptor(out / _trained(_adaptors(cfg)[i])[0])
+    path = out / _trained(_adaptors(cfg)[i])[0]
+    adaptor = models.load_adaptor(path)
+    _stem_check(path, "kind", adaptor.kind, cfg.adaptors[i])
     train = _load_pool(cfg, out, "train")
     sets = _load_embedding_sets(cfg, out, train)
-    optim = cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j)
+    init_seed, train_seed = cfg.model_seeds("student", k)
     with naming(_students(cfg)[k]):
         return training.train_student(
             cfg.student_modes[j], adaptor, sets, train, cfg.lam, cfg.eaf,
-            cfg.backbone, optim, init_seed=cfg.seeds.init + 200 + 10 * i + j)
+            cfg.backbone, cfg.optim("student", train_seed), init_seed)
 
 
 def _training_stage(stems_of, job, save):
@@ -450,8 +468,10 @@ def _training_stage(stems_of, job, save):
 def _extract(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     train = _load_pool(cfg, out, "train")
     stems = _teachers(cfg)
-    for stem in stems:   # one teacher and its embeddings in memory at a time
-        teacher = models.load_teacher(out / _trained(stem)[0])
+    for g, stem in enumerate(stems):   # one teacher and its embeddings at a time
+        path = out / _trained(stem)[0]
+        teacher = models.load_teacher(path)
+        _stem_check(path, "group index", teacher.assigned_group.index, g)
         with naming(stem):
             (embedded,) = training.extract_embeddings([teacher], train)
         store.save_sample_set(embedded, out / _embeddings(stem))
@@ -465,7 +485,9 @@ def _evaluate(cfg: ExperimentConfig, out: Path, run: _Run) -> str:
     test_pairs = store.load_pairs(out / _pairs("test"), test)
     modes = len(cfg.student_modes)
     for k, stem in enumerate(_students(cfg)):
-        student = models.load_student(out / _trained(stem)[0])
+        path = out / _trained(stem)[0]
+        student = models.load_student(path)
+        _stem_check(path, "mode", student.mode, cfg.student_modes[k % modes])
         with naming(stem):
             report = evaluate_embeddings(student.embed(test.values), test, test_pairs)
         jpath, tpath = _report(stem)

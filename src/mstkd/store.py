@@ -303,15 +303,30 @@ def is_str(v) -> bool:
     return type(v) is str
 
 
-def list_of(rule):   # a list whose every item passes `rule`
-    return lambda v: type(v) is list and all(map(rule, v))
+class _BadValue(Exception):
+    """(suffix, value): the part of a field's value that fails its rule,
+    raised by a `list_of` rule to `checked`, which names and quotes it."""
+
+
+def list_of(rule):
+    """The rule of a list whose every item passes `rule`: the first item
+    that fails is the bad value, named by its index."""
+    def test(v) -> bool:
+        if type(v) is not list:
+            return False
+        for i, item in enumerate(v):
+            if not rule(item):
+                raise _BadValue(f"[{i}]", item)
+        return True
+    return test
 
 
 def checked(doc, fields: dict, where: str) -> dict:
     """The `fields` of the JSON object `doc`, each checked by its rule: a
     test of the value, or the table of a nested object, where the key "*"
     stands for every key. A non-object, a missing field or a value that
-    fails its test is a FormatError starting with `where`, naming the key."""
+    fails its test is a FormatError starting with `where`, naming the key
+    and quoting the bad value (in a list, only the first bad item)."""
     if type(doc) is not dict:
         raise FormatError(f"{where} is not an object")
     out = {}
@@ -322,7 +337,13 @@ def checked(doc, fields: dict, where: str) -> dict:
             value = doc[key]
             if isinstance(rule, dict):
                 value = checked(value, rule, f"{where}.{key}")
-            elif not rule(value):
-                raise FormatError(f"{where}.{key} has the bad value {value!r}")
+            else:
+                try:
+                    if not rule(value):
+                        raise _BadValue("", value)
+                except _BadValue as bad:
+                    at, item = bad.args
+                    raise FormatError(f"{where}.{key}{at} has the bad value "
+                                      f"{item!r}") from None
             out[key] = value
     return out

@@ -1,6 +1,7 @@
-"""Acceptance gate: one test per criterion, each printing a PASS line.
+"""Acceptance gate: one test per criterion, each printing a PASS line,
+but criterion 10, which only prints its informational lines.
 
-Criteria 5-9 share a session-scoped sweep fixture that runs the full
+Criteria 5-10 share a session-scoped sweep fixture that runs the full
 pipeline on the desk-scale default config for five data seeds, once per
 data-split kind, through the real stage commands; the ten pipelines run
 side by side in a pool of forked processes. Run with `pytest -s
@@ -19,7 +20,7 @@ import pytest
 
 from mstkd import autodiff as ad
 from mstkd import data, losses, models, pipeline, store, training
-from mstkd.evaluation import fairness_metrics, verification_accuracy
+from mstkd.evaluation import evaluate_embeddings, fairness_metrics, verification_accuracy
 from mstkd.losses import EafConfig
 
 from gradcheck import assert_grads_close, numeric_grad
@@ -414,15 +415,15 @@ def test_criterion_6_distillation_effectiveness(sweep):
     val = store.load_sample_set(out / "dataset" / "validation.mste", tags)
     teachers = [models.load_teacher(out / "teachers" / f"teacher_{g}.ckpt")
                 for g in range(4)]
-    mode_index = list(cfg.student_modes).index("a_kd")
+    modes, mode_index = len(cfg.student_modes), cfg.student_modes.index("a_kd")
     details = []
     for i, kind in enumerate(cfg.adaptors):
         adaptor = models.load_adaptor(out / "adaptors" / f"{kind}.ckpt")
         e_mt = training.fused_target(adaptor,
                                      training.extract_embeddings(teachers, val))
         student = models.load_student(out / "students" / f"{kind}_a_kd.ckpt")
-        fresh = models.new_student(cfg.backbone, "a_kd", None,
-                                   seed=cfg.seeds.init + 200 + 10 * i + mode_index)
+        init_seed, _ = cfg.model_seeds("student", i * modes + mode_index)
+        fresh = models.new_student(cfg.backbone, "a_kd", None, seed=init_seed)
         kd_before = float(np.mean((e_mt - fresh.embed(val.values)) ** 2))
         kd_after = float(np.mean((e_mt - student.embed(val.values)) ** 2))
         assert kd_after <= 0.1 * kd_before, f"{kind}: ratio {kd_after / kd_before:.3f}"
@@ -527,3 +528,39 @@ def test_criterion_9_frozen_network_guarantee(sweep):
     _report(9, True, "teacher and adaptor parameter bytes unchanged by "
                      "EAF-KD and a-KD training (loaded parameters are "
                      "read-only, so a write would raise at once)")
+
+
+# --------------------------------------------------------------------------
+# criterion 10: fusion fidelity (informational)
+
+
+def test_criterion_10_fusion_fidelity(sweep):
+    """The test global accuracy of three embeddings, for each run and
+    adaptor kind: the teachers' test embeddings concatenated in fusion
+    order and unit-normed, the trained adaptor's output on that
+    concatenation (its students' target), and the output of the same
+    adaptor at its initialization. Inference only; nothing is asserted
+    while the adaptor's training loses what the teachers know."""
+    accs = {}   # (split, embedding) -> test global accuracies
+    for (split, _), (out, cfg) in sweep["runs"].items():
+        pool, pairs = _load_test_pool(out, cfg)
+        teachers = [models.load_teacher(out / "teachers" / f"teacher_{g}.ckpt")
+                    for g in cfg.fusion_order or range(cfg.dataset.groups)]
+        fused = models.fuse_inputs(training.extract_embeddings(teachers, pool))
+        embeddings = {"teachers": [fused / np.linalg.norm(fused, axis=1, keepdims=True)],
+                      "trained": [], "init": []}
+        for i, kind in enumerate(cfg.adaptors):
+            trained = models.load_adaptor(out / "adaptors" / f"{kind}.ckpt")
+            init = models.new_adaptor(kind, len(teachers), trained.emb_dim,
+                                      cfg.model_seeds("adaptor", i)[0])
+            embeddings["trained"].append(models.adaptor_forward(trained, fused))
+            embeddings["init"].append(models.adaptor_forward(init, fused))
+        for name, embs in embeddings.items():
+            accs.setdefault((split, name), []).extend(
+                evaluate_embeddings(e, pool, pairs).global_acc for e in embs)
+    for split in ("specialized", "balanced"):
+        mean = {name: np.mean(accs[(split, name)]) for name in embeddings}
+        print(f"[criterion 10] informational: {split}: mean test global accuracy "
+              f"of the teachers concatenated {mean['teachers']:.1f}, of the "
+              f"trained adaptors {mean['trained']:.1f}, of the adaptors at init "
+              f"{mean['init']:.1f} (not asserted)")

@@ -94,8 +94,8 @@ def test_inference_activation_is_the_training_factor_at_signed_zeros(slope):
 
 @pytest.mark.parametrize("kind", models.ADAPTOR_KINDS)
 def test_forward_equals_adaptor_graph_bitwise(kind):
-    a = models.new_adaptor(kind, 4, 6, seed=4, slope=0.05)
-    a.dropout_p = 0.0
+    a = models.new_adaptor(kind, 4, 6, seed=4)
+    a.slope, a.dropout_p = 0.05, 0.0
     fused = np.random.default_rng(13).normal(size=(11, 24))
     tape = oracle.Tape()
     graph = oracle.adaptor_graph(tape, param_tensors(tape, a.params), a, fused)
@@ -258,38 +258,6 @@ def test_parameter_count_ordering():
     assert count_params(dul.params) == count_params(dldpo.params)
 
 
-def test_attribution_block_selection_and_uniformity():
-    d = 8
-    a = models.new_adaptor("SL", 4, d, seed=0)
-    w = np.zeros((4 * d, d))
-    w[:d, :] = np.eye(d)
-    a.params["adaptor.0.W"] = w
-    assert np.allclose(models.trace_teacher_attribution(a), [1, 0, 0, 0])
-
-    shares = []
-    for seed in range(200):
-        a = models.new_adaptor("SL", 4, d, seed=seed)
-        attr = models.trace_teacher_attribution(a)
-        assert np.all(attr >= 0)
-        assert abs(attr.sum() - 1.0) < 1e-12
-        shares.append(attr)
-    assert np.allclose(np.mean(shares, axis=0), 0.25, atol=0.01)
-
-
-def test_attribution_invariant_under_output_rotation():
-    a = models.new_adaptor("SL", 4, 6, seed=5)
-    before = models.trace_teacher_attribution(a)
-    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(6, 6)))
-    a.params["adaptor.0.W"] = a.params["adaptor.0.W"] @ q
-    assert np.allclose(models.trace_teacher_attribution(a), before, atol=1e-12)
-
-
-def test_attribution_requires_sl():
-    a = models.new_adaptor("DuL", 4, 6, seed=0)
-    with pytest.raises(ContractError, match="attribution tracing requires an SL adaptor"):
-        models.trace_teacher_attribution(a)
-
-
 def test_student_modes():
     akd = models.new_student(CFG, "a_kd", None, seed=0)
     emb = akd.embed(np.random.default_rng(0).normal(size=(4, 16)))
@@ -426,3 +394,25 @@ def test_checkpoint_meta_fields_are_checked(tmp_path, which, edit, named):
     with pytest.raises(FormatError, match=named) as info:
         load(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("which, ids", [("teacher", 50), ("student", 200)])
+def test_a_bad_class_id_is_named_by_its_index_and_quoted_alone(tmp_path, which, ids):
+    """One class id of many set to 2**70: the one line names
+    `meta.class_ids[5]` and quotes only that id. Before, it quoted the
+    whole list, hundreds of characters."""
+    model, save, load = {
+        "teacher": (make_teacher(n_classes=ids), models.save_teacher,
+                    models.load_teacher),
+        "student": (models.new_student(CFG, "eaf_kd", np.arange(ids), seed=0),
+                    models.save_student, models.load_student)}[which]
+    path = tmp_path / "model.ckpt"
+    save(model, path)
+    params, meta = store.load_params(path)
+    meta["class_ids"][5] = 2 ** 70
+    store.save_params(path, params, meta)
+    with pytest.raises(FormatError) as info:
+        load(path)
+    line = str(info.value)
+    assert line == f"{path}: checkpoint meta.class_ids[5] has the bad value {2 ** 70}"
+    assert len(line) - len(str(path)) < 80

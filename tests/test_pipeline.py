@@ -593,14 +593,16 @@ def test_a_fusion_order_reaches_the_trained_models(tmp_path):
     adaptor = models.load_adaptor(out / "adaptors" / "SL.ckpt")
     student = models.load_student(out / "students" / "SL_a_kd.ckpt")
 
+    adaptor_init, adaptor_train = cfg.model_seeds("adaptor", i)
+    student_init, student_train = cfg.model_seeds(
+        "student", i * len(cfg.student_modes) + j)
+
     def direct(listed):
         a, _ = training.train_adaptor(
-            "SL", listed, cfg.eaf, cfg.optim("adaptor", cfg.seeds.train + 100 + i),
-            init_seed=cfg.seeds.init + 100 + i)
+            "SL", listed, cfg.eaf, cfg.optim("adaptor", adaptor_train), adaptor_init)
         s, _ = training.train_student(
             "a_kd", adaptor, listed, train, cfg.lam, cfg.eaf, cfg.backbone,
-            cfg.optim("student", cfg.seeds.train + 200 + 10 * i + j),
-            init_seed=cfg.seeds.init + 200 + 10 * i + j)
+            cfg.optim("student", student_train), student_init)
         return a, s
 
     def same(a, b):
@@ -1094,10 +1096,16 @@ def test_report_reads_every_report_before_it_writes(tmp_path, capsys):
     assert not list(tmp_path.glob("**/students_*"))
 
 
-@pytest.mark.parametrize("key, value", [
-    ("groups", ["g0", 1]), ("per_group_acc", "90"), ("thresholds", [0.5, None]),
-    ("global_acc", True), ("std", "7.07"), ("ser", "undef"), ("protocol", 5)])
-def test_a_mistyped_report_key_is_named(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, named, quoted", [
+    ("groups", ["g0", 1], "groups[1]", 1), ("per_group_acc", "90", "per_group_acc", "90"),
+    ("thresholds", [0.5, None], "thresholds[1]", None),
+    ("global_acc", True, "global_acc", True), ("std", "7.07", "std", "7.07"),
+    ("ser", "undef", "ser", "undef"), ("protocol", 5, "protocol", 5)],
+    ids=["groups-value0", "per_group_acc-90", "thresholds-value2", "global_acc-True",
+         "std-7.07", "ser-undef", "protocol-5"])
+def test_a_mistyped_report_key_is_named(tmp_path, capsys, key, value, named, quoted):
+    """The one line names the key, and in a list the first bad item, and
+    quotes only that value."""
     cfg_path = _cli_config(tmp_path)
     run = _run_with_reports(tmp_path)
     bad = run / "reports" / "DuL_eaf_kd.json"
@@ -1105,8 +1113,8 @@ def test_a_mistyped_report_key_is_named(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert cli.main(["report", "--config", cfg_path, str(run)]) == 3
     assert capsys.readouterr().err == (
-        f"[mstkd] error: {bad} is not a fairness report (report.{key} has the bad "
-        f"value {value!r})\n")
+        f"[mstkd] error: {bad} is not a fairness report (report.{named} has the bad "
+        f"value {quoted!r})\n")
 
 
 @pytest.mark.parametrize("edit, fault", [
@@ -1313,6 +1321,31 @@ def test_a_pair_that_is_not_two_rows_of_its_pool_is_a_format_error(
     assert cli.main([command, "--config", cfg_path, "--force"]) == 3
     assert capsys.readouterr().err == (
         f"[mstkd] error: {tmp_path / 'run' / rel}: pair 1 {fault}\n")
+
+
+@pytest.mark.parametrize("stage, rel, source, command, fault", [
+    ("train-teachers", "teachers/teacher_1.ckpt", "teachers/teacher_0.ckpt", "extract",
+     "group index 0, its file name stands for group index 1"),
+    ("train-adaptor", "adaptors/DuL.ckpt", "adaptors/SL.ckpt", "train-student",
+     "kind 'SL', its file name stands for kind 'DuL'"),
+    ("train-student", "students/SL_eaf_kd.ckpt", "students/SL_a_kd.ckpt", "evaluate",
+     "mode 'a_kd', its file name stands for mode 'eaf_kd'")],
+    ids=["teacher-0-as-1", "SL-adaptor-as-DuL", "a_kd-student-as-eaf_kd"])
+def test_a_checkpoint_of_another_model_than_its_stem_names_is_a_format_error(
+        tmp_path, monkeypatch, capsys, evaluated_run, stage, rel, source, command,
+        fault):
+    """A checkpoint replaced by a copy of another model of its kind, whose
+    meta is sound: the stage that loads it exits 3 naming the file. Before,
+    each loaded, and `extract --force` exited 0 writing teacher 0's
+    embeddings as teacher 1's."""
+    monkeypatch.setenv("MSTKD_WORKERS", "1")
+    cfg_path = _damaged_copy(tmp_path, evaluated_run, stage,
+                             {rel: (evaluated_run / source).read_bytes()})
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path, "--force"]) == 3
+    assert capsys.readouterr().err == (
+        f"[mstkd] error: {tmp_path / 'run' / rel}: checkpoint holds the model of "
+        f"{fault}\n")
 
 
 def _relabelled(s):
